@@ -42,10 +42,7 @@ class RunConfig:
     workers: int = 1
     out_dir: str = None
     matcher_budget_bytes: int = DEFAULT_BUDGET_BYTES
-    automorphism_pruning: bool = True
-    product_clauses: bool = True
     programmatic_callback: bool = True
-    mod4_filter: bool = True
     dump_cnf: bool = False
 
     def __post_init__(self):
@@ -53,9 +50,20 @@ class RunConfig:
             raise DomainError("order must be positive")
         if self.epsilon <= 0:
             raise DomainError("epsilon must be positive")
+        self.workers = _worker_count(self.workers, "workers (-j)")
         env = os.environ.get("WILLIAMSON_WORKERS")
         if env:
-            self.workers = int(env)
+            self.workers = _worker_count(env, "WILLIAMSON_WORKERS")
+
+
+def _worker_count(value, source: str) -> int:
+    try:
+        count = int(value)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise DomainError(f"{source} must be an integer >= 1, got {value!r}")
+    return count
 
 
 @dataclass
@@ -81,21 +89,16 @@ def _instance_id(rows) -> str:
     return hashlib.sha1(json.dumps(rows).encode()).hexdigest()[:16]
 
 
-def _solve_instance(rows, n: int, epsilon: float, use_callback: bool, use_product: bool):
-    inst = satgen.encode_uncompression(rows, n)
-    clauses = list(inst.clauses)
-    if n % 2 == 1 and use_product:
-        clauses.extend(list(c) for c in satgen.encode_product_theorem(n, inst.var_map))
+def _solve_instance(rows, n: int, epsilon: float, use_callback: bool):
+    inst = satgen.build_instance(rows, n)
     callback = WilliamsonCallback(inst.var_map, n, epsilon) if use_callback else None
-    solver = CdclSolver(inst.num_vars, clauses, callback)
+    solver = CdclSolver(inst.num_vars, inst.clauses, callback)
     models = solver.solve_all()
-    f = inst.var_map.free_count
+    blocks = inst.var_map.blocks()
     solutions = []
     for model in models:
-        values = [0] * (inst.num_vars + 1)
-        for lit in model:
-            values[abs(lit)] = 1 if lit > 0 else -1
-        solutions.append([[values[role * f + i + 1] for i in range(f)] for role in range(4)])
+        true_vars = {lit for lit in model if lit > 0}
+        solutions.append([[1 if v in true_vars else -1 for v in block] for block in blocks])
     st = solver.stats
     stats = {
         "decisions": st.decisions,
@@ -108,8 +111,8 @@ def _solve_instance(rows, n: int, epsilon: float, use_callback: bool, use_produc
 
 
 def _solve_task(args):
-    instance_id, rows, n, epsilon, use_callback, use_product = args
-    solutions, stats = _solve_instance(rows, n, epsilon, use_callback, use_product)
+    instance_id, rows, n, epsilon, use_callback = args
+    solutions, stats = _solve_instance(rows, n, epsilon, use_callback)
     return instance_id, solutions, stats
 
 
@@ -124,15 +127,9 @@ def _generate_instances(cfg: RunConfig):
     candidates = generate_candidates(n, decs, cfg.epsilon)
     matched = []
     for dec in decs:
-        lists = build_compression_lists(candidates, dec, m, prune_a=cfg.automorphism_pruning)
-        matched.extend(
-            match_compressions(
-                lists, n, cfg.epsilon,
-                mod4_filter=cfg.mod4_filter and n % 2 == 0,
-                budget_bytes=cfg.matcher_budget_bytes,
-                tmp_dir=cfg.out_dir,
-            )
-        )
+        lists = build_compression_lists(candidates, dec, m)
+        matched.extend(match_compressions(lists, n, cfg.epsilon, budget_bytes=cfg.matcher_budget_bytes,
+                                          tmp_dir=cfg.out_dir))
     kept, discarded = satgen.dedupe_instances(matched, n)
     kept_ids = [_instance_id([list(r) for r in mc.rows]) for mc in kept]
     tasks = sorted((kept_ids[i], [list(r) for r in mc.rows]) for i, mc in enumerate(kept))
@@ -141,6 +138,35 @@ def _generate_instances(cfg: RunConfig):
         for mc, kept_idx in discarded
     ]
     return tasks, discard_log
+
+
+def _load_checkpoint(path: str) -> dict:
+    """Instance id -> (solutions, stats) from checkpoint.jsonl.
+
+    A run killed mid-write leaves a torn last line (no newline, or no JSON):
+    it is dropped, and the file truncated to the end of the last complete
+    record so the next record starts a line of its own.  An unreadable line
+    before the last is an error.
+    """
+    done, end, offset = {}, 0, 0
+    with open(path, "rb+") as f:
+        lines = f.read().split(b"\n")
+        for lineno, line in enumerate(lines, start=1):
+            offset += len(line) + 1
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line) if lineno < len(lines) else None
+            except ValueError:
+                rec = None
+            if rec is None:
+                if any(rest.strip() for rest in lines[lineno:]):
+                    raise DomainError(f"{path}: line {lineno} is not a checkpoint record")
+                break
+            done[rec["id"]] = (rec["solutions"], rec["stats"])
+            end = offset
+        f.truncate(end)
+    return done
 
 
 def run_enumeration(cfg: RunConfig) -> EnumerationReport:
@@ -152,22 +178,15 @@ def run_enumeration(cfg: RunConfig) -> EnumerationReport:
     checkpoint_path = None
     done = {}
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
         checkpoint_path = os.path.join(out_dir, "checkpoint.jsonl")
         if os.path.exists(checkpoint_path):
-            with open(checkpoint_path) as f:
-                for line in f:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    rec = json.loads(line)
-                    done[rec["id"]] = (rec["solutions"], rec["stats"])
+            done = _load_checkpoint(checkpoint_path)
         with open(os.path.join(out_dir, "instances_discarded.log"), "w") as f:
             for discarded_id, kept_id in discarded:
                 f.write(f"{discarded_id}\tkept={kept_id}\n")
 
     pending = [
-        (iid, rows, n, cfg.epsilon, cfg.programmatic_callback, cfg.product_clauses)
+        (iid, rows, n, cfg.epsilon, cfg.programmatic_callback)
         for iid, rows in tasks
         if iid not in done
     ]
@@ -197,6 +216,11 @@ def run_enumeration(cfg: RunConfig) -> EnumerationReport:
         if ckpt:
             ckpt.close()
 
+    # The callback passes a model only if its summed PSD stays below 4n + eps
+    # at every frequency.  The PSD sums average exactly 4n, so each PAF sum is
+    # within 2 eps of its target; for eps < 1/2 these integers hit it exactly
+    # and a model that fails the exact check is a defect, not a filter hit.
+    strict = cfg.programmatic_callback and 2 * cfg.epsilon < 1
     solutions = []
     instance_stats = []
     for iid, rows in tasks:
@@ -208,6 +232,9 @@ def run_enumeration(cfg: RunConfig) -> EnumerationReport:
             q = Quadruple(*(SymmetricSequence.from_free(n, fr) for fr in free_rows))
             if verify_williamson(q):
                 verified.append(q)
+            elif strict:
+                raise RuntimeError(f"instance {iid}: the solver returned a model "
+                                   "that is not a Williamson quadruple")
         stats["verified"] = len(verified)
         instance_stats.append(stats)
         solutions.extend(verified)
@@ -254,11 +281,8 @@ def _write_run_outputs(cfg: RunConfig, report: EnumerationReport, tasks) -> None
         cnf_dir = os.path.join(out_dir, "instances")
         os.makedirs(cnf_dir, exist_ok=True)
         for iid, rows in tasks:
-            inst = satgen.encode_uncompression(rows, cfg.n)
-            if cfg.n % 2 == 1 and cfg.product_clauses:
-                inst.clauses.extend(list(c) for c in satgen.encode_product_theorem(cfg.n, inst.var_map))
             with open(os.path.join(cnf_dir, f"{iid}.cnf"), "w") as f:
-                f.write(satgen.export_dimacs(inst))
+                f.write(satgen.export_dimacs(satgen.build_instance(rows, cfg.n)))
 
 
 # -- subcommands -------------------------------------------------------------
@@ -271,10 +295,7 @@ def cmd_enumerate(args) -> int:
         workers=args.workers,
         out_dir=args.out,
         matcher_budget_bytes=args.budget_bytes,
-        automorphism_pruning=not args.no_automorphism_pruning,
-        product_clauses=not args.no_product_clauses,
         programmatic_callback=not args.no_callback,
-        mod4_filter=not args.no_mod4,
         dump_cnf=args.dump_cnf,
     )
     report = run_enumeration(cfg)
@@ -385,9 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget-bytes", type=int, default=DEFAULT_BUDGET_BYTES,
                    help="matcher in-memory budget before spilling key lists")
     p.add_argument("--no-callback", action="store_true", help="disable the programmatic PSD callback")
-    p.add_argument("--no-product-clauses", action="store_true")
-    p.add_argument("--no-automorphism-pruning", action="store_true")
-    p.add_argument("--no-mod4", action="store_true")
     p.add_argument("--dump-cnf", action="store_true", help="write instances/*.cnf DIMACS dumps")
     p.set_defaults(func=cmd_enumerate)
 

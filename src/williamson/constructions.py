@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .equivalence import canonical_member_codes
+from .equivalence import _decode, canonical_member_codes
 from .seqcore import Quadruple, SymmetricSequence, _entries_of, paf, verify_williamson
 
 
@@ -191,9 +191,7 @@ def canonical_octuple(octuple) -> OctupleSequence:
     entries = [_entries_of(x) for x in members]
     n = len(entries[0])
     codes = canonical_member_codes(entries, n)
-    return OctupleSequence(
-        [tuple(-1 if (c >> (n - 1 - i)) & 1 else 1 for i in range(n)) for c in codes]
-    )
+    return OctupleSequence([_decode(c, n) for c in codes])
 
 
 def dedupe_octuples(octuples) -> list:

@@ -55,19 +55,6 @@ def brute_force_enumerate(n: int) -> list:
     return qs
 
 
-def brute_force_codes(n: int):
-    """The same enumeration, but yielding (rows, index-quadruple array).
-
-    Cheaper than building objects when the caller only needs set comparisons.
-    """
-    idx = list(_enumerate_index_tuples(n))
-    if not idx:
-        return all_symmetric_sequences(n), np.empty((0, 4), dtype=np.int64)
-    rows = idx[0][4]
-    arr = np.array([(a, b, c, d) for a, b, c, d, _ in idx], dtype=np.int64)
-    return rows, arr
-
-
 def _enumerate_index_tuples(n: int):
     _check_budget(n)
     rows = all_symmetric_sequences(n)

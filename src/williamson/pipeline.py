@@ -21,19 +21,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .equivalence import units
 from .seqcore import (
     EPSILON_DEFAULT,
     CompressedSequence,
     SymmetricSequence,
+    fold_indices,
     psd_halfspectrum,
 )
 
 _PSD_CHUNK_ROWS = 1 << 15
 DEFAULT_BUDGET_BYTES = 256 * 1024 * 1024
-
-
-def fold_indices(n: int) -> np.ndarray:
-    return np.array([i if i <= n // 2 else n - i for i in range(n)])
 
 
 def enumerate_symmetric_free(n: int) -> np.ndarray:
@@ -45,7 +43,7 @@ def enumerate_symmetric_free(n: int) -> np.ndarray:
 
 
 def _expand(free_rows: np.ndarray, n: int) -> np.ndarray:
-    return free_rows[:, fold_indices(n)]
+    return free_rows[:, np.array(fold_indices(n))]
 
 
 def _free_codes(free_rows: np.ndarray) -> np.ndarray:
@@ -103,12 +101,10 @@ class CandidateSet:
         if free.shape[0] == 0:
             return clist
         f = n // 2 + 1
-        fold = fold_indices(n)
+        fold = np.array(fold_indices(n))
         codes = _free_codes(free)
         best = codes.copy()
-        for k in range(2, n):
-            if np.gcd(k, n) != 1:
-                continue
+        for k in units(n)[1:]:  # units(n)[0] == 1, the identity
             perm = fold[(k * np.arange(f)) % n]
             np.minimum(best, _free_codes(free[:, perm]), out=best)
         keep = codes == best
@@ -151,9 +147,6 @@ class CompressedList:
 
     def __len__(self):
         return self.rows.shape[0]
-
-    def sequences(self) -> list:
-        return [CompressedSequence(row, self.factor) for row in self.rows.tolist()]
 
 
 @dataclass
@@ -219,7 +212,6 @@ class MatchedCompression:
     b: CompressedSequence
     c: CompressedSequence
     d: CompressedSequence
-    sources: tuple = None
 
     @property
     def rows(self) -> tuple:
@@ -379,7 +371,6 @@ def match_compressions(lists: CompressionLists, n: int, epsilon: float = EPSILON
                                 CompressedSequence(lb.rows[ib].tolist(), m),
                                 CompressedSequence(lc.rows[ic].tolist(), m),
                                 CompressedSequence(ld.rows[idd].tolist(), m),
-                                sources=(int(ia), int(ib), int(ic), int(idd)),
                             )
                         )
                 item_ab = next(gen_ab, None)

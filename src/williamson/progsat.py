@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seqcore import EPSILON_DEFAULT
+from .seqcore import EPSILON_DEFAULT, fold_indices, psd_halfspectrum
 
 NO_ACTION = None
 
@@ -436,7 +436,7 @@ class WilliamsonCallback:
         self.epsilon = epsilon
         self.bound = 4 * n + epsilon
         self.blocks = var_map.blocks()
-        self._fold = [i if i <= n // 2 else n - i for i in range(n)]
+        self._fold = fold_indices(n)
         self._memo = {}
 
     def _block_psd(self, values, block):
@@ -446,9 +446,7 @@ class WilliamsonCallback:
         cached = self._memo.get(pattern)
         if cached is None:
             free = [1.0 if values[v] > 0 else -1.0 for v in block]
-            full = np.array([free[i] for i in self._fold])
-            spec = np.fft.rfft(full)
-            cached = spec.real * spec.real + spec.imag * spec.imag
+            cached = psd_halfspectrum(np.array([free[i] for i in self._fold]))
             self._memo[pattern] = cached
         return cached
 

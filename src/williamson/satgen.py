@@ -14,10 +14,11 @@ it descends to the compressed sequences, i.e. when 4 | n).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
-from .seqcore import Quadruple, SymmetricSequence
+from .equivalence import _unit_perms
+from .seqcore import Quadruple, SymmetricSequence, fold_indices
 
 
 class VariableMap:
@@ -27,13 +28,10 @@ class VariableMap:
         self.n = n
         self.free_count = n // 2 + 1
         self.num_vars = 4 * self.free_count
+        self._fold = fold_indices(n)
 
     def var(self, role: int, index: int) -> int:
-        n = self.n
-        index %= n
-        if index > n // 2:
-            index = n - index
-        return role * self.free_count + index + 1
+        return role * self.free_count + self._fold[index % self.n] + 1
 
     def role_index(self, var: int) -> tuple:
         if not 1 <= var <= self.num_vars:
@@ -137,6 +135,15 @@ def encode_product_theorem(n: int, var_map: VariableMap = None) -> list:
     return clauses
 
 
+def build_instance(rows, n: int) -> SatInstance:
+    """The CNF solved for one matched compression: its uncompression clauses,
+    then the product clauses when n is odd."""
+    inst = encode_uncompression(rows, n)
+    if n % 2 == 1:
+        inst.clauses.extend(list(c) for c in encode_product_theorem(n, inst.var_map))
+    return inst
+
+
 def export_dimacs(inst: SatInstance) -> str:
     lines = [f"p cnf {inst.num_vars} {len(inst.clauses)}"]
     for clause in inst.clauses:
@@ -182,9 +189,10 @@ def parse_dimacs(text: str) -> SatInstance:
 # -- instance-level deduplication --------------------------------------------
 
 
-def _compressed_maps(n: int, d: int) -> list:
-    maps = {tuple((k * j) % d for j in range(d)) for k in range(1, n + 1) if math.gcd(k, n) == 1}
-    return sorted(maps)
+@lru_cache(maxsize=None)
+def _compressed_maps(n: int, d: int) -> tuple:
+    """The automorphisms of Z_n reduced mod d (d divides n), without repeats."""
+    return tuple(sorted({tuple(i % d for i in p[:d]) for p in _unit_perms(n)}))
 
 
 def instance_key(rows, n: int) -> tuple:

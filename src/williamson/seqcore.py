@@ -8,14 +8,18 @@ equality decisions.
 """
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 EPSILON_DEFAULT = 1e-2
 
 
-def _fold(i: int, n: int) -> int:
-    i %= n
-    return i if i <= n // 2 else n - i
+@lru_cache(maxsize=None)
+def fold_indices(n: int) -> tuple:
+    """The symmetric fold: entry i of a symmetric sequence of order n is its
+    free entry min(i, n - i), for i = 0..n-1."""
+    return tuple(i if i <= n // 2 else n - i for i in range(n))
 
 
 class SymmetricSequence:
@@ -60,12 +64,9 @@ class SymmetricSequence:
     @property
     def entries(self) -> tuple:
         if self._full is None:
-            n, free = self.order, self.free
-            self._full = tuple(free[i if i <= n // 2 else n - i] for i in range(n))
+            free = self.free
+            self._full = tuple(free[i] for i in fold_indices(self.order))
         return self._full
-
-    def expand(self) -> tuple:
-        return self.entries
 
     def negate(self) -> "SymmetricSequence":
         return SymmetricSequence.from_free(self.order, tuple(-v for v in self.free))
@@ -176,9 +177,7 @@ class CompressedSequence:
 
 
 def _entries_of(seq) -> tuple:
-    if isinstance(seq, SymmetricSequence):
-        return seq.entries
-    if isinstance(seq, CompressedSequence):
+    if isinstance(seq, (SymmetricSequence, CompressedSequence)):
         return seq.entries
     return tuple(int(v) for v in seq)
 

@@ -1,9 +1,11 @@
 import json
 import os
+import random
 
 import pytest
 
-from williamson.cli import RunConfig, main, run_enumeration, smallest_prime_divisor
+from williamson import cli
+from williamson.cli import DomainError, RunConfig, main, run_enumeration, smallest_prime_divisor
 from williamson.equivalence import canonical_key, dedupe
 from williamson.oracle import brute_force_enumerate
 from williamson.seqcore import format_block, read_quadruples
@@ -23,8 +25,6 @@ def test_smallest_prime_divisor():
 
 class TestRunConfig:
     def test_validation(self):
-        from williamson.cli import DomainError
-
         with pytest.raises(DomainError):
             RunConfig(n=0)
         with pytest.raises(DomainError):
@@ -33,6 +33,21 @@ class TestRunConfig:
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("WILLIAMSON_WORKERS", "3")
         assert RunConfig(n=6).workers == 3
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_worker_count_below_one(self, workers):
+        with pytest.raises(DomainError, match="-j"):
+            RunConfig(n=6, workers=workers)
+
+    @pytest.mark.parametrize("value", ["0", "-3", "abc", "2.5"])
+    def test_bad_env_worker_count(self, monkeypatch, value):
+        monkeypatch.setenv("WILLIAMSON_WORKERS", value)
+        with pytest.raises(DomainError, match="WILLIAMSON_WORKERS"):
+            RunConfig(n=6)
+
+    def test_bad_worker_count_exit_code(self, capsys):
+        code, out, err = run_cli(capsys, "enumerate", "--order", "6", "-j", "0")
+        assert code == 1 and "-j" in err
 
 
 class TestEnumerate:
@@ -64,6 +79,21 @@ class TestEnumerate:
 
         parse_dimacs(open(os.path.join(out_dir, "instances", cnfs[0])).read())
 
+    def test_odd_order_cnf_dumps_hold_product_clauses(self, tmp_path):
+        from williamson.satgen import build_instance, encode_product_theorem, parse_dimacs
+
+        out_dir = tmp_path / "run"
+        run_enumeration(RunConfig(n=9, out_dir=str(out_dir), dump_cnf=True))
+        tasks, _ = cli._generate_instances(RunConfig(n=9))
+        assert sorted(os.listdir(out_dir / "instances")) == sorted(f"{iid}.cnf" for iid, _ in tasks)
+        for iid, rows in tasks:
+            dumped = parse_dimacs((out_dir / "instances" / f"{iid}.cnf").read_text())
+            expected = build_instance(rows, 9)
+            assert dumped.num_vars == expected.num_vars
+            assert dumped.clauses == expected.clauses
+            product = [list(c) for c in encode_product_theorem(9, expected.var_map)]
+            assert dumped.clauses[-len(product):] == product
+
     def test_determinism(self, tmp_path):
         a = run_enumeration(RunConfig(n=9, out_dir=str(tmp_path / "a")))
         b = run_enumeration(RunConfig(n=9, out_dir=str(tmp_path / "b")))
@@ -75,17 +105,47 @@ class TestEnumerate:
         first = run_enumeration(RunConfig(n=9, out_dir=out_dir))
         assert first.solved_this_run == first.instance_count > 0
 
-        # simulate a killed run: keep only a truncated checkpoint
+        # simulate killed runs: cut the checkpoint at line ends and mid-line
+        ckpt = os.path.join(out_dir, "checkpoint.jsonl")
+        data = open(ckpt, "rb").read()
+        line_ends = [i + 1 for i, byte in enumerate(data) if byte == ord("\n")]
+        cuts = set(line_ends[:-1]) | {e - 1 for e in line_ends}
+        cuts |= set(random.Random(9).sample(range(1, len(data)), 6))
+        for cut in sorted(cuts):
+            open(ckpt, "wb").write(data[:cut])
+            for name in ("solutions.txt", "canonical.txt", "summary.tsv", "stats.tsv"):
+                os.unlink(os.path.join(out_dir, name))
+
+            second = run_enumeration(RunConfig(n=9, out_dir=out_dir))
+            complete = data[:cut].count(b"\n")
+            assert second.solved_this_run == first.instance_count - complete, cut
+            assert second.inequivalent_count == first.inequivalent_count
+            assert len(second.solutions) == len(first.solutions)
+            with open(ckpt) as f:
+                ids = [json.loads(line)["id"] for line in f]
+            assert sorted(ids) == sorted(s["id"] for s in first.instance_stats)
+
+    def test_resume_rejects_unreadable_inner_line(self, tmp_path):
+        out_dir = str(tmp_path / "run")
+        run_enumeration(RunConfig(n=9, out_dir=out_dir))
         ckpt = os.path.join(out_dir, "checkpoint.jsonl")
         lines = open(ckpt).read().splitlines()
-        open(ckpt, "w").write("\n".join(lines[: len(lines) // 2]) + "\n")
-        for name in ("solutions.txt", "canonical.txt", "summary.tsv", "stats.tsv"):
-            os.unlink(os.path.join(out_dir, name))
+        assert len(lines) >= 2
+        lines[0] = lines[0][:-5]
+        open(ckpt, "w").write("\n".join(lines) + "\n")
+        with pytest.raises(DomainError, match="line 1 "):
+            run_enumeration(RunConfig(n=9, out_dir=out_dir))
 
-        second = run_enumeration(RunConfig(n=9, out_dir=out_dir))
-        assert second.solved_this_run == first.instance_count - len(lines) // 2
-        assert second.inequivalent_count == first.inequivalent_count
-        assert len(second.solutions) == len(first.solutions)
+    def test_unverified_model_with_callback_raises(self, monkeypatch):
+        monkeypatch.setattr(cli, "verify_williamson", lambda q: False)
+        with pytest.raises(RuntimeError, match=r"instance [0-9a-f]{16}"):
+            run_enumeration(RunConfig(n=9))
+
+    def test_unverified_model_without_callback_is_filtered(self, monkeypatch):
+        monkeypatch.setattr(cli, "verify_williamson", lambda q: False)
+        report = run_enumeration(RunConfig(n=9, programmatic_callback=False))
+        assert report.total("solutions") > 0
+        assert report.solutions == [] and report.inequivalent_count == 0
 
     def test_parallel_workers_match_serial(self, tmp_path):
         serial = run_enumeration(RunConfig(n=12, workers=1))

@@ -1,3 +1,4 @@
+import math
 from itertools import product
 
 import pytest
@@ -7,6 +8,8 @@ from williamson.pipeline import MatchedCompression
 from williamson.satgen import (
     SatInstance,
     VariableMap,
+    _compressed_maps,
+    build_instance,
     dedupe_instances,
     encode_product_theorem,
     encode_uncompression,
@@ -170,6 +173,19 @@ class TestProductTheorem:
             encode_product_theorem(6)
 
 
+class TestBuildInstance:
+    def test_even_order_is_the_uncompression(self):
+        rows = [[0, 2, 0], [-2, 0, 0], [2, 2, 2], [0, 0, -2]]
+        assert build_instance(rows, 6) == encode_uncompression(rows, 6)
+
+    def test_odd_order_appends_product_clauses(self):
+        rows = [[1, 1, 1], [-1, 1, 1], [3, -1, -1], [-3, 1, 1]]
+        inst = build_instance(rows, 9)
+        base = encode_uncompression(rows, 9).clauses
+        product_clauses = [list(c) for c in encode_product_theorem(9, inst.var_map)]
+        assert inst.clauses == base + product_clauses
+
+
 class TestDimacs:
     def test_empty_instance(self):
         assert export_dimacs(SatInstance(2, [])) == "p cnf 2 0\n"
@@ -211,6 +227,12 @@ class TestInstanceDedup:
         k = 2
         mapped = tuple(tuple(r[(k * j) % d] for j in range(d)) for r in rows)
         assert instance_key(mapped, n) == instance_key(rows, n)
+
+    @pytest.mark.parametrize("n,d", [(6, 3), (9, 3), (12, 6), (27, 9), (28, 14), (40, 20)])
+    def test_compressed_maps_are_units_mod_d(self, n, d):
+        expected = sorted({tuple((k * j) % d for j in range(d))
+                           for k in range(1, n + 1) if math.gcd(k, n) == 1})
+        assert list(_compressed_maps(n, d)) == expected
 
     def test_dedupe_logs_discards(self):
         rows = ((0, 2, 0), (2, 0, 0), (2, 2, 2), (0, 0, -2))

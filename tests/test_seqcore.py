@@ -8,6 +8,7 @@ from williamson.seqcore import (
     Quadruple,
     SymmetricSequence,
     compress,
+    fold_indices,
     format_sequence,
     paf,
     parse_blocks,
@@ -58,6 +59,13 @@ class TestSymmetricSequence:
         s = SymmetricSequence([1, -1, 1, 1, -1])
         assert s.free == (1, -1, 1)
         assert SymmetricSequence.from_free(5, s.free).entries == s.entries
+
+    def test_fold_indices(self):
+        assert fold_indices(1) == (0,)
+        assert fold_indices(5) == (0, 1, 2, 2, 1)
+        assert fold_indices(6) == (0, 1, 2, 3, 2, 1)
+        s = SymmetricSequence.from_free(6, (1, -1, -1, 1))
+        assert s.entries == tuple(s.free[i] for i in fold_indices(6))
 
     def test_quadruple_requires_equal_orders(self):
         with pytest.raises(ValueError):
