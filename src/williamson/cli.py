@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -48,8 +49,10 @@ class RunConfig:
     def __post_init__(self):
         if self.n < 1:
             raise DomainError("order must be positive")
-        if self.epsilon <= 0:
-            raise DomainError("epsilon must be positive")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise DomainError(f"epsilon must be finite and positive, got {self.epsilon}")
+        if self.dump_cnf and not self.out_dir:
+            raise DomainError("--dump-cnf needs a run directory (--out)")
         self.workers = _worker_count(self.workers, "workers (-j)")
         env = os.environ.get("WILLIAMSON_WORKERS")
         if env:
@@ -271,11 +274,11 @@ def _write_run_outputs(cfg: RunConfig, report: EnumerationReport, tasks) -> None
             f"{len(report.solutions)}\t{report.inequivalent_count}\n"
         )
     with open(os.path.join(out_dir, "stats.tsv"), "w") as f:
-        f.write("instance\tdecisions\tconflicts\tpropagations\tcallback_clauses\tsolutions\n")
+        f.write("instance\tdecisions\tconflicts\tpropagations\tcallback_clauses\tsolutions\tverified\n")
         for s in report.instance_stats:
             f.write(
                 f"{s['id']}\t{s['decisions']}\t{s['conflicts']}\t{s['propagations']}\t"
-                f"{s['callback_clauses']}\t{s['solutions']}\n"
+                f"{s['callback_clauses']}\t{s['solutions']}\t{s['verified']}\n"
             )
     if cfg.dump_cnf:
         cnf_dir = os.path.join(out_dir, "instances")
@@ -380,13 +383,18 @@ def cmd_stats(args) -> int:
         sys.stdout.write(f.read())
     stats_path = os.path.join(args.rundir, "stats.tsv")
     if os.path.exists(stats_path):
-        totals = {"decisions": 0, "conflicts": 0, "callback_clauses": 0, "solutions": 0}
+        totals = dict.fromkeys(
+            ("decisions", "conflicts", "propagations", "callback_clauses", "solutions", "verified"), 0)
         with open(stats_path) as f:
             header = f.readline().strip().split("\t")
+            missing = [k for k in totals if k not in header]
+            if missing:
+                raise DomainError(f"{stats_path} has no column {missing[0]!r}; rerun to rewrite it")
             for line in f:
                 row = dict(zip(header, line.strip().split("\t")))
                 for k in totals:
                     totals[k] += int(row[k])
+        totals["rejected"] = totals["solutions"] - totals.pop("verified")
         print("\t".join(f"total_{k}={v}" for k, v in totals.items()))
     return 0
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .equivalence import _decode, canonical_member_codes
+from .equivalence import canonical_forms, distinct_forms
 from .seqcore import Quadruple, SymmetricSequence, _entries_of, paf, verify_williamson
 
 
@@ -187,20 +187,11 @@ def canonical_octuple(octuple) -> OctupleSequence:
     """Canonical representative of an octuple under reorder, negation and
     automorphisms (the shift and alternating-negation operations do not apply
     since the order is odd)."""
-    members = octuple.members if isinstance(octuple, OctupleSequence) else tuple(octuple)
-    entries = [_entries_of(x) for x in members]
-    n = len(entries[0])
-    codes = canonical_member_codes(entries, n)
-    return OctupleSequence([_decode(c, n) for c in codes])
+    return OctupleSequence(canonical_forms([octuple])[0].tolist())
 
 
 def dedupe_octuples(octuples) -> list:
-    seen = {}
-    for o in octuples:
-        canon = canonical_octuple(o)
-        if canon.members not in seen:
-            seen[canon.members] = canon
-    return list(seen.values())
+    return [OctupleSequence(form.tolist()) for form in distinct_forms(octuples)]
 
 
 def assemble_hadamard(q: Quadruple) -> HadamardMatrix:

@@ -9,17 +9,24 @@ Five invertible operations generate the equivalence classes:
   E5  negate every second entry of all members    (even n only)
 
 The canonical representative of a class is its lexicographic minimum, where
-+1 sorts before -1 and members are compared in order.  E4 and E5 commute with
-E1-E3, so the minimum is found by trying every (automorphism, E5) choice and
-then minimizing each member over {id, E2, E3, E2*E3} and sorting (E1).
-The same machinery generalizes to 8-member tuples for octuple counting.
++1 sorts before -1 and members are compared in order.  E4 and E5 map each
+member's {id, E2, E3, E2*E3} orbit to the image's, so the minimum is found by
+trying every (automorphism, E5) choice, then minimizing each member over
+{id, E2, E3, E2*E3} and sorting (E1).  `canonical_rows` does this for a whole
+stack of k-tuples at once, of full rows or of compressed rows: it is the one
+implementation behind class counting, octuple counting and the dedupe of
+matched compressions before the SAT stage.  `expand_class` is its reference.
 """
 from __future__ import annotations
 
 import math
 from functools import lru_cache
 
-from .seqcore import Quadruple, SymmetricSequence
+import numpy as np
+
+from .seqcore import Quadruple, SymmetricSequence, _entries_of
+
+_CHUNK_BYTES = 1 << 17  # images of one canonical_rows block; keeps its temporaries near 1 MiB
 
 
 def units(n: int) -> list:
@@ -50,8 +57,21 @@ class Automorphism:
 
 
 @lru_cache(maxsize=None)
-def _unit_perms(n: int) -> tuple:
-    return tuple(tuple((k * i) % n for i in range(n)) for k in units(n))
+def _group(n: int, length: int) -> tuple:
+    """How E3-E5 act on rows of `length` entries (a divisor of n): full rows
+    of order n, or their (n/length)-compressions.
+
+    Returns the distinct E4 index maps i -> u*i mod length, the E5 sign rows
+    (E5 reaches the rows only when n and length are both even) and the E3
+    shift (n/2) mod length (0 when n is odd; it is 0 on 2-compressions).
+    """
+    maps = np.unique(np.outer(units(n), np.arange(length)) % length, axis=0)
+    signs = np.ones((1, length), dtype=np.int8)
+    if n % 2 == 0 and length % 2 == 0:
+        signs = np.array([signs[0], np.where(np.arange(length) % 2, -1, 1)], dtype=np.int8)
+    maps.setflags(write=False)  # cached: every caller gets these arrays
+    signs.setflags(write=False)
+    return maps, signs, (n // 2) % length if n % 2 == 0 else 0
 
 
 def _negate(e: tuple) -> tuple:
@@ -66,19 +86,6 @@ def _half_shift(e: tuple) -> tuple:
 
 def _alternate(e: tuple) -> tuple:
     return tuple(v if i % 2 == 0 else -v for i, v in enumerate(e))
-
-
-def _code(e: tuple) -> int:
-    # +1 -> bit 0, -1 -> bit 1, index 0 most significant: integer order
-    # equals lexicographic order with +1 < -1.
-    c = 0
-    for v in e:
-        c = (c << 1) | (v < 0)
-    return c
-
-
-def _decode(code: int, n: int) -> tuple:
-    return tuple(-1 if (code >> (n - 1 - i)) & 1 else 1 for i in range(n))
 
 
 def apply_equivalence(q: Quadruple, op: str, *, perm=None, member=None, k=None) -> Quadruple:
@@ -113,70 +120,73 @@ def apply_equivalence(q: Quadruple, op: str, *, perm=None, member=None, k=None) 
     return Quadruple(*(SymmetricSequence(x) for x in members))
 
 
-def _member_min_code(e: tuple, even: bool) -> int:
-    best = _code(e)
-    c = _code(_negate(e))
-    if c < best:
-        best = c
-    if even:
-        s = _half_shift(e)
-        c = _code(s)
-        if c < best:
-            best = c
-        c = _code(_negate(s))
-        if c < best:
-            best = c
-    return best
+def canonical_rows(rows, n: int) -> np.ndarray:
+    """Canonical form of each k-tuple in an S x k x L stack of integer rows.
 
-
-def canonical_member_codes(member_entries, n: int) -> tuple:
-    """Lexicographically minimal code tuple over the full equivalence group.
-
-    Works for any member count (4 for Williamson, 8 for octuples); E3 and E5
-    participate only when n is even.
+    k is 4 for quadruples and 8 for octuples; L = n for full ±1 rows and
+    L = n/m for m-compressions, on which the group of order n acts as
+    `_group` describes.  Rows are ordered lexicographically with the larger
+    entry first (+1 before -1) and tuples member by member; the canonical
+    form is the least image.  E1-E3 act within the tuple, so each (E4, E5)
+    image is minimized over {id, E2, E3, E2*E3} per member, then sorted.
     """
-    even = n % 2 == 0
-    e5_choices = (False, True) if even else (False,)
-    best = None
-    for p in _unit_perms(n):
-        permuted = [tuple(e[p[i]] for i in range(n)) for e in member_entries]
-        for use_e5 in e5_choices:
-            ms = [_alternate(e) for e in permuted] if use_e5 else permuted
-            codes = sorted(_member_min_code(e, even) for e in ms)
-            codes = tuple(codes)
-            if best is None or codes < best:
-                best = codes
-    return best
+    rows = np.asarray(rows, dtype=np.int8)
+    if len(rows) == 0:
+        return rows
+    count, k, length = rows.shape
+    maps, signs, shift = _group(n, length)
+    top = n // length + 1  # entry v as byte top - v: never NUL, larger v first
+    out = np.empty_like(rows)
+    step = max(1, _CHUNK_BYTES // (len(maps) * len(signs) * 4 * k * length))
+    for lo in range(0, count, step):
+        x = rows[lo:lo + step]
+        g = (x[:, :, maps][:, :, :, None, :] * signs).reshape(len(x), k, -1, length)
+        images = [g, -g]
+        if shift:
+            s = np.roll(g, -shift, axis=-1)
+            images += [s, -s]
+        b = (top - np.stack(images, axis=3)).astype(np.uint8, order="C")
+        members = np.sort(b.view(f"S{length}")[..., 0], axis=-1)[..., 0]
+        tuples = np.sort(members, axis=1).transpose(0, 2, 1).copy()
+        best = np.sort(tuples.view(f"S{k * length}")[..., 0], axis=1)[:, 0].copy()
+        out[lo:lo + step] = top - best.view(np.uint8).reshape(-1, k, length).astype(np.int8)
+    return out
+
+
+def canonical_forms(tuples) -> np.ndarray:
+    """Canonical forms of same-order tuples of ±1 sequences (quadruples,
+    octuples or plain tuples of members), as an S x k x n array."""
+    rows = np.array([[_entries_of(x) for x in t] for t in tuples], dtype=np.int8)
+    return canonical_rows(rows, rows.shape[-1])
+
+
+def distinct_forms(tuples) -> list:
+    """Canonical forms of the classes among same-order tuples, first-seen order."""
+    seen = {}
+    for form in canonical_forms(tuples):
+        seen.setdefault(form.tobytes(), form)
+    return list(seen.values())
 
 
 def canonical_form(q: Quadruple) -> Quadruple:
     """The lexicographically minimal quadruple equivalent to q."""
-    n = q.order
-    codes = canonical_member_codes([x.entries for x in q.members], n)
-    return Quadruple(*(SymmetricSequence(_decode(c, n)) for c in codes))
+    return Quadruple(*canonical_forms([q])[0].tolist())
 
 
 def canonical_key(q: Quadruple) -> tuple:
-    n = q.order
-    return (n,) + canonical_member_codes([x.entries for x in q.members], n)
+    return (q.order, canonical_forms([q])[0].tobytes())
 
 
 def dedupe(qs) -> list:
     """Distinct canonical forms in first-seen order."""
-    seen = {}
-    for q in qs:
-        key = canonical_key(q)
-        if key not in seen:
-            n = key[0]
-            seen[key] = Quadruple(*(SymmetricSequence(_decode(c, n)) for c in key[1:]))
-    return list(seen.values())
+    return [Quadruple(*form.tolist()) for form in distinct_forms(qs)]
 
 
 def expand_class(q: Quadruple) -> list:
     """Every quadruple equivalent to q (closure under E1-E5)."""
     n = q.order
     even = n % 2 == 0
-    perms = _unit_perms(n)
+    perms = [Automorphism(k, n).index_map for k in units(n)]
 
     def neighbors(state):
         out = []

@@ -8,16 +8,18 @@ one of seven clause patterns covering the values -m..m.
 
 Instances whose compressed quadruples are related by an equivalence
 transformation have equivalent solution sets; they are deduplicated before
-solving by a canonical key over the compressed quadruple (reorder, member
-negation, index automorphisms lifted from Z_n, and alternating negation when
-it descends to the compressed sequences, i.e. when 4 | n).
+solving by the canonical form of the compressed quadruple.  That form comes
+from `equivalence.canonical_rows`, the kernel that also counts classes of
+full sequences: on compressed rows the group acts by reorder, member
+negation, the automorphisms of Z_n reduced mod the compressed length, and
+alternating negation when n and the compressed length are both even (for
+2-compressions, when 4 | n).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
-from .equivalence import _unit_perms
+from .equivalence import canonical_rows
 from .seqcore import Quadruple, SymmetricSequence, fold_indices
 
 
@@ -189,43 +191,17 @@ def parse_dimacs(text: str) -> SatInstance:
 # -- instance-level deduplication --------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _compressed_maps(n: int, d: int) -> tuple:
-    """The automorphisms of Z_n reduced mod d (d divides n), without repeats."""
-    return tuple(sorted({tuple(i % d for i in p[:d]) for p in _unit_perms(n)}))
-
-
-def instance_key(rows, n: int) -> tuple:
-    """Canonical form of a compressed quadruple under the equivalence
-    operations that act on compressed space."""
-    rows = tuple(tuple(int(v) for v in r) for r in rows)
-    d = len(rows[0])
-    alt_applies = n % 2 == 0 and d % 2 == 0
-    best = None
-    for p in _compressed_maps(n, d):
-        permuted = [tuple(r[p[j]] for j in range(d)) for r in rows]
-        for alt in ((False, True) if alt_applies else (False,)):
-            ms = (
-                [tuple(v if j % 2 == 0 else -v for j, v in enumerate(r)) for r in permuted]
-                if alt
-                else permuted
-            )
-            cand = tuple(sorted(min(r, tuple(-v for v in r)) for r in ms))
-            if best is None or cand < best:
-                best = cand
-    return best
-
-
 def dedupe_instances(mcs, n: int) -> tuple:
-    """Keep one matched compression per equivalence key, in first-seen order.
+    """Keep one matched compression per equivalence class, in first-seen order.
 
     Returns (kept, discarded) where discarded pairs each dropped compression
     with the index of its kept representative."""
+    mcs = list(mcs)
     kept = []
     discarded = []
     by_key = {}
-    for mc in mcs:
-        key = instance_key(mc.rows, n)
+    for mc, form in zip(mcs, canonical_rows([mc.rows for mc in mcs], n)):
+        key = form.tobytes()
         if key in by_key:
             discarded.append((mc, by_key[key]))
         else:

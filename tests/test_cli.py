@@ -30,6 +30,21 @@ class TestRunConfig:
         with pytest.raises(DomainError):
             RunConfig(n=6, epsilon=0)
 
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf")])
+    def test_non_finite_epsilon(self, epsilon):
+        with pytest.raises(DomainError, match="epsilon"):
+            RunConfig(n=6, epsilon=epsilon)
+
+    def test_non_finite_epsilon_exit_code(self, capsys):
+        code, out, err = run_cli(capsys, "enumerate", "-n", "10", "--epsilon", "nan")
+        assert code == 1 and "epsilon" in err and out == ""
+
+    def test_dump_cnf_needs_out_dir(self, capsys):
+        with pytest.raises(DomainError, match="--out"):
+            RunConfig(n=6, dump_cnf=True)
+        code, out, err = run_cli(capsys, "enumerate", "-n", "6", "--dump-cnf")
+        assert code == 1 and "--dump-cnf" in err
+
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("WILLIAMSON_WORKERS", "3")
         assert RunConfig(n=6).workers == 3
@@ -249,11 +264,29 @@ class TestOtherCommands:
         assert len(rows) == 8
 
     def test_stats_command(self, tmp_path, capsys):
-        out_dir = str(tmp_path / "run")
-        run_enumeration(RunConfig(n=6, out_dir=out_dir))
-        code, out, err = run_cli(capsys, "stats", out_dir)
-        assert code == 0
-        assert out.startswith("n\tseconds") and "total_conflicts=" in out
+        for callback in (True, False):
+            out_dir = str(tmp_path / f"run-{callback}")
+            report = run_enumeration(RunConfig(n=9, out_dir=out_dir, programmatic_callback=callback))
+            code, out, err = run_cli(capsys, "stats", out_dir)
+            assert code == 0
+            assert out.startswith("n\tseconds") and "total_conflicts=" in out
+            totals = dict(f.split("=") for f in out.splitlines()[-1].split("\t"))
+            with open(os.path.join(out_dir, "stats.tsv")) as f:
+                header = f.readline().rstrip("\n").split("\t")
+                rows = [dict(zip(header, line.rstrip("\n").split("\t"))) for line in f]
+            rejected = sum(int(r["solutions"]) - int(r["verified"]) for r in rows)
+            assert int(totals["total_propagations"]) == report.total("propagations") > 0
+            assert int(totals["total_rejected"]) == rejected
+            assert rejected == report.total("solutions") - len(report.solutions)
+            assert (rejected > 0) == (not callback)
+
+    def test_stats_without_verified_column(self, tmp_path, capsys):
+        out_dir = tmp_path / "run"
+        run_enumeration(RunConfig(n=6, out_dir=str(out_dir)))
+        stats = (out_dir / "stats.tsv").read_text().splitlines()
+        (out_dir / "stats.tsv").write_text("".join(l.rsplit("\t", 1)[0] + "\n" for l in stats))
+        code, out, err = run_cli(capsys, "stats", str(out_dir))
+        assert code == 1 and "'verified'" in err
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:

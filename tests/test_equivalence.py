@@ -108,7 +108,7 @@ class TestCanonicalForm:
     def test_canonical_is_orbit_minimum(self):
         # full group expansion cross-check for small orders
         rng = np.random.default_rng(19)
-        for n in (2, 3, 4, 6, 8):
+        for n in (2, 3, 4, 6, 8, 9, 10):
             q = random_quadruple(rng, n)
             orbit = expand_class(q)
             lo = min(

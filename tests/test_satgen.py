@@ -1,23 +1,29 @@
 import math
 from itertools import product
 
+import numpy as np
 import pytest
 
+from williamson.equivalence import _group, apply_equivalence, canonical_rows, expand_class
 from williamson.oracle import brute_force_enumerate
 from williamson.pipeline import MatchedCompression
 from williamson.satgen import (
     SatInstance,
     VariableMap,
-    _compressed_maps,
     build_instance,
     dedupe_instances,
     encode_product_theorem,
     encode_uncompression,
     export_dimacs,
-    instance_key,
     parse_dimacs,
 )
 from williamson.seqcore import CompressedSequence, compress
+
+from helpers import random_op, random_quadruple
+
+
+def instance_key(rows, n):
+    return canonical_rows([rows], n)[0].tobytes()
 
 
 def mc_of(rows, m):
@@ -232,7 +238,40 @@ class TestInstanceDedup:
     def test_compressed_maps_are_units_mod_d(self, n, d):
         expected = sorted({tuple((k * j) % d for j in range(d))
                            for k in range(1, n + 1) if math.gcd(k, n) == 1})
-        assert list(_compressed_maps(n, d)) == expected
+        assert sorted(map(tuple, _group(n, d)[0].tolist())) == expected
+
+    @pytest.mark.parametrize("n", [6, 9, 12, 18, 27, 28])
+    def test_compressed_key_is_a_class_invariant(self, n):
+        # E5 reaches the compressed rows only when their length d is even:
+        # d = 6 at n=12 and 14 at n=28, but 3 at n=6 and 9 at n=18
+        rng = np.random.default_rng(n)
+        d = n // (2 if n % 2 == 0 else 3)
+
+        def rows(q):
+            return [compress(x, d).entries for x in q.members]
+
+        def keys(stack):
+            return {form.tobytes() for form in canonical_rows(stack, n)}
+
+        alternation_kept = []
+        for _ in range(4):
+            q = random_quadruple(rng, n)
+            if n <= 9:
+                images = expand_class(q)
+            else:
+                images, p = [], q
+                for _ in range(50):
+                    p = random_op(rng, p)
+                    images.append(p)
+            expected = keys([rows(q)])
+            if n % 2 == 0:
+                if d % 2 == 1:  # the orbit's E5 half compresses to another class
+                    expected |= keys([rows(apply_equivalence(q, "E5"))])
+                alternated = np.array(rows(q)) * np.where(np.arange(d) % 2, -1, 1)
+                alternation_kept.append(keys([alternated]) == keys([rows(q)]))
+            assert keys([rows(p) for p in images]) <= expected
+        if n % 2 == 0:
+            assert all(alternation_kept) if d % 2 == 0 else not any(alternation_kept)
 
     def test_dedupe_logs_discards(self):
         rows = ((0, 2, 0), (2, 0, 0), (2, 2, 2), (0, 0, -2))
@@ -241,3 +280,7 @@ class TestInstanceDedup:
         kept, discarded = dedupe_instances([a, b], 6)
         assert len(kept) == 1 and len(discarded) == 1
         assert discarded[0][1] == 0  # index of the kept representative
+
+    def test_dedupe_empty(self):
+        assert dedupe_instances([], 6) == ([], [])
+        assert canonical_rows(np.zeros((0, 4, 3), dtype=np.int8), 6).shape == (0, 4, 3)
