@@ -18,7 +18,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from . import constructions, equivalence, oracle, satgen, seqcore
+from . import __version__, constructions, equivalence, oracle, satgen, seqcore
 from .diophantine import decompose_four_squares
 from .pipeline import DEFAULT_BUDGET_BYTES, build_compression_lists, generate_candidates, match_compressions
 from .progsat import CdclSolver, WilliamsonCallback
@@ -53,6 +53,8 @@ class RunConfig:
             raise DomainError(f"epsilon must be finite and positive, got {self.epsilon}")
         if self.dump_cnf and not self.out_dir:
             raise DomainError("--dump-cnf needs a run directory (--out)")
+        if self.matcher_budget_bytes < 1:
+            raise DomainError(f"matcher budget (--budget-bytes) must be >= 1, got {self.matcher_budget_bytes}")
         self.workers = _worker_count(self.workers, "workers (-j)")
         env = os.environ.get("WILLIAMSON_WORKERS")
         if env:
@@ -131,8 +133,7 @@ def _generate_instances(cfg: RunConfig):
     matched = []
     for dec in decs:
         lists = build_compression_lists(candidates, dec, m)
-        matched.extend(match_compressions(lists, n, cfg.epsilon, budget_bytes=cfg.matcher_budget_bytes,
-                                          tmp_dir=cfg.out_dir))
+        matched.extend(match_compressions(lists, n, cfg.epsilon, budget_bytes=cfg.matcher_budget_bytes))
     kept, discarded = satgen.dedupe_instances(matched, n)
     kept_ids = [_instance_id([list(r) for r in mc.rows]) for mc in kept]
     tasks = sorted((kept_ids[i], [list(r) for r in mc.rows]) for i, mc in enumerate(kept))
@@ -143,13 +144,14 @@ def _generate_instances(cfg: RunConfig):
     return tasks, discard_log
 
 
-def _load_checkpoint(path: str) -> dict:
+def _load_checkpoint(path: str, header: dict) -> dict:
     """Instance id -> (solutions, stats) from checkpoint.jsonl.
 
-    A run killed mid-write leaves a torn last line (no newline, or no JSON):
-    it is dropped, and the file truncated to the end of the last complete
-    record so the next record starts a line of its own.  An unreadable line
-    before the last is an error.
+    The first record is the header the file was started with; it must equal
+    ``header``.  A run killed mid-write leaves a torn last line (no newline,
+    or no JSON): it is dropped, and the file truncated to the end of the last
+    complete record so the next record starts a line of its own.  An
+    unreadable line before the last is an error.
     """
     done, end, offset = {}, 0, 0
     with open(path, "rb+") as f:
@@ -166,7 +168,17 @@ def _load_checkpoint(path: str) -> dict:
                 if any(rest.strip() for rest in lines[lineno:]):
                     raise DomainError(f"{path}: line {lineno} is not a checkpoint record")
                 break
-            done[rec["id"]] = (rec["solutions"], rec["stats"])
+            if end:
+                done[rec["id"]] = (rec["solutions"], rec["stats"])
+            else:  # the first record
+                old = rec.get("header")
+                if not isinstance(old, dict):
+                    raise DomainError(f"{path}: no header record (n, epsilon, callback, version); "
+                                      "it cannot be resumed")
+                for key, value in header.items():
+                    if old.get(key) != value:
+                        raise DomainError(f"{path} was written with {key}={old.get(key)!r}; "
+                                          f"this run has {key}={value!r}")
             end = offset
         f.truncate(end)
     return done
@@ -180,10 +192,12 @@ def run_enumeration(cfg: RunConfig) -> EnumerationReport:
     out_dir = cfg.out_dir
     checkpoint_path = None
     done = {}
+    # the settings the results depend on: a resume must have the same
+    header = {"n": n, "epsilon": cfg.epsilon, "callback": cfg.programmatic_callback, "version": __version__}
     if out_dir:
         checkpoint_path = os.path.join(out_dir, "checkpoint.jsonl")
         if os.path.exists(checkpoint_path):
-            done = _load_checkpoint(checkpoint_path)
+            done = _load_checkpoint(checkpoint_path, header)
         with open(os.path.join(out_dir, "instances_discarded.log"), "w") as f:
             for discarded_id, kept_id in discarded:
                 f.write(f"{discarded_id}\tkept={kept_id}\n")
@@ -195,6 +209,9 @@ def run_enumeration(cfg: RunConfig) -> EnumerationReport:
     ]
     solved_this_run = 0
     ckpt = open(checkpoint_path, "a") if checkpoint_path else None
+    if ckpt and ckpt.tell() == 0:
+        ckpt.write(json.dumps({"header": header}) + "\n")
+        ckpt.flush()
 
     def record(iid, solutions, stats):
         done[iid] = (solutions, stats)
@@ -301,6 +318,8 @@ def cmd_enumerate(args) -> int:
         programmatic_callback=not args.no_callback,
         dump_cnf=args.dump_cnf,
     )
+    if cfg.workers != args.workers:
+        print(f"note: WILLIAMSON_WORKERS={cfg.workers} overrides -j {args.workers}", file=sys.stderr)
     report = run_enumeration(cfg)
     print(
         f"n={report.n}\tinstances={report.instance_count}\t"
@@ -412,7 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", "-j", type=int, default=1)
     p.add_argument("--out", "-o", default=None, help="run directory (enables checkpointing)")
     p.add_argument("--budget-bytes", type=int, default=DEFAULT_BUDGET_BYTES,
-                   help="matcher in-memory budget before spilling key lists")
+                   help="bytes of key records the matcher holds for one join; more are joined "
+                        "in hash partitions, each generating the pairs again")
     p.add_argument("--no-callback", action="store_true", help="disable the programmatic PSD callback")
     p.add_argument("--dump-cnf", action="store_true", help="write instances/*.cnf DIMACS dumps")
     p.set_defaults(func=cmd_enumerate)

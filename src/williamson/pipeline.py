@@ -7,16 +7,16 @@ and groups them by rowsum.  Step 4 finds all compressed quadruples with
 
     PAF(A') + PAF(B') = [4n, 0, ..., 0] - (PAF(C') + PAF(D'))
 
-by materializing both sides as integer key lists, sorting them, and emitting
-matches with a linear merge scan.  Key lists beyond the memory budget are
-sorted in chunks spilled to disk (little-endian int32 records of d key values
-followed by the two source indices) and k-way merged on read.
+as a sorted join.  The key of a PSD-passing A x B or C x D pair is the first
+d//2+1 entries of its side of the equation (PAF(s) = PAF(d-s) fixes the
+rest), packed into uint64 words that compare like the key.  One stable sort
+of both sides' records puts equal keys together, and each key both sides hold
+yields its A x B by C x D cross product through array arithmetic.  Key
+records over the memory budget are joined in hash partitions of the packed
+key, each generating the pairs again.
 """
 from __future__ import annotations
 
-import heapq
-import os
-import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -221,161 +221,188 @@ class MatchedCompression:
         return iter((self.a, self.b, self.c, self.d))
 
 
-class _KeySink:
-    """Accumulates (key vector, pair indices) records; sorts in memory or in
-    spilled chunks, then streams groups of equal keys in ascending order."""
+def _key_layout(lists: CompressionLists, target: np.ndarray) -> tuple:
+    """(offsets, [(column, word, shift)], words) that pack the h-column keys
+    of both join sides into uint64 words comparing like the int32 keys.
 
-    def __init__(self, d: int, budget_bytes: int, tmp_dir=None):
-        self.d = d
-        self.budget = budget_bytes
-        self.tmp_dir = tmp_dir
-        self.blocks = []
-        self.bytes_used = 0
-        self.spill_paths = []
-
-    def add(self, keys: np.ndarray, refs: np.ndarray) -> None:
-        if keys.shape[0] == 0:
-            return
-        rec = np.hstack([keys.astype(np.int32), refs.astype(np.int32)])
-        self.blocks.append(rec)
-        self.bytes_used += rec.nbytes
-        if self.bytes_used > self.budget:
-            self._spill()
-
-    def _sorted_records(self) -> np.ndarray:
-        rec = np.vstack(self.blocks) if self.blocks else np.empty((0, self.d + 2), dtype=np.int32)
-        order = np.lexsort(rec[:, : self.d].T[::-1]) if rec.shape[0] else np.empty(0, dtype=np.int64)
-        return rec[order]
-
-    def _spill(self) -> None:
-        rec = self._sorted_records()
-        fd, path = tempfile.mkstemp(suffix=".keys", dir=self.tmp_dir)
-        with os.fdopen(fd, "wb") as f:
-            f.write(rec.astype("<i4").tobytes())
-        self.spill_paths.append(path)
-        self.blocks = []
-        self.bytes_used = 0
-
-    def _stream_file(self, path):
-        row_bytes = 4 * (self.d + 2)
-        with open(path, "rb") as f:
-            while True:
-                buf = f.read(row_bytes * 4096)
-                if not buf:
-                    break
-                arr = np.frombuffer(buf, dtype="<i4").reshape(-1, self.d + 2)
-                for row in arr:
-                    yield tuple(int(v) for v in row)
-
-    def groups(self):
-        """Yield (key tuple, list of (i, j) refs) in ascending key order."""
-        d = self.d
-        if not self.spill_paths:
-            rec = self._sorted_records()
-            if rec.shape[0] == 0:
-                return
-            keys = rec[:, :d]
-            change = np.flatnonzero(np.any(keys[1:] != keys[:-1], axis=1)) + 1
-            starts = np.concatenate([[0], change, [rec.shape[0]]])
-            for a, b in zip(starts[:-1], starts[1:]):
-                yield tuple(int(v) for v in keys[a]), rec[a:b, d:]
-            return
-        if self.blocks:
-            self._spill()
-        merged = heapq.merge(*(self._stream_file(p) for p in self.spill_paths),
-                             key=lambda row: row[:d])
-        current_key, current_refs = None, []
-        for row in merged:
-            key = row[:d]
-            if key != current_key:
-                if current_key is not None:
-                    yield current_key, np.array(current_refs, dtype=np.int32)
-                current_key, current_refs = key, []
-            current_refs.append(row[d:])
-        if current_key is not None:
-            yield current_key, np.array(current_refs, dtype=np.int32)
-
-    def cleanup(self) -> None:
-        for path in self.spill_paths:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-        self.spill_paths = []
-
-
-def _fill_sink(sink, lx: CompressedList, ly: CompressedList, n: int, epsilon: float,
-               negate_to_target=None) -> None:
-    bound = 4 * n + epsilon
-    count_x = len(lx)
-    count_y = len(ly)
-    if count_x == 0 or count_y == 0:
-        return
-    block = max(1, (1 << 18) // max(count_y, 1))
-    for lo in range(0, count_x, block):
-        hi = min(lo + block, count_x)
-        pair_psd = lx.psd_half[lo:hi, None, :] + ly.psd_half[None, :, :]
-        ok = pair_psd.max(axis=2) <= bound
-        xi, yi = np.nonzero(ok)
-        if xi.size == 0:
+    Offsets and widths cover each column's key range on both sides, from the
+    column ranges of the four PAF lists.  Column 0 takes the high bits of
+    word 0; a column that does not fit in what a word has left starts the next."""
+    cols = [lx.paf[:, :target.size] for lx in lists]
+    lo_x, hi_x = [c.min(axis=0) for c in cols], [c.max(axis=0) for c in cols]
+    lo = np.minimum(lo_x[0] + lo_x[1], target - hi_x[2] - hi_x[3])
+    hi = np.maximum(hi_x[0] + hi_x[1], target - lo_x[2] - lo_x[3])
+    fields, word, used = [], 0, 0
+    for j, span in enumerate((hi - lo).tolist()):
+        width = span.bit_length()
+        if width == 0:  # the same value in every key
             continue
-        keys = lx.paf[lo + xi] + ly.paf[yi]
-        if negate_to_target is not None:
-            keys = negate_to_target[None, :] - keys
-        refs = np.column_stack([lo + xi, yi]).astype(np.int32)
-        sink.add(keys, refs)
+        if used + width > 64:
+            word, used = word + 1, 0
+        used += width
+        fields.append((j, word, np.uint64(64 - used)))
+    return lo, fields, word + 1
+
+
+def _pack(keys: np.ndarray, layout) -> np.ndarray:
+    lo, fields, n_words = layout
+    words = np.zeros((n_words, keys.shape[0]), dtype=np.uint64)
+    for j, w, shift in fields:
+        words[w] |= (keys[:, j] - lo[j]).astype(np.uint64) << shift
+    return words
+
+
+def _pair_blocks(lx: CompressedList, ly: CompressedList, bound: float, layout,
+                 target: np.ndarray, negate: bool):
+    """Blocks (packed keys, pair index x * len(ly) + y) of the pairs of lx x ly
+    that pass the PSD bound, in row-major order, one block or more.  The key
+    is the pair's PAF sum, or target minus it when negate is set."""
+    h = target.size
+    count_y = len(ly)
+    block = max(1, (1 << 18) // count_y)
+    psd_y = ly.psd_half.T.copy()
+    for lo in range(0, len(lx), block):
+        hi = min(lo + block, len(lx))
+        ok = lx.psd_half[lo:hi, :1] + psd_y[0] <= bound
+        for j in range(1, psd_y.shape[0]):  # column by column: no block x |ly| x h array
+            ok &= lx.psd_half[lo:hi, j:j + 1] + psd_y[j] <= bound
+        xi, yi = np.nonzero(ok)
+        xi += lo
+        keys = lx.paf[xi, :h] + ly.paf[yi, :h]
+        if negate:
+            keys = target - keys
+        yield _pack(keys, layout), xi * count_y + yi
+
+
+_HASH_MULT = np.uint64(0x9E3779B97F4A7C15)
+_FILTER_BITS = 22      # semi-join filter: at most 4 Mi hash buckets
+_PARTITION_BITS = 16   # over-budget runs: partitions of 64 Ki hash buckets
+
+
+def _key_hash(words: np.ndarray, bits: int) -> np.ndarray:
+    """A bits-bit multiplicative hash of each packed key."""
+    hashed = np.zeros(words.shape[1], dtype=np.uint64)
+    for w in words:
+        hashed = (hashed ^ w) * _HASH_MULT
+    return (hashed >> np.uint64(64 - bits)).astype(np.intp)
+
+
+def _join(blocks) -> tuple:
+    """Every pair of an A x B record and a C x D record with equal keys.
+
+    ``blocks`` holds (side, packed keys, pair indices), at least one block,
+    with side 0 (A x B) before side 1 (C x D).  Matches come in ascending key
+    order, A x B records outer and C x D records inner, each side in the
+    order given.  Returns the A x B and C x D pair indices and the packed key
+    of each match."""
+    words = np.concatenate([w for _, w, _ in blocks], axis=1)
+    pairs = np.concatenate([p for _, _, p in blocks])
+    n_ab = sum(p.size for side, _, p in blocks if side == 0)
+    # only records in a hash bucket that both sides use can match; 2-4 buckets a record
+    bits = min(_FILTER_BITS, (2 * pairs.size + 1).bit_length())
+    bucket = _key_hash(words, bits)
+    sides = np.zeros(1 << bits, dtype=np.uint8)
+    sides[bucket[:n_ab]] = 1
+    sides[bucket[n_ab:]] |= 2
+    kept = np.flatnonzero(sides[bucket] == 3)
+    n_ab = int(np.searchsorted(kept, n_ab))
+    words, pairs = words[:, kept], pairs[kept]
+    order = np.lexsort(words[::-1])  # stable: of equal keys, A x B records come first
+    words = words[:, order]
+    new = np.ones(order.size, dtype=bool)
+    np.any(words[:, 1:] != words[:, :-1], axis=0, out=new[1:])
+    starts = np.flatnonzero(new)
+    group = np.cumsum(new) - 1
+    is_ab = order < n_ab
+    count_ab = np.add.reduceat(is_ab.astype(np.intp), starts)
+    count_cd = np.diff(np.append(starts, order.size)) - count_ab
+    ab = np.flatnonzero(is_ab & (count_cd > 0)[group])
+    reps = count_cd[group[ab]]
+    first_cd = np.repeat(starts[group[ab]] + count_ab[group[ab]], reps)
+    inner = np.arange(first_cd.size) - np.repeat(np.cumsum(reps) - reps, reps)
+    ab = np.repeat(ab, reps)
+    return pairs[order[ab]], pairs[order[first_cd + inner]], words[:, ab]
+
+
+def _partitioned_join(blocks, n_words: int, budget_bytes: int) -> tuple:
+    """_join of all the records of blocks(), in partitions of hash buckets of
+    the packed key that hold at most budget_bytes of records each.  Every
+    partition calls blocks() again and keeps its own records."""
+    bucket_bytes = 8 * (n_words + 1) * sum(
+        np.bincount(_key_hash(words, _PARTITION_BITS), minlength=1 << _PARTITION_BITS)
+        for _, words, _ in blocks())
+    if bucket_bytes.max() > budget_bytes:
+        raise ValueError(f"matcher budget of {budget_bytes} bytes is below the {bucket_bytes.max()} "
+                         "bytes of key records in one hash bucket")
+    # greedy: each partition takes consecutive buckets while they fit
+    ends = np.cumsum(bucket_bytes)
+    part = np.empty(ends.size, dtype=np.intp)
+    lo = count = 0
+    while lo < ends.size:
+        hi = int(np.searchsorted(ends, (ends[lo - 1] if lo else 0) + budget_bytes, side="right"))
+        part[lo:hi] = count
+        lo, count = hi, count + 1
+    joined = []
+    for p in range(count):
+        mine = []
+        for side, words, pairs in blocks():
+            keep = part[_key_hash(words, _PARTITION_BITS)] == p
+            mine.append((side, words[:, keep], pairs[keep]))
+        joined.append(_join(mine))
+    pair_ab, pair_cd, keys = (np.concatenate(arrays, axis=-1) for arrays in zip(*joined))
+    order = np.lexsort(keys[::-1])  # stable: the matches of one key keep their order
+    return pair_ab[order], pair_cd[order]
+
+
+def _shared_sequences(lx: CompressedList, idx: np.ndarray, m: int) -> list:
+    """The CompressedSequence of row idx[i] of lx for every i, one object per
+    distinct row."""
+    used, inverse = np.unique(idx, return_inverse=True)
+    seqs = [CompressedSequence(row, m) for row in lx.rows[used].tolist()]
+    return [seqs[i] for i in inverse.tolist()]
 
 
 def match_compressions(lists: CompressionLists, n: int, epsilon: float = EPSILON_DEFAULT,
-                       mod4_filter: bool = True, budget_bytes: int = DEFAULT_BUDGET_BYTES,
-                       tmp_dir=None) -> list:
+                       mod4_filter: bool = True, budget_bytes: int = DEFAULT_BUDGET_BYTES) -> list:
     """All compressed quadruples (A', B', C', D') from the four lists whose
     PAF vectors sum exactly to [4n, 0, ..., 0]; pairs are pre-filtered by the
     PSD bound and, for even n, matches are post-filtered by the mod-4 rowsum
-    invariant of 2-compressions."""
-    la, lb, lc, ld = lists.la, lists.lb, lists.lc, lists.ld
-    d = la.rows.shape[1]
-    m = la.factor
-    target = np.zeros(d, dtype=np.int32)
+    invariant of 2-compressions.
+
+    Matches come in ascending key order, then A x B pair, then C x D pair.
+    ``budget_bytes`` bounds the key records (packed key plus an int64 pair
+    index per PSD-passing pair, both sides) held for one join.  Records over
+    it are joined in partitions of hash buckets of the packed key, each of
+    which generates all pairs again and keeps its own; a hash bucket larger
+    than the budget is a ValueError."""
+    la, lb, lc, ld = lists
+    if not all(len(lx) for lx in lists):
+        return []
+    target = np.zeros(la.rows.shape[1] // 2 + 1, dtype=np.int32)  # PAF(s) = PAF(d - s)
     target[0] = 4 * n
+    layout = _key_layout(lists, target)
+    bound = 4 * n + epsilon
 
-    ab = _KeySink(d, budget_bytes, tmp_dir)
-    cd = _KeySink(d, budget_bytes, tmp_dir)
-    try:
-        _fill_sink(ab, la, lb, n, epsilon)
-        _fill_sink(cd, lc, ld, n, epsilon, negate_to_target=target)
+    def blocks():
+        for side, (lx, ly) in enumerate(((la, lb), (lc, ld))):
+            for words, pairs in _pair_blocks(lx, ly, bound, layout, target, negate=side == 1):
+                yield side, words, pairs
 
-        out = []
-        gen_ab = ab.groups()
-        gen_cd = cd.groups()
-        item_ab = next(gen_ab, None)
-        item_cd = next(gen_cd, None)
-        while item_ab is not None and item_cd is not None:
-            key_ab, refs_ab = item_ab
-            key_cd, refs_cd = item_cd
-            if key_ab < key_cd:
-                item_ab = next(gen_ab, None)
-            elif key_cd < key_ab:
-                item_cd = next(gen_cd, None)
-            else:
-                for ia, ib in refs_ab.tolist():
-                    row_ab = la.rows[ia].astype(np.int32) + lb.rows[ib]
-                    for ic, idd in refs_cd.tolist():
-                        if mod4_filter and n % 2 == 0:
-                            total = row_ab + lc.rows[ic] + ld.rows[idd]
-                            if np.any(total % 4 != 0):
-                                continue
-                        out.append(
-                            MatchedCompression(
-                                CompressedSequence(la.rows[ia].tolist(), m),
-                                CompressedSequence(lb.rows[ib].tolist(), m),
-                                CompressedSequence(lc.rows[ic].tolist(), m),
-                                CompressedSequence(ld.rows[idd].tolist(), m),
-                            )
-                        )
-                item_ab = next(gen_ab, None)
-                item_cd = next(gen_cd, None)
-        return out
-    finally:
-        ab.cleanup()
-        cd.cleanup()
+    held, held_bytes = [], 0
+    for block in blocks():
+        held_bytes += block[1].nbytes + block[2].nbytes
+        if held_bytes > budget_bytes:
+            held.clear()
+            pair_ab, pair_cd = _partitioned_join(blocks, layout[2], budget_bytes)
+            break
+        held.append(block)
+    else:
+        pair_ab, pair_cd, _ = _join(held)
+
+    ia, ib = np.divmod(pair_ab, len(lb))
+    ic, id_ = np.divmod(pair_cd, len(ld))
+    if mod4_filter and n % 2 == 0:
+        keep = ~np.any((la.rows[ia] + lb.rows[ib] + lc.rows[ic] + ld.rows[id_]) % 4, axis=1)
+        ia, ib, ic, id_ = ia[keep], ib[keep], ic[keep], id_[keep]
+    return list(map(MatchedCompression, *(_shared_sequences(lx, idx, la.factor)
+                                          for lx, idx in zip(lists, (ia, ib, ic, id_)))))

@@ -4,11 +4,11 @@ import random
 
 import pytest
 
-from williamson import cli
+from williamson import __version__, cli
 from williamson.cli import DomainError, RunConfig, main, run_enumeration, smallest_prime_divisor
 from williamson.equivalence import canonical_key, dedupe
 from williamson.oracle import brute_force_enumerate
-from williamson.seqcore import format_block, read_quadruples
+from williamson.seqcore import EPSILON_DEFAULT, format_block, read_quadruples
 
 
 def run_cli(capsys, *argv):
@@ -63,6 +63,22 @@ class TestRunConfig:
     def test_bad_worker_count_exit_code(self, capsys):
         code, out, err = run_cli(capsys, "enumerate", "--order", "6", "-j", "0")
         assert code == 1 and "-j" in err
+
+    def test_env_override_is_reported(self, monkeypatch, capsys):
+        monkeypatch.setenv("WILLIAMSON_WORKERS", "1")
+        code, out, err = run_cli(capsys, "enumerate", "--order", "2", "-j", "2")
+        assert code == 0 and err == "note: WILLIAMSON_WORKERS=1 overrides -j 2\n"
+        code, out, err = run_cli(capsys, "enumerate", "--order", "2", "-j", "1")
+        assert code == 0 and err == ""
+
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one(self, budget):
+        with pytest.raises(DomainError, match="--budget-bytes"):
+            RunConfig(n=6, matcher_budget_bytes=budget)
+
+    def test_budget_below_one_exit_code(self, capsys):
+        code, out, err = run_cli(capsys, "enumerate", "--order", "6", "--budget-bytes", "0")
+        assert code == 1 and "--budget-bytes" in err and out == ""
 
 
 class TestEnumerate:
@@ -132,13 +148,41 @@ class TestEnumerate:
                 os.unlink(os.path.join(out_dir, name))
 
             second = run_enumeration(RunConfig(n=9, out_dir=out_dir))
-            complete = data[:cut].count(b"\n")
+            complete = max(data[:cut].count(b"\n") - 1, 0)  # line 1 is the header
             assert second.solved_this_run == first.instance_count - complete, cut
             assert second.inequivalent_count == first.inequivalent_count
             assert len(second.solutions) == len(first.solutions)
-            with open(ckpt) as f:
-                ids = [json.loads(line)["id"] for line in f]
+            with open(ckpt, "rb") as f:
+                header, *records = f.read().splitlines()
+            assert header == data.split(b"\n")[0]
+            ids = [json.loads(line)["id"] for line in records]
             assert sorted(ids) == sorted(s["id"] for s in first.instance_stats)
+
+    @pytest.mark.parametrize("field,change", [
+        ("epsilon", {"epsilon": 0.02}),
+        ("callback", {"programmatic_callback": False}),
+    ])
+    def test_resume_rejects_another_config(self, tmp_path, field, change):
+        out_dir = str(tmp_path / "run")
+        run_enumeration(RunConfig(n=9, out_dir=out_dir))
+        with pytest.raises(DomainError, match=f"written with {field}="):
+            run_enumeration(RunConfig(n=9, out_dir=out_dir, **change))
+
+    def test_resume_rejects_another_version(self, tmp_path, monkeypatch):
+        out_dir = str(tmp_path / "run")
+        run_enumeration(RunConfig(n=6, out_dir=out_dir))
+        monkeypatch.setattr(cli, "__version__", "0.0.0")
+        with pytest.raises(DomainError, match="written with version="):
+            run_enumeration(RunConfig(n=6, out_dir=out_dir))
+
+    def test_resume_rejects_checkpoint_without_header(self, tmp_path):
+        out_dir = str(tmp_path / "run")
+        run_enumeration(RunConfig(n=9, out_dir=out_dir))
+        ckpt = os.path.join(out_dir, "checkpoint.jsonl")
+        lines = open(ckpt).read().splitlines(keepends=True)
+        open(ckpt, "w").write("".join(lines[1:]))
+        with pytest.raises(DomainError, match="no header record"):
+            run_enumeration(RunConfig(n=9, out_dir=out_dir))
 
     def test_resume_rejects_unreadable_inner_line(self, tmp_path):
         out_dir = str(tmp_path / "run")
@@ -297,6 +341,9 @@ class TestOtherCommands:
         out_dir = str(tmp_path / "run")
         run_enumeration(RunConfig(n=6, out_dir=out_dir))
         with open(os.path.join(out_dir, "checkpoint.jsonl")) as f:
-            for line in f:
-                rec = json.loads(line)
-                assert set(rec) == {"id", "solutions", "stats"}
+            header, *records = [json.loads(line) for line in f]
+        assert header == {"header": {"n": 6, "epsilon": EPSILON_DEFAULT, "callback": True,
+                                     "version": __version__}}
+        assert records
+        for rec in records:
+            assert set(rec) == {"id", "solutions", "stats"}

@@ -1,17 +1,18 @@
 import numpy as np
 import pytest
 
+from williamson import pipeline
+from williamson.cli import smallest_prime_divisor
 from williamson.diophantine import decompose_four_squares, sign_fix
 from williamson.equivalence import units
 from williamson.oracle import brute_force_enumerate
 from williamson.pipeline import (
-    _KeySink,
     build_compression_lists,
     enumerate_symmetric_free,
     generate_candidates,
     match_compressions,
 )
-from williamson.seqcore import SymmetricSequence, compress, paf, psd, psd_filter, rowsum
+from williamson.seqcore import EPSILON_DEFAULT, SymmetricSequence, compress, paf, psd, psd_filter, rowsum
 
 
 def make_candidates(n):
@@ -31,6 +32,37 @@ def normalize_to_decomposition(q):
             members.append(x if sign_fix(r, n) == r else x.negate())
     members.sort(key=lambda x: abs(rowsum(x)))
     return members
+
+
+def reference_join(lists, n, epsilon=EPSILON_DEFAULT):
+    """Plain-Python step 4: every PSD-passing pair in a dict keyed by its full
+    PAF sum (C x D keys subtracted from the target), shared keys in ascending
+    order, each expanded with A x B pairs outer; then the mod-4 filter."""
+    la, lb, lc, ld = lists
+    bound = 4 * n + epsilon
+    target = [4 * n] + [0] * (la.rows.shape[1] - 1)
+
+    def groups(lx, ly, negate):
+        out = {}
+        for x in range(len(lx)):
+            for y in range(len(ly)):
+                if max(lx.psd_half[x] + ly.psd_half[y]) <= bound:
+                    key = [int(v) for v in lx.paf[x] + ly.paf[y]]
+                    if negate:
+                        key = [t - k for t, k in zip(target, key)]
+                    out.setdefault(tuple(key), []).append((x, y))
+        return out
+
+    ab, cd = groups(la, lb, False), groups(lc, ld, True)
+    matches = []
+    for key in sorted(ab.keys() & cd.keys()):
+        for a, b in ab[key]:
+            for c, d in cd[key]:
+                rows = tuple(tuple(int(v) for v in lx.rows[i]) for lx, i in zip(lists, (a, b, c, d)))
+                if n % 2 == 0 and any(sum(col) % 4 for col in zip(*rows)):
+                    continue
+                matches.append(rows)
+    return matches
 
 
 class TestGenerateCandidates:
@@ -186,26 +218,48 @@ class TestMatchCompressions:
             rows = tuple(compress(x, n // m).entries for x in members)
             assert rows in outputs[key], (n, rows)
 
-    def test_spill_path_matches_in_memory(self):
-        n = 6
+    @pytest.mark.parametrize("n", [6, 9, 12, 18, 21, 27, 28])
+    def test_ordered_output_equals_reference_join(self, n, monkeypatch):
+        # the order fixes which instance dedupe keeps, hence task ids and
+        # solver counters; at a budget below the records the join runs in
+        # hash partitions and must give the same list
+        joins = []
+
+        def spy(blocks):
+            joins.append(sum(words.nbytes + pairs.nbytes for _, words, pairs in blocks))
+            return join(blocks)
+
+        join = pipeline._join
+        monkeypatch.setattr(pipeline, "_join", spy)
         decs, cands = make_candidates(n)
+        for dec in decs:
+            lists = build_compression_lists(cands, dec, smallest_prime_divisor(n))
+            expected = reference_join(lists, n)
+            joins.clear()
+            assert [mc.rows for mc in match_compressions(lists, n)] == expected, dec.values
+            assert len(joins) == 1
+            records = joins[0]
+            budget = records // 3
+            while True:  # no partition can be smaller than the records of one hash bucket
+                joins.clear()
+                try:
+                    matched = match_compressions(lists, n, budget_bytes=budget)
+                    break
+                except ValueError as e:
+                    assert "hash bucket" in str(e)
+                    budget += budget // 4 + 1
+            assert [mc.rows for mc in matched] == expected, (dec.values, budget)
+            assert len(joins) >= 2 and budget < records
+            assert max(joins) <= budget
+
+    def test_matches_share_sequence_objects(self):
+        decs, cands = make_candidates(18)
+        mcs = match_compressions(build_compression_lists(cands, decs[0], 2), 18)
+        a_rows = {mc.a.entries for mc in mcs}
+        assert len({id(mc.a) for mc in mcs}) == len(a_rows) < len(mcs)
+
+    def test_budget_below_one_hash_bucket_is_an_error(self):
+        decs, cands = make_candidates(6)
         lists = build_compression_lists(cands, decs[0], 2)
-        in_mem = {mc.rows for mc in match_compressions(lists, n)}
-        spilled = {mc.rows for mc in match_compressions(lists, n, budget_bytes=64)}
-        assert in_mem == spilled and in_mem
-
-
-class TestKeySinkSpillFormat:
-    def test_records_are_little_endian_int32(self, tmp_path):
-        sink = _KeySink(d=3, budget_bytes=1, tmp_dir=str(tmp_path))
-        keys = np.array([[5, -2, 7], [1, 2, 3]], dtype=np.int32)
-        refs = np.array([[10, 11], [12, 13]], dtype=np.int32)
-        sink.add(keys, refs)  # exceeds the 1-byte budget: spills immediately
-        assert sink.spill_paths
-        raw = open(sink.spill_paths[0], "rb").read()
-        arr = np.frombuffer(raw, dtype="<i4").reshape(-1, 5)
-        assert arr.tolist() == [[1, 2, 3, 12, 13], [5, -2, 7, 10, 11]]  # sorted by key
-        groups = list(sink.groups())
-        assert [g[0] for g in groups] == [(1, 2, 3), (5, -2, 7)]
-        sink.cleanup()
-        assert not sink.spill_paths
+        with pytest.raises(ValueError, match="hash bucket"):
+            match_compressions(lists, 6, budget_bytes=1)
