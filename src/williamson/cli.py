@@ -99,11 +99,7 @@ def _solve_instance(rows, n: int, epsilon: float, use_callback: bool):
     callback = WilliamsonCallback(inst.var_map, n, epsilon) if use_callback else None
     solver = CdclSolver(inst.num_vars, inst.clauses, callback)
     models = solver.solve_all()
-    blocks = inst.var_map.blocks()
-    solutions = []
-    for model in models:
-        true_vars = {lit for lit in model if lit > 0}
-        solutions.append([[1 if v in true_vars else -1 for v in block] for block in blocks])
+    solutions = [[list(x.free) for x in inst.var_map.decode(model)] for model in models]
     st = solver.stats
     stats = {
         "decisions": st.decisions,
@@ -151,7 +147,9 @@ def _load_checkpoint(path: str, header: dict) -> dict:
     ``header``.  A run killed mid-write leaves a torn last line (no newline,
     or no JSON): it is dropped, and the file truncated to the end of the last
     complete record so the next record starts a line of its own.  An
-    unreadable line before the last is an error.
+    unreadable line before the last is an error, and so is a complete line
+    that is not a record: JSON other than an object with a string ``id``, a
+    ``solutions`` list and a ``stats`` object (a header object on line 1).
     """
     done, end, offset = {}, 0, 0
     with open(path, "rb+") as f:
@@ -169,12 +167,15 @@ def _load_checkpoint(path: str, header: dict) -> dict:
                     raise DomainError(f"{path}: line {lineno} is not a checkpoint record")
                 break
             if end:
+                if not (isinstance(rec, dict) and isinstance(rec.get("id"), str)
+                        and isinstance(rec.get("solutions"), list) and isinstance(rec.get("stats"), dict)):
+                    raise DomainError(f"{path}: line {lineno} is not a checkpoint record")
                 done[rec["id"]] = (rec["solutions"], rec["stats"])
             else:  # the first record
-                old = rec.get("header")
+                old = rec.get("header") if isinstance(rec, dict) else None
                 if not isinstance(old, dict):
-                    raise DomainError(f"{path}: no header record (n, epsilon, callback, version); "
-                                      "it cannot be resumed")
+                    raise DomainError(f"{path}: line {lineno} holds no header record "
+                                      "(n, epsilon, callback, version); it cannot be resumed")
                 for key, value in header.items():
                     if old.get(key) != value:
                         raise DomainError(f"{path} was written with {key}={old.get(key)!r}; "

@@ -17,7 +17,7 @@ key, each generating the pairs again.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,14 +73,15 @@ class CandidateSet:
     """Candidate lists keyed by rowsum, with an orbit-pruned view for the
     A role: of each index-automorphism orbit only the member with minimal
     code is kept (the B, C, D lists must stay complete, since their
-    representatives have to match whichever A representative was kept)."""
+    representatives have to match whichever A representative was kept).
+    Compressed lists are made once per (rowsum, pruned, factor)."""
 
     def __init__(self, n: int, epsilon: float, lists: dict, examined: int):
         self.n = n
         self.epsilon = epsilon
         self.lists = lists
         self.examined = examined
-        self._pruned: dict = {}
+        self._compressed: dict = {}
 
     def rowsums(self) -> list:
         return sorted(self.lists)
@@ -89,11 +90,15 @@ class CandidateSet:
         return self.lists[rowsum]
 
     def a_role(self, rowsum: int, prune: bool = True) -> CandidateList:
-        if not prune:
-            return self.lists[rowsum]
-        if rowsum not in self._pruned:
-            self._pruned[rowsum] = self._prune_orbits(self.lists[rowsum])
-        return self._pruned[rowsum]
+        clist = self.lists[rowsum]
+        return self._prune_orbits(clist) if prune else clist
+
+    def compressed(self, rowsum: int, m: int, prune: bool = False) -> CompressedList:
+        """The m-compressions of the rowsum list, orbit-pruned when prune."""
+        key = (rowsum, prune, m)
+        if key not in self._compressed:
+            self._compressed[key] = _compress_list(self.a_role(rowsum, prune), self.n, m)
+        return self._compressed[key]
 
     def _prune_orbits(self, clist: CandidateList) -> CandidateList:
         n = self.n
@@ -135,15 +140,13 @@ def generate_candidates(n: int, decompositions, epsilon: float = EPSILON_DEFAULT
 
 @dataclass
 class CompressedList:
-    """Deduplicated m-compressions of one candidate list; each row keeps the
-    indices of its preimage candidates."""
+    """Deduplicated m-compressions of one candidate list."""
 
     rowsum: int
     factor: int
     rows: np.ndarray        # V x d int16
     paf: np.ndarray         # V x d int32
     psd_half: np.ndarray    # V x (d//2+1) float64
-    preimages: list = field(repr=False)
 
     def __len__(self):
         return self.rows.shape[0]
@@ -176,16 +179,10 @@ def _compress_list(clist: CandidateList, n: int, m: int) -> CompressedList:
     if comp.shape[0] == 0:
         empty = np.empty((0, d))
         return CompressedList(clist.rowsum, m, comp, empty.astype(np.int32),
-                              empty[:, : d // 2 + 1].astype(np.float64), [])
-    rows, inverse = np.unique(comp, axis=0, return_inverse=True)
-    inverse = inverse.ravel()
-    order = np.argsort(inverse, kind="stable")
-    bounds = np.searchsorted(inverse[order], np.arange(rows.shape[0] + 1))
-    preimages = [order[bounds[v]:bounds[v + 1]] for v in range(rows.shape[0])]
-    return CompressedList(
-        clist.rowsum, m, rows, _paf_rows(rows),
-        psd_halfspectrum(rows.astype(np.float64)), preimages,
-    )
+                              empty[:, : d // 2 + 1].astype(np.float64))
+    rows = np.unique(comp, axis=0)
+    return CompressedList(clist.rowsum, m, rows, _paf_rows(rows),
+                          psd_halfspectrum(rows.astype(np.float64)))
 
 
 def build_compression_lists(candidates: CandidateSet, decomposition, m: int,
@@ -197,10 +194,10 @@ def build_compression_lists(candidates: CandidateSet, decomposition, m: int,
         raise ValueError(f"m={m} does not divide n={n}")
     ra, rb, rc, rd = decomposition.values
     return CompressionLists(
-        _compress_list(candidates.a_role(ra, prune_a), n, m),
-        _compress_list(candidates.full(rb), n, m),
-        _compress_list(candidates.full(rc), n, m),
-        _compress_list(candidates.full(rd), n, m),
+        candidates.compressed(ra, m, prune_a),
+        candidates.compressed(rb, m),
+        candidates.compressed(rc, m),
+        candidates.compressed(rd, m),
     )
 
 

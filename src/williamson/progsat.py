@@ -3,11 +3,16 @@
 The solver enumerates every satisfying total assignment: each model found is
 blocked by a clause negating it and the search continues until the instance
 is exhausted.  A callback, invoked at every unit-propagation fixpoint where a
-sequence block has newly become fully assigned, may inject a conflict clause
-that is falsified by the current partial assignment; such clauses are handled
-exactly like ordinary conflicts.  The Williamson callback rejects any subset
-of fully assigned members whose PSD values sum beyond 4n + epsilon and
-reports a solution when all four members survive.
+sequence block has newly become fully assigned, returns a clause falsified by
+the current partial assignment, or None.  Callback and blocking clauses are
+not analysed like propagation conflicts.  The solver stores the clause as it
+is and backjumps: when one literal has the deepest level, to the next deepest
+level, where it asserts that literal; otherwise to one level below the
+deepest, asserting nothing.  There is no 1UIP analysis, no activity bump and
+no count in ``conflicts``.  The Williamson callback rejects a minimal subset
+of fully assigned members whose PSD values sum beyond 4n + epsilon; when all
+four members pass, the trail is total and the model is recorded like any
+other.
 
 Literals are nonzero ints (DIMACS convention); variables are 1-based.
 """
@@ -19,18 +24,6 @@ import numpy as np
 
 from .seqcore import EPSILON_DEFAULT, fold_indices, psd_halfspectrum
 
-NO_ACTION = None
-
-
-@dataclass(frozen=True)
-class LearnedClause:
-    clause: tuple
-
-
-@dataclass(frozen=True)
-class SolutionFound:
-    quadruple: object
-
 
 @dataclass
 class SolverStats:
@@ -39,7 +32,6 @@ class SolverStats:
     propagations: int = 0
     callback_clauses: int = 0
     restarts: int = 0
-    solutions: int = 0
 
 
 def _luby(i: int) -> int:
@@ -361,25 +353,15 @@ class CdclSolver:
                         full_bits |= 1 << bi
                 if full_bits & ~self.checked_mask:
                     self.checked_mask = full_bits
-                    outcome = callback(self.values, full_bits)
-                    if isinstance(outcome, LearnedClause):
+                    clause = callback(self.values, full_bits)
+                    if clause is not None:
                         self.stats.callback_clauses += 1
-                        if not self._integrate_external(outcome.clause):
-                            return models
-                        continue
-                    if isinstance(outcome, SolutionFound):
-                        self.stats.solutions += 1
-                        models.append(self._current_model())
-                        if max_solutions is not None and len(models) >= max_solutions:
-                            return models
-                        restarts_enabled = False
-                        if not self._integrate_external(self._blocking_clause()):
+                        if not self._integrate_external(clause):
                             return models
                         continue
 
             if len(self.trail) == self.num_vars:
                 # total model with no callback objection
-                self.stats.solutions += 1
                 models.append(self._current_model())
                 if max_solutions is not None and len(models) >= max_solutions:
                     return models
@@ -407,33 +389,13 @@ def solve_all(inst, callback=None, max_solutions=None) -> list:
 # -- programmatic Williamson callback ---------------------------------------
 
 
-def learn_minimal_psd_clause(block_literals, block_psds, s: int, n: int,
-                             epsilon: float = EPSILON_DEFAULT) -> list:
-    """Conflict clause from a minimal-cardinality subset of blocks whose PSD
-    values at shift s sum beyond 4n + epsilon, trying the largest values
-    first.  block_literals[i] holds the current literals of block i."""
-    bound = 4 * n + epsilon
-    vals = [float(p[s]) for p in block_psds]
-    order = sorted(range(len(vals)), key=lambda i: -vals[i])
-    total = 0.0
-    chosen = []
-    for i in order:
-        chosen.append(i)
-        total += vals[i]
-        if total > bound:
-            return [-lit for i in chosen for lit in block_literals[i]]
-    raise ValueError(f"no subset exceeds the PSD bound at shift {s}")
-
-
 class WilliamsonCallback:
-    """Checks fully assigned members against the PSD bound; returns a conflict
-    clause over a minimal violating subset, or the decoded quadruple when all
-    four members pass.  PSD vectors are memoized by member bit pattern."""
+    """Checks fully assigned members against the PSD bound and returns a
+    conflict clause over a minimal violating subset of them, taking the
+    largest values first, or None when they pass.  PSD vectors are memoized
+    by member bit pattern."""
 
     def __init__(self, var_map, n: int, epsilon: float = EPSILON_DEFAULT):
-        self.var_map = var_map
-        self.n = n
-        self.epsilon = epsilon
         self.bound = 4 * n + epsilon
         self.blocks = var_map.blocks()
         self._fold = fold_indices(n)
@@ -451,34 +413,15 @@ class WilliamsonCallback:
         return cached
 
     def __call__(self, values, full_bits: int):
-        full_blocks = [r for r in range(4) if (full_bits >> r) & 1]
+        full_blocks = [self.blocks[r] for r in range(4) if (full_bits >> r) & 1]
         if not full_blocks:
-            return NO_ACTION
-        psds = [self._block_psd(values, self.blocks[r]) for r in full_blocks]
-        arr = np.stack(psds)
-        desc = -np.sort(-arr, axis=0)
-        prefix = np.cumsum(desc, axis=0)
-        exceeds = prefix > self.bound
-        if exceeds.any():
-            sizes = np.where(exceeds.any(axis=0), exceeds.argmax(axis=0) + 1, arr.shape[0] + 1)
-            s = int(sizes.argmin())
-            lits = []
-            for r in full_blocks:
-                block = self.blocks[r]
-                lits.append([v if values[v] > 0 else -v for v in block])
-            clause = learn_minimal_psd_clause(lits, psds, s, self.n, self.epsilon)
-            return LearnedClause(tuple(clause))
-        if len(full_blocks) == 4:
-            return SolutionFound(self.var_map.decode(values))
-        return NO_ACTION
-
-
-def williamson_callback(values, var_map, n: int, epsilon: float = EPSILON_DEFAULT,
-                        full_bits: int = 0b1111):
-    """Functional form of the Williamson PSD check over a partial assignment."""
-    cb = WilliamsonCallback(var_map, n, epsilon)
-    mask = 0
-    for bi, block in enumerate(cb.blocks):
-        if all(values[v] != 0 for v in block):
-            mask |= 1 << bi
-    return cb(values, mask & full_bits)
+            return None
+        arr = np.stack([self._block_psd(values, block) for block in full_blocks])
+        exceeds = np.cumsum(-np.sort(-arr, axis=0), axis=0) > self.bound
+        if not exceeds.any():
+            return None
+        # per frequency, how many of the largest values it takes to exceed
+        sizes = np.where(exceeds.any(axis=0), exceeds.argmax(axis=0) + 1, arr.shape[0] + 1)
+        s = int(sizes.argmin())
+        chosen = np.argsort(-arr[:, s], kind="stable")[: sizes[s]]
+        return tuple(-v if values[v] > 0 else v for i in chosen for v in full_blocks[i])

@@ -44,12 +44,13 @@ class VariableMap:
         f = self.free_count
         return [[role * f + i + 1 for i in range(f)] for role in range(4)]
 
-    def decode(self, values) -> Quadruple:
-        members = []
-        for role in range(4):
-            free = [1 if values[self.var(role, i)] > 0 else -1 for i in range(self.free_count)]
-            members.append(SymmetricSequence.from_free(self.n, free))
-        return Quadruple(*members)
+    def decode(self, model) -> Quadruple:
+        """The quadruple of a model as `progsat.CdclSolver.solve_all` returns
+        it: one literal per variable, in variable order."""
+        return Quadruple(*(
+            SymmetricSequence.from_free(self.n, [1 if model[v - 1] > 0 else -1 for v in block])
+            for block in self.blocks()
+        ))
 
 
 @dataclass
@@ -57,11 +58,6 @@ class SatInstance:
     num_vars: int
     clauses: list
     var_map: VariableMap = field(default=None, compare=False)
-
-    def __eq__(self, other):
-        if not isinstance(other, SatInstance):
-            return NotImplemented
-        return self.num_vars == other.num_vars and list(self.clauses) == list(other.clauses)
 
 
 def _normalize_clause(lits):

@@ -190,11 +190,7 @@ def _truth_table_models(num_vars, clauses):
 def _solve_instance_models(inst, clauses, callback):
     solver = CdclSolver(inst.num_vars, clauses, callback)
     quads = set()
-    for model in solver.solve_all():
-        values = [0] * (inst.num_vars + 1)
-        for lit in model:
-            values[abs(lit)] = 1 if lit > 0 else -1
-        q = inst.var_map.decode(values)
+    for q in map(inst.var_map.decode, solver.solve_all()):
         if verify_williamson(q):
             quads.add(quadruple_key(q))
     return quads

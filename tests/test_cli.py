@@ -195,6 +195,36 @@ class TestEnumerate:
         with pytest.raises(DomainError, match="line 1 "):
             run_enumeration(RunConfig(n=9, out_dir=out_dir))
 
+    @pytest.mark.parametrize("lineno,text", [
+        (2, "[1, 2]"),
+        (1, "[1]"),
+        (2, '{"solutions": [], "stats": {}}'),
+        (2, '{"id": "x", "stats": {}}'),
+        (1, '{"header": [1]}'),
+    ])
+    def test_resume_rejects_non_record_line(self, tmp_path, capsys, lineno, text):
+        out_dir = str(tmp_path / "run")
+        run_enumeration(RunConfig(n=6, out_dir=out_dir))
+        ckpt = os.path.join(out_dir, "checkpoint.jsonl")
+        lines = open(ckpt).read().splitlines()
+        assert len(lines) >= 2
+        lines[lineno - 1] = text
+        open(ckpt, "w").write("\n".join(lines) + "\n")
+        assert main(["enumerate", "-n", "6", "-o", out_dir]) == 1
+        assert f"line {lineno} " in capsys.readouterr().err
+
+    # run_enumeration totals at the seed commit; a solver change that moves
+    # the search on purpose updates these and says so
+    @pytest.mark.parametrize("n,totals", [
+        (9, (54, 29, 315, 12, 15, 15)),
+        (12, (492, 268, 2109, 92, 128, 128)),
+        (18, (3808, 2057, 15865, 1092, 584, 584)),
+    ])
+    def test_search_counters_pinned(self, n, totals):
+        report = run_enumeration(RunConfig(n=n))
+        names = ("decisions", "conflicts", "propagations", "callback_clauses", "solutions", "verified")
+        assert tuple(report.total(k) for k in names) == totals
+
     def test_unverified_model_with_callback_raises(self, monkeypatch):
         monkeypatch.setattr(cli, "verify_williamson", lambda q: False)
         with pytest.raises(RuntimeError, match=r"instance [0-9a-f]{16}"):

@@ -131,8 +131,6 @@ class TestBuildCompressionLists:
         assert lists.lb.rows.tolist() == [[0]]
         assert lists.lc.rows.tolist() == [[2]]
         assert lists.ld.rows.tolist() == [[2]]
-        # the rowsum-0 list has two preimage candidates for its single row
-        assert len(lists.lb.preimages[0]) == 2
 
     def test_alphabet_even(self):
         decs, cands = make_candidates(6)
@@ -152,16 +150,24 @@ class TestBuildCompressionLists:
             build_compression_lists(cands, decs[0], 2)
 
     def test_back_references_point_at_matching_candidates(self):
-        n = 6
-        decs, cands = make_candidates(n)
-        lists = build_compression_lists(cands, decs[0], 2, prune_a=False)
-        rowsums = decs[0].values
-        for lx, r in zip(lists, rowsums):
-            members = cands.full(r).members
-            for v in range(len(lx)):
-                assert len(lx.preimages[v]) >= 1
-                for idx in lx.preimages[v]:
-                    assert compress(members[idx], n // 2).entries == tuple(lx.rows[v])
+        # each list holds exactly the distinct compressions of its candidates
+        for n in (6, 9):
+            m = smallest_prime_divisor(n)
+            decs, cands = make_candidates(n)
+            for dec in decs:
+                lists = build_compression_lists(cands, dec, m, prune_a=False)
+                for lx, r in zip(lists, dec.values):
+                    images = {compress(x, n // m).entries for x in cands.full(r).members}
+                    assert [tuple(row) for row in lx.rows.tolist()] == sorted(images)
+
+    def test_each_list_is_compressed_once(self):
+        # one CompressedList per (rowsum, pruned) across decompositions and calls
+        decs, cands = make_candidates(12)
+        seen = {}
+        for dec in decs * 2:
+            for role, (lx, r) in enumerate(zip(build_compression_lists(cands, dec, 2), dec.values)):
+                assert seen.setdefault((r, role == 0), lx) is lx
+        assert len(seen) < 4 * len(decs)
 
 
 class TestMatchCompressions:

@@ -3,18 +3,16 @@ import pytest
 
 from williamson.oracle import brute_force_enumerate, brute_force_uncompress
 from williamson.pipeline import MatchedCompression
-from williamson.progsat import (
-    NO_ACTION,
-    CdclSolver,
-    LearnedClause,
-    SolutionFound,
-    WilliamsonCallback,
-    learn_minimal_psd_clause,
-    solve_all,
-    williamson_callback,
-)
+from williamson.progsat import CdclSolver, WilliamsonCallback, solve_all
 from williamson.satgen import SatInstance, VariableMap, encode_uncompression, parse_dimacs
-from williamson.seqcore import CompressedSequence, compress, psd, verify_williamson
+from williamson.seqcore import (
+    EPSILON_DEFAULT,
+    CompressedSequence,
+    SymmetricSequence,
+    compress,
+    psd_halfspectrum,
+    verify_williamson,
+)
 
 
 def truth_table_models(num_vars, clauses):
@@ -60,10 +58,7 @@ class TestSolveAllBasics:
         models = solve_all(inst)
         assert len(models) == 4
         for model in models:
-            values = [0] * (inst.num_vars + 1)
-            for lit in model:
-                values[abs(lit)] = 1 if lit > 0 else -1
-            assert verify_williamson(inst.var_map.decode(values))
+            assert verify_williamson(inst.var_map.decode(model))
 
     def test_max_solutions_cap(self):
         assert len(solve_all(SatInstance(4, []), max_solutions=5)) == 5
@@ -94,60 +89,97 @@ class TestAgainstTruthTable:
             assert len(models_of(inst)) == 2 * 2 ** 10
 
 
+def assign(vm, frees):
+    """Solver values array with member r's free entries set to frees[r]
+    (None leaves the member unassigned)."""
+    values = [0] * (vm.num_vars + 1)
+    for role, free in enumerate(frees):
+        for i, val in enumerate(free or ()):
+            values[vm.var(role, i)] = val
+    return values
+
+
 class TestLearnMinimalPsdClause:
+    """The conflict clause WilliamsonCallback returns for violating members."""
+
     def test_single_block_width(self):
-        # one block alone beyond the bound gives a clause over just that block
-        lits = [[1, 2], [3, 4]]
-        psds = [np.array([9.0, 0.0]), np.array([4.0, 0.0])]
-        clause = learn_minimal_psd_clause(lits, psds, 0, 2)
-        assert clause == [-1, -2]
+        # at n=6 a constant member alone has PSD 36 > 24 at s=0: the clause
+        # covers just that member, although it is listed second
+        vm = VariableMap(6)
+        values = assign(vm, ((1, 1, -1, -1), (1, 1, 1, 1), None, None))
+        assert WilliamsonCallback(vm, 6)(values, 0b0011) == (-5, -6, -7, -8)
 
     def test_three_block_case_width_six(self):
-        # PSD([1,1]) = [4, 0]; three constant blocks at n=2 exceed 8 only jointly
+        # PSD([1,1]) = [4, 0], PSD([1,-1]) = [0, 4]; at n=2 three constant
+        # members exceed 8 jointly at s=0, and the fourth is left out
         vm = VariableMap(2)
-        values = [0] + [1] * 6 + [0, 0]
-        psds = [psd([1, 1])] * 3
-        lits = [[v for v in block] for block in vm.blocks()[:3]]
-        clause = learn_minimal_psd_clause(lits, psds, 0, 2)
-        assert len(clause) == 6
-        assert set(clause) == {-1, -2, -3, -4, -5, -6}
+        values = assign(vm, ((1, 1), (1, 1), (1, 1), (1, -1)))
+        assert WilliamsonCallback(vm, 2)(values, 0b1111) == (-1, -2, -3, -4, -5, -6)
 
     def test_clause_falsified_by_current_literals(self):
-        lits = [[1, -2], [3, 4]]
-        psds = [np.array([5.0]), np.array([4.0])]
-        clause = learn_minimal_psd_clause(lits, psds, 0, 2)
-        assert clause == [-1, 2, -3, -4]
+        # the clause negates the current literals of the fewest full members,
+        # largest PSD values first, whose values at one frequency exceed 4n + eps
+        n = 9
+        vm = VariableMap(n)
+        bound = 4 * n + EPSILON_DEFAULT
+        rng = np.random.default_rng(7)
+        learned = 0
+        for _ in range(200):
+            frees = [[int(v) for v in rng.choice([-1, 1], size=vm.free_count)] for _ in range(4)]
+            full = [r for r in range(4) if rng.integers(2)]
+            values = assign(vm, [frees[r] if r in full else None for r in range(4)])
+            clause = WilliamsonCallback(vm, n)(values, sum(1 << r for r in full))
+            psds = [psd_halfspectrum(np.array(SymmetricSequence.from_free(n, frees[r]).entries, dtype=float))
+                    for r in full]
+            best = None  # (size, members) of the first smallest violating subset
+            for s in range(n // 2 + 1):
+                ranked = sorted(range(len(full)), key=lambda i: -psds[i][s])
+                total = 0.0
+                for k, i in enumerate(ranked, start=1):
+                    total += psds[i][s]
+                    if total > bound:
+                        if best is None or k < best[0]:
+                            best = (k, ranked[:k])
+                        break
+            if best is None:
+                assert clause is None
+                continue
+            learned += 1
+            assert all(values[abs(lit)] == (-1 if lit > 0 else 1) for lit in clause)
+            literals = [v if values[v] > 0 else -v for i in best[1] for v in vm.blocks()[full[i]]]
+            assert clause == tuple(-lit for lit in literals)
+        assert learned > 20
 
-    def test_no_violation_raises(self):
-        with pytest.raises(ValueError):
-            learn_minimal_psd_clause([[1]], [np.array([1.0])], 0, 2)
+    def test_no_violation_is_no_clause(self):
+        # A = B = [1,-1] sum to [0, 8] <= 8 + eps: full members within the bound
+        vm = VariableMap(2)
+        values = assign(vm, ((1, -1), (1, -1), None, None))
+        assert WilliamsonCallback(vm, 2)(values, 0b0011) is None
 
 
 class TestWilliamsonCallback:
     def test_no_block_assigned_is_no_action(self):
         vm = VariableMap(2)
         values = [0] * (vm.num_vars + 1)
-        assert williamson_callback(values, vm, 2) is NO_ACTION
+        assert WilliamsonCallback(vm, 2)(values, 0) is None
 
     def test_three_constant_blocks_learn_width_six(self):
         vm = VariableMap(2)
-        values = [0] * (vm.num_vars + 1)
-        for v in range(1, 7):
-            values[v] = 1
-        outcome = williamson_callback(values, vm, 2)
-        assert isinstance(outcome, LearnedClause)
-        assert set(outcome.clause) == {-1, -2, -3, -4, -5, -6}
+        values = assign(vm, ((1, 1), (1, 1), (1, 1), None))
+        clause = WilliamsonCallback(vm, 2)(values, 0b0111)
+        assert isinstance(clause, tuple)
+        assert set(clause) == {-1, -2, -3, -4, -5, -6}
 
     def test_full_solution_found(self):
+        # a full Williamson assignment passes: the solver records it as a model
         vm = VariableMap(2)
-        values = [0] * (vm.num_vars + 1)
-        # A = B = [1, -1], C = D = [1, 1]
-        for role, free in enumerate(((1, -1), (1, -1), (1, 1), (1, 1))):
-            for i, val in enumerate(free):
-                values[vm.var(role, i)] = val
-        outcome = williamson_callback(values, vm, 2)
-        assert isinstance(outcome, SolutionFound)
-        assert verify_williamson(outcome.quadruple)
+        values = assign(vm, ((1, -1), (1, -1), (1, 1), (1, 1)))
+        assert WilliamsonCallback(vm, 2)(values, 0b1111) is None
+        model = tuple(v if values[v] > 0 else -v for v in range(1, vm.num_vars + 1))
+        assert verify_williamson(vm.decode(model))
+        mc = MatchedCompression(*(CompressedSequence(r, 2) for r in ([0], [0], [2], [2])))
+        inst = encode_uncompression(mc, 2)
+        assert model in solve_all(inst, WilliamsonCallback(inst.var_map, 2))
 
     def test_callback_memoizes_psd(self):
         vm = VariableMap(2)
@@ -178,24 +210,10 @@ def test_callback_equals_post_filter(n):
         if n % 2 == 1:
             clauses.extend(encode_product_theorem(n, inst.var_map))
         plain = CdclSolver(inst.num_vars, clauses).solve_all()
-        plain_quads = set()
-        for model in plain:
-            values = [0] * (inst.num_vars + 1)
-            for lit in model:
-                values[abs(lit)] = 1 if lit > 0 else -1
-            q = inst.var_map.decode(values)
-            if verify_williamson(q):
-                plain_quads.add(q)
+        plain_quads = {q for q in map(inst.var_map.decode, plain) if verify_williamson(q)}
         cb = WilliamsonCallback(inst.var_map, n)
-        prog = CdclSolver(inst.num_vars, clauses, cb).solve_all()
-        prog_quads = set()
-        for model in prog:
-            values = [0] * (inst.num_vars + 1)
-            for lit in model:
-                values[abs(lit)] = 1 if lit > 0 else -1
-            q = inst.var_map.decode(values)
-            assert verify_williamson(q)  # callback output is already Williamson
-            prog_quads.add(q)
+        prog_quads = set(map(inst.var_map.decode, CdclSolver(inst.num_vars, clauses, cb).solve_all()))
+        assert all(map(verify_williamson, prog_quads))  # callback output is already Williamson
         assert prog_quads == plain_quads
 
 
@@ -206,13 +224,7 @@ def test_callback_agrees_with_uncompression_oracle():
         mc = MatchedCompression(*(CompressedSequence(r, 2) for r in rows))
         inst = encode_uncompression(mc, n)
         cb = WilliamsonCallback(inst.var_map, n)
-        models = solve_all(inst, cb)
-        found = set()
-        for model in models:
-            values = [0] * (inst.num_vars + 1)
-            for lit in model:
-                values[abs(lit)] = 1 if lit > 0 else -1
-            found.add(inst.var_map.decode(values))
+        found = set(map(inst.var_map.decode, solve_all(inst, cb)))
         assert found == set(brute_force_uncompress(mc, n))
 
 
@@ -230,5 +242,5 @@ def test_stats_populated():
     inst = SatInstance(6, [[1, 2], [-1, 3], [-2, -3]])
     solver = CdclSolver(inst.num_vars, inst.clauses)
     models = solver.solve_all()
-    assert solver.stats.solutions == len(models)
-    assert solver.stats.propagations > 0
+    assert set(models) == truth_table_models(inst.num_vars, inst.clauses)
+    assert solver.stats.decisions > 0 and solver.stats.propagations > 0

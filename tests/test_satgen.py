@@ -60,11 +60,8 @@ class TestVariableMap:
 
     def test_decode(self):
         vm = VariableMap(2)
-        values = [0] * (vm.num_vars + 1)
-        for v in range(1, vm.num_vars + 1):
-            values[v] = 1
-        values[vm.var(3, 1)] = -1
-        q = vm.decode(values)
+        model = tuple(-v if v == vm.var(3, 1) else v for v in range(1, vm.num_vars + 1))
+        q = vm.decode(model)
         assert q.d.entries == (1, -1)
         assert q.a.entries == (1, 1)
 
@@ -134,13 +131,7 @@ class TestEncodeUncompression:
                 continue
             seen_mcs.add(rows)
             inst = encode_uncompression(mc_of([list(r) for r in rows], m), n)
-            models = solve_all(inst)
-            decoded = set()
-            for model in models:
-                values = [0] * (inst.num_vars + 1)
-                for lit in model:
-                    values[abs(lit)] = 1 if lit > 0 else -1
-                decoded.add(inst.var_map.decode(values))
+            decoded = set(map(inst.var_map.decode, solve_all(inst)))
             expected = {
                 Quadruple(a, b, c, dd)
                 for a in uncompressions(rows[0])
