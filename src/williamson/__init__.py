@@ -10,13 +10,11 @@ assembly, equivalence-class canonicalization, and a brute-force oracle.
 __version__ = "0.1.0"
 
 from .seqcore import (
-    CompressedSequence,
     Quadruple,
     SymmetricSequence,
     compress,
     paf,
     psd,
-    psd_filter,
     rowsum,
     verify_williamson,
 )
@@ -35,13 +33,11 @@ from .oracle import brute_force_enumerate, brute_force_uncompress
 from .cli import RunConfig, run_enumeration
 
 __all__ = [
-    "CompressedSequence",
     "Quadruple",
     "SymmetricSequence",
     "compress",
     "paf",
     "psd",
-    "psd_filter",
     "rowsum",
     "verify_williamson",
     "RowsumDecomposition",

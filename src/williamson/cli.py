@@ -90,6 +90,10 @@ class EnumerationReport:
         return sum(s[stat] for s in self.instance_stats)
 
 
+# the solver counters of one instance, as checkpoint records and stats.tsv hold them
+COUNTERS = ("decisions", "conflicts", "propagations", "callback_clauses", "solutions")
+
+
 def _instance_id(rows) -> str:
     return hashlib.sha1(json.dumps(rows).encode()).hexdigest()[:16]
 
@@ -131,13 +135,10 @@ def _generate_instances(cfg: RunConfig):
         lists = build_compression_lists(candidates, dec, m)
         matched.extend(match_compressions(lists, n, cfg.epsilon, budget_bytes=cfg.matcher_budget_bytes))
     kept, discarded = satgen.dedupe_instances(matched, n)
-    kept_ids = [_instance_id([list(r) for r in mc.rows]) for mc in kept]
-    tasks = sorted((kept_ids[i], [list(r) for r in mc.rows]) for i, mc in enumerate(kept))
-    discard_log = [
-        (_instance_id([list(r) for r in mc.rows]), kept_ids[kept_idx])
-        for mc, kept_idx in discarded
-    ]
-    return tasks, discard_log
+    kept_rows = [mc.rows.tolist() for mc in kept]
+    kept_ids = [_instance_id(rows) for rows in kept_rows]
+    discard_log = [(_instance_id(mc.rows.tolist()), kept_ids[kept_idx]) for mc, kept_idx in discarded]
+    return sorted(zip(kept_ids, kept_rows)), discard_log
 
 
 def _load_checkpoint(path: str, header: dict) -> dict:
@@ -148,9 +149,23 @@ def _load_checkpoint(path: str, header: dict) -> dict:
     or no JSON): it is dropped, and the file truncated to the end of the last
     complete record so the next record starts a line of its own.  An
     unreadable line before the last is an error, and so is a complete line
-    that is not a record: JSON other than an object with a string ``id``, a
-    ``solutions`` list and a ``stats`` object (a header object on line 1).
+    that is not a record: JSON other than an object with a string ``id``,
+    ``solutions`` each of four rows of n//2+1 entries ±1, and ``stats``
+    holding the `COUNTERS` as ints (a header object on line 1).
     """
+    free = header["n"] // 2 + 1
+
+    def is_record(rec) -> bool:
+        if not (isinstance(rec, dict) and isinstance(rec.get("id"), str)):
+            return False
+        sols, stats = rec.get("solutions"), rec.get("stats")
+        return (isinstance(stats, dict) and all(type(stats.get(k)) is int for k in COUNTERS)
+                and isinstance(sols, list)
+                and all(isinstance(sol, list) and len(sol) == 4 for sol in sols)
+                and all(isinstance(row, list) and len(row) == free
+                        and all(type(v) is int and v in (-1, 1) for v in row)
+                        for sol in sols for row in sol))
+
     done, end, offset = {}, 0, 0
     with open(path, "rb+") as f:
         lines = f.read().split(b"\n")
@@ -167,9 +182,10 @@ def _load_checkpoint(path: str, header: dict) -> dict:
                     raise DomainError(f"{path}: line {lineno} is not a checkpoint record")
                 break
             if end:
-                if not (isinstance(rec, dict) and isinstance(rec.get("id"), str)
-                        and isinstance(rec.get("solutions"), list) and isinstance(rec.get("stats"), dict)):
-                    raise DomainError(f"{path}: line {lineno} is not a checkpoint record")
+                if not is_record(rec):
+                    raise DomainError(f"{path}: line {lineno} is not a checkpoint record (a string id, "
+                                      f"solutions of four rows of {free} ±1 entries, integer stats "
+                                      f"{', '.join(COUNTERS)})")
                 done[rec["id"]] = (rec["solutions"], rec["stats"])
             else:  # the first record
                 old = rec.get("header") if isinstance(rec, dict) else None
@@ -403,17 +419,21 @@ def cmd_stats(args) -> int:
         sys.stdout.write(f.read())
     stats_path = os.path.join(args.rundir, "stats.tsv")
     if os.path.exists(stats_path):
-        totals = dict.fromkeys(
-            ("decisions", "conflicts", "propagations", "callback_clauses", "solutions", "verified"), 0)
+        totals = dict.fromkeys(COUNTERS + ("verified",), 0)
         with open(stats_path) as f:
             header = f.readline().strip().split("\t")
             missing = [k for k in totals if k not in header]
             if missing:
                 raise DomainError(f"{stats_path} has no column {missing[0]!r}; rerun to rewrite it")
-            for line in f:
+            for lineno, line in enumerate(f, start=2):
                 row = dict(zip(header, line.strip().split("\t")))
-                for k in totals:
-                    totals[k] += int(row[k])
+                try:
+                    values = [int(row[k]) for k in totals]
+                except (KeyError, ValueError):
+                    raise DomainError(f"{stats_path}: line {lineno} needs integer fields "
+                                      f"{', '.join(totals)}") from None
+                for k, v in zip(totals, values):
+                    totals[k] += v
         totals["rejected"] = totals["solutions"] - totals.pop("verified")
         print("\t".join(f"total_{k}={v}" for k, v in totals.items()))
     return 0

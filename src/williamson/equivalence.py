@@ -173,10 +173,6 @@ def canonical_form(q: Quadruple) -> Quadruple:
     return Quadruple(*canonical_forms([q])[0].tolist())
 
 
-def canonical_key(q: Quadruple) -> tuple:
-    return (q.order, canonical_forms([q])[0].tobytes())
-
-
 def dedupe(qs) -> list:
     """Distinct canonical forms in first-seen order."""
     return [Quadruple(*form.tolist()) for form in distinct_forms(qs)]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .seqcore import CompressedSequence, Quadruple, SymmetricSequence, verify_williamson
+from .seqcore import Quadruple, SymmetricSequence, verify_williamson
 
 MAX_ORDER = 12
 _PRODUCT_BUDGET = 1 << 24
@@ -73,12 +73,9 @@ def _enumerate_index_tuples(n: int):
 
 def brute_force_uncompress(mc, n: int) -> list:
     """All symmetric quadruples whose m-compression equals mc and which are
-    Williamson.  mc is four compressed sequences (illegal entries give [])."""
+    Williamson.  mc is four rows of compressed entries (illegal entries give [])."""
     _check_budget(n)
-    targets = []
-    for comp in mc:
-        entries = tuple(comp.entries if isinstance(comp, CompressedSequence) else comp)
-        targets.append(entries)
+    targets = [tuple(int(v) for v in row) for row in mc]
     d = len(targets[0])
     if n % d != 0:
         raise ValueError(f"compressed length {d} does not divide order {n}")

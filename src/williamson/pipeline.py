@@ -1,9 +1,10 @@
 """Candidate generation, compression lists, and pair-sum matching.
 
-Step 2 enumerates every symmetric ±1 sequence of order n, keeping those whose
-rowsum occurs in some rowsum decomposition and whose PSD never exceeds
-4n + epsilon.  Step 3 compresses the survivors by the smallest prime factor m
-and groups them by rowsum.  Step 4 finds all compressed quadruples with
+All three steps pass int8 rows.  Step 2 enumerates every symmetric ±1
+sequence of order n, keeping the free entries of those whose rowsum occurs in
+some rowsum decomposition and whose PSD never exceeds 4n + epsilon.  Step 3
+compresses the survivors by the smallest prime factor m and groups them by
+rowsum.  Step 4 finds all compressed quadruples with
 
     PAF(A') + PAF(B') = [4n, 0, ..., 0] - (PAF(C') + PAF(D'))
 
@@ -13,7 +14,8 @@ rest), packed into uint64 words that compare like the key.  One stable sort
 of both sides' records puts equal keys together, and each key both sides hold
 yields its A x B by C x D cross product through array arithmetic.  Key
 records over the memory budget are joined in hash partitions of the packed
-key, each generating the pairs again.
+key, each generating the pairs again.  The matches form one read-only
+S x 4 x d int8 stack; each `MatchedCompression` is a 4 x d view into it.
 """
 from __future__ import annotations
 
@@ -22,13 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equivalence import units
-from .seqcore import (
-    EPSILON_DEFAULT,
-    CompressedSequence,
-    SymmetricSequence,
-    fold_indices,
-    psd_halfspectrum,
-)
+from .seqcore import EPSILON_DEFAULT, fold_indices, psd_halfspectrum
 
 _PSD_CHUNK_ROWS = 1 << 15
 DEFAULT_BUDGET_BYTES = 256 * 1024 * 1024
@@ -53,28 +49,13 @@ def _free_codes(free_rows: np.ndarray) -> np.ndarray:
     return bits @ weights
 
 
-@dataclass
-class CandidateList:
-    """Symmetric sequences with one rowsum that pass the PSD test alone."""
-
-    order: int
-    rowsum: int
-    free_rows: np.ndarray
-
-    @property
-    def members(self) -> list:
-        return [SymmetricSequence.from_free(self.order, row) for row in self.free_rows.tolist()]
-
-    def __len__(self):
-        return self.free_rows.shape[0]
-
-
 class CandidateSet:
-    """Candidate lists keyed by rowsum, with an orbit-pruned view for the
-    A role: of each index-automorphism orbit only the member with minimal
-    code is kept (the B, C, D lists must stay complete, since their
-    representatives have to match whichever A representative was kept).
-    Compressed lists are made once per (rowsum, pruned, factor)."""
+    """Candidates keyed by rowsum, each an int8 array of free-entry rows,
+    with an orbit-pruned view for the A role: of each index-automorphism
+    orbit only the member with minimal code is kept (the B, C, D lists must
+    stay complete, since their representatives have to match whichever A
+    representative was kept).  Compressed lists are made once per (rowsum,
+    pruned, factor)."""
 
     def __init__(self, n: int, epsilon: float, lists: dict, examined: int):
         self.n = n
@@ -86,12 +67,12 @@ class CandidateSet:
     def rowsums(self) -> list:
         return sorted(self.lists)
 
-    def full(self, rowsum: int) -> CandidateList:
+    def full(self, rowsum: int) -> np.ndarray:
         return self.lists[rowsum]
 
-    def a_role(self, rowsum: int, prune: bool = True) -> CandidateList:
-        clist = self.lists[rowsum]
-        return self._prune_orbits(clist) if prune else clist
+    def a_role(self, rowsum: int, prune: bool = True) -> np.ndarray:
+        free = self.lists[rowsum]
+        return self._prune_orbits(free) if prune else free
 
     def compressed(self, rowsum: int, m: int, prune: bool = False) -> CompressedList:
         """The m-compressions of the rowsum list, orbit-pruned when prune."""
@@ -100,11 +81,10 @@ class CandidateSet:
             self._compressed[key] = _compress_list(self.a_role(rowsum, prune), self.n, m)
         return self._compressed[key]
 
-    def _prune_orbits(self, clist: CandidateList) -> CandidateList:
+    def _prune_orbits(self, free: np.ndarray) -> np.ndarray:
         n = self.n
-        free = clist.free_rows
         if free.shape[0] == 0:
-            return clist
+            return free
         f = n // 2 + 1
         fold = np.array(fold_indices(n))
         codes = _free_codes(free)
@@ -112,13 +92,13 @@ class CandidateSet:
         for k in units(n)[1:]:  # units(n)[0] == 1, the identity
             perm = fold[(k * np.arange(f)) % n]
             np.minimum(best, _free_codes(free[:, perm]), out=best)
-        keep = codes == best
-        return CandidateList(n, clist.rowsum, free[keep])
+        return free[codes == best]
 
 
 def generate_candidates(n: int, decompositions, epsilon: float = EPSILON_DEFAULT) -> CandidateSet:
-    """Map rowsum -> CandidateList over every rowsum appearing in the
-    decompositions; 2^(n//2+1) sequences are examined."""
+    """Map rowsum -> free-entry rows of its PSD-passing sequences, over
+    every rowsum appearing in the decompositions; 2^(n//2+1) sequences are
+    examined."""
     if not decompositions:
         return CandidateSet(n, epsilon, {}, 0)
     wanted = sorted({r for dec in decompositions for r in dec.values})
@@ -131,10 +111,7 @@ def generate_candidates(n: int, decompositions, epsilon: float = EPSILON_DEFAULT
         hi = min(lo + _PSD_CHUNK_ROWS, full.shape[0])
         spectra = psd_halfspectrum(full[lo:hi].astype(np.float64))
         keep[lo:hi] = spectra.max(axis=1) <= bound
-    lists = {}
-    for r in wanted:
-        mask = keep & (rowsums == r)
-        lists[r] = CandidateList(n, r, free[mask])
+    lists = {r: free[keep & (rowsums == r)] for r in wanted}
     return CandidateSet(n, epsilon, lists, full.shape[0])
 
 
@@ -142,25 +119,12 @@ def generate_candidates(n: int, decompositions, epsilon: float = EPSILON_DEFAULT
 class CompressedList:
     """Deduplicated m-compressions of one candidate list."""
 
-    rowsum: int
-    factor: int
-    rows: np.ndarray        # V x d int16
+    rows: np.ndarray        # V x d int8
     paf: np.ndarray         # V x d int32
     psd_half: np.ndarray    # V x (d//2+1) float64
 
     def __len__(self):
         return self.rows.shape[0]
-
-
-@dataclass
-class CompressionLists:
-    la: CompressedList
-    lb: CompressedList
-    lc: CompressedList
-    ld: CompressedList
-
-    def __iter__(self):
-        return iter((self.la, self.lb, self.lc, self.ld))
 
 
 def _paf_rows(rows: np.ndarray) -> np.ndarray:
@@ -172,53 +136,38 @@ def _paf_rows(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _compress_list(clist: CandidateList, n: int, m: int) -> CompressedList:
+def _compress_list(free_rows: np.ndarray, n: int, m: int) -> CompressedList:
     d = n // m
-    full = _expand(clist.free_rows, n).astype(np.int16)
-    comp = full.reshape(-1, m, d).sum(axis=1)
+    comp = _expand(free_rows, n).reshape(-1, m, d).sum(axis=1, dtype=np.int8)
     if comp.shape[0] == 0:
         empty = np.empty((0, d))
-        return CompressedList(clist.rowsum, m, comp, empty.astype(np.int32),
-                              empty[:, : d // 2 + 1].astype(np.float64))
+        return CompressedList(comp, empty.astype(np.int32), empty[:, : d // 2 + 1].astype(np.float64))
     rows = np.unique(comp, axis=0)
-    return CompressedList(clist.rowsum, m, rows, _paf_rows(rows),
-                          psd_halfspectrum(rows.astype(np.float64)))
+    return CompressedList(rows, _paf_rows(rows), psd_halfspectrum(rows.astype(np.float64)))
 
 
 def build_compression_lists(candidates: CandidateSet, decomposition, m: int,
-                            prune_a: bool = True) -> CompressionLists:
+                            prune_a: bool = True) -> tuple:
+    """The A, B, C and D compressed lists of one decomposition."""
     n = candidates.n
     if m not in (2, 3):
         raise ValueError("compression factor must be 2 or 3")
     if n % m != 0:
         raise ValueError(f"m={m} does not divide n={n}")
     ra, rb, rc, rd = decomposition.values
-    return CompressionLists(
-        candidates.compressed(ra, m, prune_a),
-        candidates.compressed(rb, m),
-        candidates.compressed(rc, m),
-        candidates.compressed(rd, m),
-    )
+    return (candidates.compressed(ra, m, prune_a), candidates.compressed(rb, m),
+            candidates.compressed(rc, m), candidates.compressed(rd, m))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatchedCompression:
-    """A compressed quadruple whose PAF vectors sum to [4n, 0, ..., 0]."""
+    """A compressed quadruple whose PAF vectors sum to [4n, 0, ..., 0]: a
+    read-only 4 x d int8 view into the matcher's stack of matches."""
 
-    a: CompressedSequence
-    b: CompressedSequence
-    c: CompressedSequence
-    d: CompressedSequence
-
-    @property
-    def rows(self) -> tuple:
-        return (self.a.entries, self.b.entries, self.c.entries, self.d.entries)
-
-    def __iter__(self):
-        return iter((self.a, self.b, self.c, self.d))
+    rows: np.ndarray
 
 
-def _key_layout(lists: CompressionLists, target: np.ndarray) -> tuple:
+def _key_layout(lists: tuple, target: np.ndarray) -> tuple:
     """(offsets, [(column, word, shift)], words) that pack the h-column keys
     of both join sides into uint64 words comparing like the int32 keys.
 
@@ -351,22 +300,15 @@ def _partitioned_join(blocks, n_words: int, budget_bytes: int) -> tuple:
     return pair_ab[order], pair_cd[order]
 
 
-def _shared_sequences(lx: CompressedList, idx: np.ndarray, m: int) -> list:
-    """The CompressedSequence of row idx[i] of lx for every i, one object per
-    distinct row."""
-    used, inverse = np.unique(idx, return_inverse=True)
-    seqs = [CompressedSequence(row, m) for row in lx.rows[used].tolist()]
-    return [seqs[i] for i in inverse.tolist()]
-
-
-def match_compressions(lists: CompressionLists, n: int, epsilon: float = EPSILON_DEFAULT,
+def match_compressions(lists: tuple, n: int, epsilon: float = EPSILON_DEFAULT,
                        mod4_filter: bool = True, budget_bytes: int = DEFAULT_BUDGET_BYTES) -> list:
     """All compressed quadruples (A', B', C', D') from the four lists whose
     PAF vectors sum exactly to [4n, 0, ..., 0]; pairs are pre-filtered by the
     PSD bound and, for even n, matches are post-filtered by the mod-4 rowsum
     invariant of 2-compressions.
 
-    Matches come in ascending key order, then A x B pair, then C x D pair.
+    Matches come in ascending key order, then A x B pair, then C x D pair,
+    each a view into one read-only S x 4 x d int8 stack of rows.
     ``budget_bytes`` bounds the key records (packed key plus an int64 pair
     index per PSD-passing pair, both sides) held for one join.  Records over
     it are joined in partitions of hash buckets of the packed key, each of
@@ -398,8 +340,8 @@ def match_compressions(lists: CompressionLists, n: int, epsilon: float = EPSILON
 
     ia, ib = np.divmod(pair_ab, len(lb))
     ic, id_ = np.divmod(pair_cd, len(ld))
+    stack = np.stack([la.rows[ia], lb.rows[ib], lc.rows[ic], ld.rows[id_]], axis=1)
     if mod4_filter and n % 2 == 0:
-        keep = ~np.any((la.rows[ia] + lb.rows[ib] + lc.rows[ic] + ld.rows[id_]) % 4, axis=1)
-        ia, ib, ic, id_ = ia[keep], ib[keep], ic[keep], id_[keep]
-    return list(map(MatchedCompression, *(_shared_sequences(lx, idx, la.factor)
-                                          for lx, idx in zip(lists, (ia, ib, ic, id_)))))
+        stack = stack[~np.any(stack.sum(axis=1) % 4, axis=1)]
+    stack.setflags(write=False)
+    return [MatchedCompression(r) for r in stack]

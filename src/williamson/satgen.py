@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .equivalence import canonical_rows
 from .seqcore import Quadruple, SymmetricSequence, fold_indices
 
@@ -34,11 +36,6 @@ class VariableMap:
 
     def var(self, role: int, index: int) -> int:
         return role * self.free_count + self._fold[index % self.n] + 1
-
-    def role_index(self, var: int) -> tuple:
-        if not 1 <= var <= self.num_vars:
-            raise ValueError(f"variable {var} out of range")
-        return divmod(var - 1, self.free_count)
 
     def blocks(self) -> list:
         f = self.free_count
@@ -93,10 +90,9 @@ def _entry_clauses(value: int, variables: tuple, m: int) -> list:
     raise ValueError(f"compressed entry {value} illegal for factor {m}")
 
 
-def encode_uncompression(mc, n: int) -> SatInstance:
+def encode_uncompression(rows, n: int) -> SatInstance:
     """CNF whose models are exactly the symmetric ±1 quadruples whose
-    m-compression equals mc."""
-    rows = mc.rows if hasattr(mc, "rows") else tuple(tuple(r) for r in mc)
+    m-compressions are the four rows."""
     d = len(rows[0])
     if n % d != 0:
         raise ValueError(f"compressed length {d} does not divide n={n}")
@@ -193,10 +189,12 @@ def dedupe_instances(mcs, n: int) -> tuple:
     Returns (kept, discarded) where discarded pairs each dropped compression
     with the index of its kept representative."""
     mcs = list(mcs)
+    if not mcs:
+        return [], []
     kept = []
     discarded = []
     by_key = {}
-    for mc, form in zip(mcs, canonical_rows([mc.rows for mc in mcs], n)):
+    for mc, form in zip(mcs, canonical_rows(np.stack([mc.rows for mc in mcs]), n)):
         key = form.tobytes()
         if key in by_key:
             discarded.append((mc, by_key[key]))

@@ -131,53 +131,8 @@ class Quadruple:
         return "Quadruple(%s)" % ", ".join(format_sequence(x) for x in self.members)
 
 
-class CompressedSequence:
-    """Integer sequence obtained by m-compression of a ±1 sequence.
-
-    Entries lie in {-m, -m+2, ..., m} and are congruent to m mod 2.
-    """
-
-    __slots__ = ("entries", "factor")
-
-    def __init__(self, entries, factor: int):
-        entries = tuple(int(v) for v in entries)
-        if not entries:
-            raise ValueError("empty compressed sequence")
-        if factor < 1:
-            raise ValueError("compression factor must be positive")
-        for v in entries:
-            if abs(v) > factor or (v - factor) % 2 != 0:
-                raise ValueError(f"entry {v} illegal for compression factor {factor}")
-        self.entries = entries
-        self.factor = factor
-
-    @property
-    def length(self) -> int:
-        return len(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __getitem__(self, i):
-        return self.entries[i]
-
-    def __eq__(self, other):
-        if not isinstance(other, CompressedSequence):
-            return NotImplemented
-        return self.entries == other.entries and self.factor == other.factor
-
-    def __hash__(self):
-        return hash((self.entries, self.factor))
-
-    def __repr__(self):
-        return f"CompressedSequence({list(self.entries)}, factor={self.factor})"
-
-
 def _entries_of(seq) -> tuple:
-    if isinstance(seq, (SymmetricSequence, CompressedSequence)):
+    if isinstance(seq, SymmetricSequence):
         return seq.entries
     return tuple(int(v) for v in seq)
 
@@ -209,16 +164,16 @@ def psd_halfspectrum(values: np.ndarray) -> np.ndarray:
     return spec.real * spec.real + spec.imag * spec.imag
 
 
-def compress(seq, d: int) -> CompressedSequence:
-    """m-compression: entry j is sum_t a[j + t*d] for t = 0..m-1, m = n/d."""
+def compress(seq, d: int) -> tuple:
+    """m-compression: entry j is sum_t a[j + t*d] for t = 0..m-1, m = n/d.
+
+    The entries lie in {-m, -m+2, ..., m}."""
     a = _entries_of(seq)
     n = len(a)
     if d < 1 or n % d != 0:
         raise ValueError(f"d={d} does not divide order {n}")
     m = n // d
-    return CompressedSequence(
-        (sum(a[j + t * d] for t in range(m)) for j in range(d)), m
-    )
+    return tuple(sum(a[j + t * d] for t in range(m)) for j in range(d))
 
 
 def rowsum(seq) -> int:
@@ -235,21 +190,6 @@ def verify_williamson(q: Quadruple) -> bool:
     pafs = [paf(x) for x in members]
     n = len(pafs[0])
     return all(sum(p[s] for p in pafs) == 0 for s in range(1, n // 2 + 1))
-
-
-def psd_filter(spectra, n: int, epsilon: float = EPSILON_DEFAULT) -> bool:
-    """True (reject) iff the given PSD vectors sum beyond 4n + epsilon somewhere.
-
-    Sequences whose combined PSD exceeds 4n at any frequency cannot occur
-    together in a Williamson sequence.
-    """
-    spectra = [np.asarray(v, dtype=np.float64) for v in spectra]
-    if not 1 <= len(spectra) <= 4:
-        raise ValueError("psd_filter takes between 1 and 4 spectra")
-    total = spectra[0].copy()
-    for v in spectra[1:]:
-        total += v
-    return bool(np.any(total > 4 * n + epsilon))
 
 
 # --- text format -----------------------------------------------------------

@@ -1,8 +1,13 @@
 """Shared test helpers."""
 import numpy as np
 
-from williamson.equivalence import apply_equivalence, units
+from williamson.equivalence import apply_equivalence, canonical_forms, units
 from williamson.seqcore import Quadruple, SymmetricSequence
+
+
+def class_key(q):
+    """Order and canonical-form bytes of q: equal exactly for equivalent quadruples."""
+    return (q.order, canonical_forms([q])[0].tobytes())
 
 
 def random_pm1(rng, n):

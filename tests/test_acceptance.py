@@ -16,11 +16,13 @@ from williamson.constructions import (
     extract_eight_williamson,
     interleave,
 )
-from williamson.equivalence import canonical_key, expand_class
+from williamson.equivalence import expand_class
 from williamson.oracle import brute_force_enumerate
 from williamson.progsat import CdclSolver, WilliamsonCallback
 from williamson.satgen import SatInstance, encode_product_theorem, encode_uncompression
 from williamson.seqcore import read_quadruples, verify_williamson
+
+from helpers import class_key
 
 WORKERS = min(4, os.cpu_count() or 1)
 BUDGET_SCALE = 4 / WORKERS
@@ -243,6 +245,6 @@ def test_criterion_9_programmatic_speedup():
         con, coff = on.total("conflicts"), off.total("conflicts")
         results[n] = (con, coff)
         ok = ok and con < coff
-        ok = ok and {canonical_key(q) for q in on.canonical} == {canonical_key(q) for q in off.canonical}
+        ok = ok and {class_key(q) for q in on.canonical} == {class_key(q) for q in off.canonical}
     report(9, ok, "total solver conflicts with callback strictly lower: "
                   + ", ".join(f"n={n}: {a} < {b}" for n, (a, b) in results.items()))

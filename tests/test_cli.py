@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -6,9 +7,11 @@ import pytest
 
 from williamson import __version__, cli
 from williamson.cli import DomainError, RunConfig, main, run_enumeration, smallest_prime_divisor
-from williamson.equivalence import canonical_key, dedupe
+from williamson.equivalence import dedupe
 from williamson.oracle import brute_force_enumerate
 from williamson.seqcore import EPSILON_DEFAULT, format_block, read_quadruples
+
+from helpers import class_key
 
 
 def run_cli(capsys, *argv):
@@ -128,7 +131,7 @@ class TestEnumerate:
     def test_determinism(self, tmp_path):
         a = run_enumeration(RunConfig(n=9, out_dir=str(tmp_path / "a")))
         b = run_enumeration(RunConfig(n=9, out_dir=str(tmp_path / "b")))
-        assert [canonical_key(q) for q in a.canonical] == [canonical_key(q) for q in b.canonical]
+        assert [class_key(q) for q in a.canonical] == [class_key(q) for q in b.canonical]
         assert open(tmp_path / "a" / "canonical.txt").read() == open(tmp_path / "b" / "canonical.txt").read()
 
     def test_resume_from_checkpoint(self, tmp_path):
@@ -213,6 +216,44 @@ class TestEnumerate:
         assert main(["enumerate", "-n", "6", "-o", out_dir]) == 1
         assert f"line {lineno} " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,value", [
+        ("stats", {}),
+        ("stats", {"decisions": 1, "conflicts": 1, "propagations": 1, "callback_clauses": 1, "solutions": "1"}),
+        ("stats", {"decisions": 1, "conflicts": 1, "propagations": 1, "callback_clauses": 1, "solutions": True}),
+        ("solutions", [[[1, 1], [1], [1], [1]]]),
+        ("solutions", [[[1, 1, 1, 1, 1]] * 3]),
+        ("solutions", [[[1, 1, 1, 1, 0]] * 4]),
+        ("solutions", [[[1, 1, 1, 1, 1.0]] * 4]),
+        ("solutions", [[1, 1, 1, 1]]),
+    ], ids=["stats-empty", "stats-string", "stats-bool", "short-rows", "three-rows",
+            "zero-entry", "float-entry", "flat-solution"])
+    def test_resume_rejects_malformed_record(self, tmp_path, capsys, field, value):
+        # caught while loading, naming the line, not as a KeyError or a bare
+        # sequence error after the remaining instances are solved
+        out_dir = str(tmp_path / "run")
+        run_enumeration(RunConfig(n=9, out_dir=out_dir))
+        ckpt = os.path.join(out_dir, "checkpoint.jsonl")
+        lines = open(ckpt).read().splitlines()
+        rec = json.loads(lines[1])
+        rec[field] = value
+        lines[1] = json.dumps(rec)
+        open(ckpt, "w").write("\n".join(lines) + "\n")
+        assert main(["enumerate", "-n", "9", "-o", out_dir]) == 1
+        assert "checkpoint.jsonl: line 2 " in capsys.readouterr().err
+
+    # task ids and the discard log of `_generate_instances`, as the seed's matcher and
+    # dedupe produced them; the instance set feeds every checkpoint
+    @pytest.mark.parametrize("n,tasks,discarded,digest", [
+        (12, 3, 4, "0f2d2d7d99f62b0c"),
+        (18, 22, 294, "93b5cd5374979dfd"),
+        (27, 172, 1316, "c14604a97db1846d"),
+        (28, 45, 789, "0e5dcba5c590b6e7"),
+    ])
+    def test_instance_set_pinned(self, n, tasks, discarded, digest):
+        got, log = cli._generate_instances(RunConfig(n=n))
+        assert (len(got), len(log)) == (tasks, discarded)
+        assert hashlib.sha1(json.dumps([got, log]).encode()).hexdigest()[:16] == digest
+
     # run_enumeration totals at the seed commit; a solver change that moves
     # the search on purpose updates these and says so
     @pytest.mark.parametrize("n,totals", [
@@ -239,16 +280,16 @@ class TestEnumerate:
     def test_parallel_workers_match_serial(self, tmp_path):
         serial = run_enumeration(RunConfig(n=12, workers=1))
         parallel = run_enumeration(RunConfig(n=12, workers=2))
-        assert {canonical_key(q) for q in serial.canonical} == {
-            canonical_key(q) for q in parallel.canonical
+        assert {class_key(q) for q in serial.canonical} == {
+            class_key(q) for q in parallel.canonical
         }
         assert len(serial.solutions) == len(parallel.solutions)
 
     def test_oracle_equivalence_via_cli_paths(self):
         report = run_enumeration(RunConfig(n=3))
         oracle_classes = dedupe(brute_force_enumerate(3))
-        assert {canonical_key(q) for q in report.canonical} == {
-            canonical_key(q) for q in oracle_classes
+        assert {class_key(q) for q in report.canonical} == {
+            class_key(q) for q in oracle_classes
         }
 
 
@@ -304,7 +345,7 @@ class TestOtherCommands:
         assert "inequivalent=1" in header
         blocks = read_quadruples(out.splitlines()[1:])
         report = run_enumeration(RunConfig(n=3))
-        assert {canonical_key(q) for q in blocks} == {canonical_key(q) for q in report.canonical}
+        assert {class_key(q) for q in blocks} == {class_key(q) for q in report.canonical}
 
     def test_oracle_budget_error(self, capsys):
         code, out, err = run_cli(capsys, "oracle", "--order", "14")
@@ -361,6 +402,19 @@ class TestOtherCommands:
         (out_dir / "stats.tsv").write_text("".join(l.rsplit("\t", 1)[0] + "\n" for l in stats))
         code, out, err = run_cli(capsys, "stats", str(out_dir))
         assert code == 1 and "'verified'" in err
+
+    @pytest.mark.parametrize("cut", [
+        lambda fields: fields[:3],
+        lambda fields: fields[:1] + ["x"] + fields[2:],
+    ], ids=["three-columns", "non-integer"])
+    def test_stats_rejects_bad_row(self, tmp_path, capsys, cut):
+        out_dir = tmp_path / "run"
+        run_enumeration(RunConfig(n=6, out_dir=str(out_dir)))
+        lines = (out_dir / "stats.tsv").read_text().splitlines()
+        lines[1] = "\t".join(cut(lines[1].split("\t")))
+        (out_dir / "stats.tsv").write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(capsys, "stats", str(out_dir))
+        assert code == 1 and "stats.tsv: line 2 " in err
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:

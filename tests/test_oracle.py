@@ -2,8 +2,7 @@ import pytest
 
 from williamson.equivalence import dedupe
 from williamson.oracle import brute_force_enumerate, brute_force_uncompress
-from williamson.pipeline import MatchedCompression
-from williamson.seqcore import CompressedSequence, compress, rowsum, verify_williamson
+from williamson.seqcore import compress, rowsum, verify_williamson
 
 
 def test_order_one_all_sign_choices():
@@ -29,23 +28,15 @@ def test_budget_guard_is_hard_error():
         brute_force_enumerate(0)
 
 
-def _mc(rows, m):
-    a, b, c, d = (CompressedSequence(r, m) for r in rows)
-    return MatchedCompression(a, b, c, d)
-
-
 def test_uncompress_n2_example():
-    mc = _mc([[0], [0], [2], [2]], 2)
-    qs = brute_force_uncompress(mc, 2)
+    qs = brute_force_uncompress([[0], [0], [2], [2]], 2)
     assert len(qs) == 4
     assert all(verify_williamson(q) for q in qs)
-    assert all(compress(q.c, 1).entries == (2,) for q in qs)
+    assert all(compress(q.c, 1) == (2,) for q in qs)
 
 
 def test_uncompress_illegal_parity_entry():
-    # the typed constructor rejects such entries outright; raw rows give []
-    with pytest.raises(ValueError):
-        _mc([[1], [0], [2], [2]], 2)
+    # an odd entry cannot come from a 2-compression
     assert brute_force_uncompress([[1], [0], [2], [2]], 2) == []
 
 
@@ -56,18 +47,16 @@ def test_uncompress_union_equals_enumeration_restricted():
     qs = brute_force_enumerate(n)
     by_compression = {}
     for q in qs:
-        key = tuple(compress(x, d).entries for x in q.members)
+        key = tuple(compress(x, d) for x in q.members)
         by_compression.setdefault(key, set()).add(q)
     for key, expected in by_compression.items():
-        mc = _mc([list(k) for k in key], n // d)
-        got = set(brute_force_uncompress(mc, n))
+        got = set(brute_force_uncompress(key, n))
         assert got == expected
 
 
 def test_uncompress_respects_rowsums():
     n = 6
     for q in brute_force_enumerate(n)[:10]:
-        key = [list(compress(x, 3).entries) for x in q.members]
-        mc = _mc(key, 2)
-        for found in brute_force_uncompress(mc, n):
+        key = [compress(x, 3) for x in q.members]
+        for found in brute_force_uncompress(key, n):
             assert [rowsum(x) for x in found.members] == [rowsum(x) for x in q.members]

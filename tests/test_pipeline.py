@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -7,17 +9,30 @@ from williamson.diophantine import decompose_four_squares, sign_fix
 from williamson.equivalence import units
 from williamson.oracle import brute_force_enumerate
 from williamson.pipeline import (
+    MatchedCompression,
     build_compression_lists,
     enumerate_symmetric_free,
     generate_candidates,
     match_compressions,
 )
-from williamson.seqcore import EPSILON_DEFAULT, SymmetricSequence, compress, paf, psd, psd_filter, rowsum
+from williamson.seqcore import EPSILON_DEFAULT, SymmetricSequence, compress, paf, psd, rowsum
 
 
 def make_candidates(n):
     decs = decompose_four_squares(n)
     return decs, generate_candidates(n, decs)
+
+
+def free_set(free_rows):
+    return {tuple(row) for row in free_rows.tolist()}
+
+
+def sequences_of(free_rows, n):
+    return [SymmetricSequence.from_free(n, row) for row in free_rows.tolist()]
+
+
+def rows_of(mc):
+    return tuple(map(tuple, mc.rows.tolist()))
 
 
 def normalize_to_decomposition(q):
@@ -68,13 +83,13 @@ def reference_join(lists, n, epsilon=EPSILON_DEFAULT):
 class TestGenerateCandidates:
     def test_n2_classes(self):
         decs, cands = make_candidates(2)
-        assert {tuple(s.entries) for s in cands.full(0).members} == {(1, -1), (-1, 1)}
-        assert {tuple(s.entries) for s in cands.full(2).members} == {(1, 1)}
+        assert free_set(cands.full(0)) == {(1, -1), (-1, 1)}
+        assert free_set(cands.full(2)) == {(1, 1)}
 
     def test_boundary_psd_kept(self):
         decs, cands = make_candidates(4)
         # the all-ones sequence peaks exactly at 4n and must survive
-        assert (1, 1, 1) in {s.free for s in cands.full(4).members}
+        assert (1, 1, 1) in free_set(cands.full(4))
 
     def test_examined_count(self):
         for n in (2, 5, 9, 12):
@@ -86,9 +101,10 @@ class TestGenerateCandidates:
     def test_members_have_stated_rowsum_and_survive_filter(self):
         decs, cands = make_candidates(9)
         for r in cands.rowsums():
-            for s in cands.full(r).members:
+            assert cands.full(r).dtype == np.int8
+            for s in sequences_of(cands.full(r), 9):
                 assert rowsum(s) == r
-                assert not psd_filter([psd(s)], 9, cands.epsilon)
+                assert psd(s).max() <= 4 * 9 + cands.epsilon
 
     def test_completeness_of_lists(self):
         # every surviving symmetric sequence appears; nothing else does
@@ -101,17 +117,17 @@ class TestGenerateCandidates:
         for free in product((-1, 1), repeat=n // 2 + 1):
             s = SymmetricSequence.from_free(n, free)
             r = rowsum(s)
-            if r in wanted and not psd_filter([psd(s)], n):
+            if r in wanted and psd(s).max() <= 4 * n + EPSILON_DEFAULT:
                 expected.setdefault(r, set()).add(s.free)
         for r in wanted:
-            assert {s.free for s in cands.full(r).members} == expected.get(r, set())
+            assert free_set(cands.full(r)) == expected.get(r, set())
 
     def test_a_role_pruning_keeps_orbit_representatives(self):
         n = 9
         decs, cands = make_candidates(n)
         r = decs[0].values[0]
-        full = {s.free for s in cands.full(r).members}
-        pruned = {s.free for s in cands.a_role(r).members}
+        full = free_set(cands.full(r))
+        pruned = free_set(cands.a_role(r))
         assert pruned <= full
         # every full member has some automorphism image among the pruned
         fold = [i if i <= n // 2 else n - i for i in range(n)]
@@ -127,10 +143,7 @@ class TestBuildCompressionLists:
     def test_n2_lists(self):
         decs, cands = make_candidates(2)
         lists = build_compression_lists(cands, decs[0], 2)
-        assert lists.la.rows.tolist() == [[0]]
-        assert lists.lb.rows.tolist() == [[0]]
-        assert lists.lc.rows.tolist() == [[2]]
-        assert lists.ld.rows.tolist() == [[2]]
+        assert [lx.rows.tolist() for lx in lists] == [[[0]], [[0]], [[2]], [[2]]]
 
     def test_alphabet_even(self):
         decs, cands = make_candidates(6)
@@ -157,7 +170,7 @@ class TestBuildCompressionLists:
             for dec in decs:
                 lists = build_compression_lists(cands, dec, m, prune_a=False)
                 for lx, r in zip(lists, dec.values):
-                    images = {compress(x, n // m).entries for x in cands.full(r).members}
+                    images = {compress(x, n // m) for x in sequences_of(cands.full(r), n)}
                     assert [tuple(row) for row in lx.rows.tolist()] == sorted(images)
 
     def test_each_list_is_compressed_once(self):
@@ -177,7 +190,7 @@ class TestMatchCompressions:
         mcs = match_compressions(lists, 2)
         assert len(mcs) == 1
         mc = mcs[0]
-        assert mc.rows == ((0,), (0,), (2,), (2,))
+        assert rows_of(mc) == ((0,), (0,), (2,), (2,))
         total = [sum(col) for col in zip(*mc.rows)]
         assert all(v % 4 == 0 for v in total)
 
@@ -188,7 +201,7 @@ class TestMatchCompressions:
             for dec in decs:
                 lists = build_compression_lists(cands, dec, m)
                 for mc in match_compressions(lists, n):
-                    pafs = [paf(x) for x in mc]
+                    pafs = [paf(x) for x in mc.rows]
                     total = [sum(p[s] for p in pafs) for s in range(n // m)]
                     assert total[0] == 4 * n
                     assert all(v == 0 for v in total[1:])
@@ -196,9 +209,8 @@ class TestMatchCompressions:
     def test_empty_list_gives_empty_output(self):
         decs, cands = make_candidates(2)
         lists = build_compression_lists(cands, decs[0], 2)
-        lists.la.rows = lists.la.rows[:0]
-        lists.la.paf = lists.la.paf[:0]
-        lists.la.psd_half = lists.la.psd_half[:0]
+        la = lists[0]
+        la.rows, la.paf, la.psd_half = la.rows[:0], la.paf[:0], la.psd_half[:0]
         assert match_compressions(lists, 2) == []
 
     def test_output_duplicate_free(self):
@@ -207,7 +219,7 @@ class TestMatchCompressions:
             decs, cands = make_candidates(n)
             for dec in decs:
                 mcs = match_compressions(build_compression_lists(cands, dec, m), n)
-                assert len({mc.rows for mc in mcs}) == len(mcs)
+                assert len({rows_of(mc) for mc in mcs}) == len(mcs)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 6, 8, 9])
     def test_every_oracle_compression_is_matched(self, n):
@@ -217,11 +229,11 @@ class TestMatchCompressions:
         outputs = {}
         for dec in decs:
             lists = build_compression_lists(cands, dec, m, prune_a=False)
-            outputs[dec.values] = {mc.rows for mc in match_compressions(lists, n)}
+            outputs[dec.values] = {rows_of(mc) for mc in match_compressions(lists, n)}
         for q in brute_force_enumerate(n):
             members = normalize_to_decomposition(q)
             key = tuple(rowsum(x) for x in members)
-            rows = tuple(compress(x, n // m).entries for x in members)
+            rows = tuple(compress(x, n // m) for x in members)
             assert rows in outputs[key], (n, rows)
 
     @pytest.mark.parametrize("n", [6, 9, 12, 18, 21, 27, 28])
@@ -242,7 +254,7 @@ class TestMatchCompressions:
             lists = build_compression_lists(cands, dec, smallest_prime_divisor(n))
             expected = reference_join(lists, n)
             joins.clear()
-            assert [mc.rows for mc in match_compressions(lists, n)] == expected, dec.values
+            assert [rows_of(mc) for mc in match_compressions(lists, n)] == expected, dec.values
             assert len(joins) == 1
             records = joins[0]
             budget = records // 3
@@ -254,15 +266,19 @@ class TestMatchCompressions:
                 except ValueError as e:
                     assert "hash bucket" in str(e)
                     budget += budget // 4 + 1
-            assert [mc.rows for mc in matched] == expected, (dec.values, budget)
+            assert [rows_of(mc) for mc in matched] == expected, (dec.values, budget)
             assert len(joins) >= 2 and budget < records
             assert max(joins) <= budget
 
-    def test_matches_share_sequence_objects(self):
+    def test_match_rows_are_read_only_int8(self):
         decs, cands = make_candidates(18)
         mcs = match_compressions(build_compression_lists(cands, decs[0], 2), 18)
-        a_rows = {mc.a.entries for mc in mcs}
-        assert len({id(mc.a) for mc in mcs}) == len(a_rows) < len(mcs)
+        assert mcs and [f.name for f in fields(MatchedCompression)] == ["rows"]
+        for mc in mcs:
+            assert mc.rows.dtype == np.int8 and mc.rows.shape == (4, 9)
+            assert not mc.rows.flags.writeable
+        with pytest.raises(ValueError):
+            mcs[0].rows[0, 0] = 0
 
     def test_budget_below_one_hash_bucket_is_an_error(self):
         decs, cands = make_candidates(6)

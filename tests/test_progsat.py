@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 
 from williamson.oracle import brute_force_enumerate, brute_force_uncompress
-from williamson.pipeline import MatchedCompression
 from williamson.progsat import CdclSolver, WilliamsonCallback, solve_all
 from williamson.satgen import SatInstance, VariableMap, encode_uncompression, parse_dimacs
 from williamson.seqcore import (
     EPSILON_DEFAULT,
-    CompressedSequence,
     SymmetricSequence,
     compress,
     psd_halfspectrum,
@@ -53,8 +51,7 @@ class TestSolveAllBasics:
         assert len(models_of(SatInstance(3, []))) == 8
 
     def test_pipeline_n2_instance_four_solutions(self):
-        mc = MatchedCompression(*(CompressedSequence(r, 2) for r in ([0], [0], [2], [2])))
-        inst = encode_uncompression(mc, 2)
+        inst = encode_uncompression([[0], [0], [2], [2]], 2)
         models = solve_all(inst)
         assert len(models) == 4
         for model in models:
@@ -177,8 +174,7 @@ class TestWilliamsonCallback:
         assert WilliamsonCallback(vm, 2)(values, 0b1111) is None
         model = tuple(v if values[v] > 0 else -v for v in range(1, vm.num_vars + 1))
         assert verify_williamson(vm.decode(model))
-        mc = MatchedCompression(*(CompressedSequence(r, 2) for r in ([0], [0], [2], [2])))
-        inst = encode_uncompression(mc, 2)
+        inst = encode_uncompression([[0], [0], [2], [2]], 2)
         assert model in solve_all(inst, WilliamsonCallback(inst.var_map, 2))
 
     def test_callback_memoizes_psd(self):
@@ -220,17 +216,15 @@ def test_callback_equals_post_filter(n):
 def test_callback_agrees_with_uncompression_oracle():
     n = 6
     for q in brute_force_enumerate(n)[:5]:
-        rows = [list(compress(x, 3).entries) for x in q.members]
-        mc = MatchedCompression(*(CompressedSequence(r, 2) for r in rows))
-        inst = encode_uncompression(mc, n)
+        rows = [compress(x, 3) for x in q.members]
+        inst = encode_uncompression(rows, n)
         cb = WilliamsonCallback(inst.var_map, n)
         found = set(map(inst.var_map.decode, solve_all(inst, cb)))
-        assert found == set(brute_force_uncompress(mc, n))
+        assert found == set(brute_force_uncompress(rows, n))
 
 
 def test_learned_clauses_unique_within_solve():
-    mc = MatchedCompression(*(CompressedSequence(r, 2) for r in ([0, 0, 0], [0, 0, 0], [2, 2, 2], [-2, 2, 2])))
-    inst = encode_uncompression(mc, 6)
+    inst = encode_uncompression([[0, 0, 0], [0, 0, 0], [2, 2, 2], [-2, 2, 2]], 6)
     cb = WilliamsonCallback(inst.var_map, 6)
     solver = CdclSolver(inst.num_vars, inst.clauses, cb)
     solver.solve_all()  # raises RuntimeError on duplicate external clauses

@@ -17,7 +17,7 @@ from williamson.satgen import (
     export_dimacs,
     parse_dimacs,
 )
-from williamson.seqcore import CompressedSequence, compress
+from williamson.seqcore import compress
 
 from helpers import random_op, random_quadruple
 
@@ -26,8 +26,8 @@ def instance_key(rows, n):
     return canonical_rows([rows], n)[0].tobytes()
 
 
-def mc_of(rows, m):
-    return MatchedCompression(*(CompressedSequence(r, m) for r in rows))
+def mc_of(rows):
+    return MatchedCompression(np.array(rows, dtype=np.int8))
 
 
 class TestVariableMap:
@@ -54,7 +54,7 @@ class TestVariableMap:
         for role in range(4):
             for i in range(vm.free_count):
                 v = vm.var(role, i)
-                assert vm.role_index(v) == (role, i)
+                assert vm.blocks()[role][i] == v
                 seen.add(v)
         assert seen == set(range(1, vm.num_vars + 1))
 
@@ -68,20 +68,20 @@ class TestVariableMap:
 
 class TestEncodeUncompression:
     def test_case2_units(self):
-        inst = encode_uncompression(mc_of([[2], [0], [2], [-2]], 2), 2)
+        inst = encode_uncompression([[2], [0], [2], [-2]], 2)
         clauses = {tuple(c) for c in inst.clauses}
         assert (1,) in clauses and (2,) in clauses          # A entries forced +1
         assert (3, 4) in clauses and (-3, -4) in clauses    # B entry 0: exactly one
         assert (-7,) in clauses and (-8,) in clauses        # D entries forced -1
 
     def test_case1_folding_merges(self):
-        inst = encode_uncompression(mc_of([[3], [-1], [-1], [-1]], 3), 3)
+        inst = encode_uncompression([[3], [-1], [-1], [-1]], 3)
         clauses = {tuple(c) for c in inst.clauses}
         assert (1,) in clauses and (2,) in clauses
         assert len([c for c in clauses if c in {(1,), (2,)}]) == 2
 
     def test_case3_degenerate_folding(self):
-        inst = encode_uncompression(mc_of([[1], [-1], [-1], [3]], 3), 3)
+        inst = encode_uncompression([[1], [-1], [-1], [3]], 3)
         clauses = {tuple(c) for c in inst.clauses}
         # entry value 1 over (x0, x1, x1): exactly one of three is -1
         assert (2,) in clauses          # x1 forced true
@@ -91,8 +91,7 @@ class TestEncodeUncompression:
     def test_no_variable_out_of_range(self):
         for n, rows in ((6, [[0, 2, 0], [-2, 0, 0], [2, 2, 2], [0, 0, -2]]),
                         (9, [[1, 1, 1], [-1, 1, 1], [3, -1, -1], [-3, 1, 1]])):
-            m = 2 if n % 2 == 0 else 3
-            inst = encode_uncompression(mc_of(rows, m), n)
+            inst = encode_uncompression(rows, n)
             assert all(abs(l) <= inst.num_vars for c in inst.clauses for l in c)
 
     def test_rejects_illegal_entries(self):
@@ -101,7 +100,7 @@ class TestEncodeUncompression:
 
     def test_rejects_factor_mismatch(self):
         with pytest.raises(ValueError):
-            encode_uncompression(mc_of([[2], [2], [2], [2]], 2), 3)
+            encode_uncompression([[2], [2], [2], [2]], 3)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 6, 8, 9])
     def test_model_correspondence(self, n):
@@ -119,18 +118,18 @@ class TestEncodeUncompression:
                 per_row[row] = [
                     SymmetricSequence.from_free(n, fr)
                     for fr in product((-1, 1), repeat=f)
-                    if compress(SymmetricSequence.from_free(n, fr), d).entries == row
+                    if compress(SymmetricSequence.from_free(n, fr), d) == row
                 ]
             return per_row[row]
 
         qs = brute_force_enumerate(n)
         seen_mcs = set()
         for q in qs[:40]:
-            rows = tuple(compress(x, d).entries for x in q.members)
+            rows = tuple(compress(x, d) for x in q.members)
             if rows in seen_mcs:
                 continue
             seen_mcs.add(rows)
-            inst = encode_uncompression(mc_of([list(r) for r in rows], m), n)
+            inst = encode_uncompression(rows, n)
             decoded = set(map(inst.var_map.decode, solve_all(inst)))
             expected = {
                 Quadruple(a, b, c, dd)
@@ -191,7 +190,7 @@ class TestDimacs:
         assert "-1 0" in export_dimacs(SatInstance(1, [[-1]]))
 
     def test_round_trip(self):
-        inst = encode_uncompression(mc_of([[0], [0], [2], [2]], 2), 2)
+        inst = encode_uncompression([[0], [0], [2], [2]], 2)
         assert parse_dimacs(export_dimacs(inst)) == inst
 
     def test_parse_errors(self):
@@ -239,7 +238,7 @@ class TestInstanceDedup:
         d = n // (2 if n % 2 == 0 else 3)
 
         def rows(q):
-            return [compress(x, d).entries for x in q.members]
+            return [compress(x, d) for x in q.members]
 
         def keys(stack):
             return {form.tobytes() for form in canonical_rows(stack, n)}
@@ -266,8 +265,8 @@ class TestInstanceDedup:
 
     def test_dedupe_logs_discards(self):
         rows = ((0, 2, 0), (2, 0, 0), (2, 2, 2), (0, 0, -2))
-        a = mc_of([list(r) for r in rows], 2)
-        b = mc_of([list(r) for r in rows[::-1]], 2)
+        a = mc_of(rows)
+        b = mc_of(rows[::-1])
         kept, discarded = dedupe_instances([a, b], 6)
         assert len(kept) == 1 and len(discarded) == 1
         assert discarded[0][1] == 0  # index of the kept representative

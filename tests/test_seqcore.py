@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from williamson.seqcore import (
-    CompressedSequence,
     Quadruple,
     SymmetricSequence,
     compress,
@@ -14,7 +13,6 @@ from williamson.seqcore import (
     parse_blocks,
     parse_sequence,
     psd,
-    psd_filter,
     read_quadruples,
     rowsum,
     verify_williamson,
@@ -133,14 +131,14 @@ class TestPsd:
 
 class TestCompress:
     def test_all_ones(self):
-        assert compress([1, 1, 1, 1], 2).entries == (2, 2)
+        assert compress([1, 1, 1, 1], 2) == (2, 2)
 
     def test_direct_summation(self):
-        assert compress([1, 1, -1, 1, 1, -1], 2).entries == (1, 1)
+        assert compress([1, 1, -1, 1, 1, -1], 2) == (1, 1)
 
     def test_identity_compression(self):
         x = [1, -1, -1, 1, -1, -1]
-        assert compress(x, 6).entries == tuple(x)
+        assert compress(x, 6) == tuple(x)
 
     def test_rejects_non_divisor(self):
         with pytest.raises(ValueError):
@@ -150,10 +148,10 @@ class TestCompress:
         rng = np.random.default_rng(19)
         for _ in range(30):
             s = symmetric_of(rng, 12)
-            assert set(compress(s, 6).entries) <= {-2, 0, 2}
+            assert set(compress(s, 6)) <= {-2, 0, 2}
         for _ in range(30):
             s = symmetric_of(rng, 9)
-            assert set(compress(s, 3).entries) <= {-3, -1, 1, 3}
+            assert set(compress(s, 3)) <= {-3, -1, 1, 3}
 
     def test_rowsum_consistency(self):
         rng = np.random.default_rng(23)
@@ -162,12 +160,6 @@ class TestCompress:
                 s = symmetric_of(rng, n)
                 for d in divisors:
                     assert rowsum(compress(s, d)) == rowsum(s)
-
-    def test_compressed_entries_validated(self):
-        with pytest.raises(ValueError):
-            CompressedSequence([3, 0], factor=2)
-        with pytest.raises(ValueError):
-            CompressedSequence([2], factor=3)
 
 
 class TestRowsum:
@@ -212,25 +204,6 @@ class TestVerifyWilliamson:
             else:
                 assert np.abs(total - 4 * n).max() > 1e-4
         assert hits > 0
-
-
-class TestPsdFilter:
-    def test_boundary_kept(self):
-        # max PSD exactly 4n is not rejected
-        assert not psd_filter([psd([1, 1, 1, 1])], 4)
-
-    def test_three_constant_blocks_rejected(self):
-        spectra = [psd([1, 1])] * 3
-        assert psd_filter(spectra, 2)
-
-    def test_real_member_never_rejected_alone(self):
-        q = Quadruple([1, 1], [1, 1], [1, -1], [1, -1])
-        for x in q.members:
-            assert not psd_filter([psd(x)], 2)
-
-    def test_arity_checked(self):
-        with pytest.raises(ValueError):
-            psd_filter([], 4)
 
 
 @settings(max_examples=200, deadline=None)
