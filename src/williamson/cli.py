@@ -55,20 +55,8 @@ class RunConfig:
             raise DomainError("--dump-cnf needs a run directory (--out)")
         if self.matcher_budget_bytes < 1:
             raise DomainError(f"matcher budget (--budget-bytes) must be >= 1, got {self.matcher_budget_bytes}")
-        self.workers = _worker_count(self.workers, "workers (-j)")
-        env = os.environ.get("WILLIAMSON_WORKERS")
-        if env:
-            self.workers = _worker_count(env, "WILLIAMSON_WORKERS")
-
-
-def _worker_count(value, source: str) -> int:
-    try:
-        count = int(value)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise DomainError(f"{source} must be an integer >= 1, got {value!r}")
-    return count
+        if not isinstance(self.workers, int) or self.workers < 1:
+            raise DomainError(f"workers (-j) must be an integer >= 1, got {self.workers!r}")
 
 
 @dataclass
@@ -98,7 +86,8 @@ def _instance_id(rows) -> str:
     return hashlib.sha1(json.dumps(rows).encode()).hexdigest()[:16]
 
 
-def _solve_instance(rows, n: int, epsilon: float, use_callback: bool):
+def _solve_task(args):
+    instance_id, rows, n, epsilon, use_callback = args
     inst = satgen.build_instance(rows, n)
     callback = WilliamsonCallback(inst.var_map, n, epsilon) if use_callback else None
     solver = CdclSolver(inst.num_vars, inst.clauses, callback)
@@ -112,12 +101,6 @@ def _solve_instance(rows, n: int, epsilon: float, use_callback: bool):
         "callback_clauses": st.callback_clauses,
         "solutions": len(models),
     }
-    return solutions, stats
-
-
-def _solve_task(args):
-    instance_id, rows, n, epsilon, use_callback = args
-    solutions, stats = _solve_instance(rows, n, epsilon, use_callback)
     return instance_id, solutions, stats
 
 
@@ -335,8 +318,6 @@ def cmd_enumerate(args) -> int:
         programmatic_callback=not args.no_callback,
         dump_cnf=args.dump_cnf,
     )
-    if cfg.workers != args.workers:
-        print(f"note: WILLIAMSON_WORKERS={cfg.workers} overrides -j {args.workers}", file=sys.stderr)
     report = run_enumeration(cfg)
     print(
         f"n={report.n}\tinstances={report.instance_count}\t"
@@ -349,6 +330,8 @@ def cmd_enumerate(args) -> int:
 def cmd_verify(args) -> int:
     with open(args.file) as f:
         quadruples = seqcore.read_quadruples(f)
+    if not quadruples:
+        raise DomainError(f"{args.file} holds no quadruple blocks")
     ok = True
     for i, q in enumerate(quadruples, start=1):
         verdict = verify_williamson(q)

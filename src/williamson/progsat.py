@@ -4,13 +4,15 @@ The solver enumerates every satisfying total assignment: each model found is
 blocked by a clause negating it and the search continues until the instance
 is exhausted.  A callback, invoked at every unit-propagation fixpoint where a
 sequence block has newly become fully assigned, returns a clause falsified by
-the current partial assignment, or None.  Callback and blocking clauses are
-not analysed like propagation conflicts.  The solver stores the clause as it
-is and backjumps: when one literal has the deepest level, to the next deepest
-level, where it asserts that literal; otherwise to one level below the
-deepest, asserting nothing.  There is no 1UIP analysis, no activity bump and
-no count in ``conflicts``.  The Williamson callback rejects a minimal subset
-of fully assigned members whose PSD values sum beyond 4n + epsilon; when all
+the current partial assignment, or None.  Every clause added during search (a
+1UIP clause learned from a propagation conflict, a callback clause or a
+blocking clause) is stored and asserted by one routine, ``_add_clause``.  It
+backjumps: when one literal has the deepest level, to the next deepest level,
+where it asserts that literal; otherwise to one level below the deepest,
+asserting nothing.  Only propagation conflicts are analysed, bump activities
+and count in ``conflicts``.  Clauses are kept only in the watch lists; there
+is no registry of them.  The Williamson callback rejects a minimal subset of
+fully assigned members whose PSD values sum beyond 4n + epsilon; when all
 four members pass, the trail is total and the model is recorded like any
 other.
 
@@ -62,7 +64,6 @@ class CdclSolver:
         self.trail_lim = []
         self.qhead = 0
         self.watches = [[] for _ in range(2 * num_vars + 2)]
-        self.clause_keys = {}
         self.stats = SolverStats()
         self.ok = True
 
@@ -104,9 +105,6 @@ class CdclSolver:
                 clause.append(lit)
         if not clause:
             return False
-        key = frozenset(clause)
-        if key in self.clause_keys:
-            return True
         if len(clause) == 1:
             lit = clause[0]
             val = self._lit_value(lit)
@@ -115,16 +113,10 @@ class CdclSolver:
             if val == 0:
                 self._enqueue(lit, None)
             return True
-        self.clause_keys[key] = clause
-        self.watches[self._widx(clause[0])].append(clause)
-        self.watches[self._widx(clause[1])].append(clause)
+        self._watch(clause)
         return True
 
-    def _attach_learned(self, clause: list) -> None:
-        # positions 0 and 1 must hold the two highest-level literals
-        key = frozenset(clause)
-        if key not in self.clause_keys:
-            self.clause_keys[key] = clause
+    def _watch(self, clause: list) -> None:
         self.watches[self._widx(clause[0])].append(clause)
         self.watches[self._widx(clause[1])].append(clause)
 
@@ -211,7 +203,7 @@ class CdclSolver:
                 i += 1
         return None
 
-    def _analyze(self, conflict) -> tuple:
+    def _analyze(self, conflict) -> list:
         seen = [False] * (self.num_vars + 1)
         learned = []
         counter = 0
@@ -242,15 +234,7 @@ class CdclSolver:
             index -= 1
             if counter == 0:
                 break
-        asserting = -p
-        if learned:
-            bj = max(self.level[q if q > 0 else -q] for q in learned)
-            # watch the asserting literal and one literal from the backjump level
-            wi = max(range(len(learned)), key=lambda i: self.level[abs(learned[i])])
-            learned[0], learned[wi] = learned[wi], learned[0]
-        else:
-            bj = 0
-        return [asserting] + learned, bj
+        return [-p] + learned
 
     def _decide(self) -> None:
         best_v = 0
@@ -266,27 +250,11 @@ class CdclSolver:
         lit = best_v if self.saved[best_v] else -best_v
         self._enqueue(lit, None)
 
-    def _record_learned(self, learned: list, bj_level: int) -> None:
-        self._backjump(bj_level)
-        if len(learned) == 1:
-            self._enqueue(learned[0], None)
-            return
-        key = frozenset(learned)
-        existing = self.clause_keys.get(key)
-        if existing is not None:
-            self._enqueue(learned[0], existing)
-            return
-        self._attach_learned(learned)
-        self._enqueue(learned[0], learned)
-
-    def _integrate_external(self, lits) -> bool:
+    def _add_clause(self, lits) -> bool:
         """Add a clause that is falsified by the current assignment, backtrack
         so the search can continue, and return False when the instance is
         exhausted (the clause is falsified at level 0)."""
         clause = list(dict.fromkeys(lits))
-        key = frozenset(clause)
-        if key in self.clause_keys:
-            raise RuntimeError("external clause duplicates an existing clause")
         levels = [self.level[abs(l)] for l in clause]
         max_level = max(levels)
         if max_level == 0:
@@ -299,31 +267,26 @@ class CdclSolver:
         if len(deepest) == 1:
             wi = deepest[0]
             clause[0], clause[wi] = clause[wi], clause[0]
-            rest_level = max(self.level[abs(l)] for l in clause[1:])
+            # watch the first of the deepest remaining literals, at the backjump level
             si = max(range(1, len(clause)), key=lambda i: self.level[abs(clause[i])])
             clause[1], clause[si] = clause[si], clause[1]
-            self._backjump(rest_level)
-            self._attach_learned(clause)
+            self._backjump(self.level[abs(clause[1])])
+            self._watch(clause)
             self._enqueue(clause[0], clause)
         else:
+            # deepest ascends, so i1 > i0 and the first swap leaves clause[i1]
             i0, i1 = deepest[0], deepest[1]
             clause[0], clause[i0] = clause[i0], clause[0]
-            if i1 == 0:
-                i1 = i0
             clause[1], clause[i1] = clause[i1], clause[1]
             self._backjump(max_level - 1)
-            self._attach_learned(clause)
+            self._watch(clause)
         return True
 
     def _current_model(self) -> tuple:
         values = self.values
         return tuple(v if values[v] == 1 else -v for v in range(1, self.num_vars + 1))
 
-    def _blocking_clause(self) -> list:
-        values = self.values
-        return [-v if values[v] == 1 else v for v in range(1, self.num_vars + 1)]
-
-    def solve_all(self, max_solutions=None) -> list:
+    def solve_all(self) -> list:
         """Every satisfying total assignment, as tuples of literals."""
         models = []
         if not self.ok:
@@ -341,8 +304,7 @@ class CdclSolver:
                 conflicts_here += 1
                 if self.decision_level == 0:
                     return models
-                learned, bj = self._analyze(conflict)
-                self._record_learned(learned, bj)
+                self._add_clause(self._analyze(conflict))
                 self.var_inc *= 1.052
                 continue
 
@@ -356,17 +318,16 @@ class CdclSolver:
                     clause = callback(self.values, full_bits)
                     if clause is not None:
                         self.stats.callback_clauses += 1
-                        if not self._integrate_external(clause):
+                        if not self._add_clause(clause):
                             return models
                         continue
 
             if len(self.trail) == self.num_vars:
                 # total model with no callback objection
-                models.append(self._current_model())
-                if max_solutions is not None and len(models) >= max_solutions:
-                    return models
+                model = self._current_model()
+                models.append(model)
                 restarts_enabled = False
-                if not self._integrate_external(self._blocking_clause()):
+                if not self._add_clause([-lit for lit in model]):
                     return models
                 continue
 
@@ -378,12 +339,6 @@ class CdclSolver:
                 continue
 
             self._decide()
-
-
-def solve_all(inst, callback=None, max_solutions=None) -> list:
-    """Enumerate all models of a SatInstance (empty list when unsatisfiable)."""
-    solver = CdclSolver(inst.num_vars, inst.clauses, callback)
-    return solver.solve_all(max_solutions=max_solutions)
 
 
 # -- programmatic Williamson callback ---------------------------------------

@@ -245,7 +245,10 @@ def read_quadruples(lines) -> list:
     for i, block in enumerate(parse_blocks(lines), start=1):
         if len(block) != 4:
             raise ValueError(f"block {i}: expected 4 sequences, got {len(block)}")
-        out.append(Quadruple(*block))
+        try:
+            out.append(Quadruple(*block))
+        except ValueError as e:
+            raise ValueError(f"block {i}: {e}") from None
     return out
 
 

@@ -48,31 +48,14 @@ class TestRunConfig:
         code, out, err = run_cli(capsys, "enumerate", "-n", "6", "--dump-cnf")
         assert code == 1 and "--dump-cnf" in err
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("WILLIAMSON_WORKERS", "3")
-        assert RunConfig(n=6).workers == 3
-
     @pytest.mark.parametrize("workers", [0, -3])
     def test_worker_count_below_one(self, workers):
         with pytest.raises(DomainError, match="-j"):
             RunConfig(n=6, workers=workers)
 
-    @pytest.mark.parametrize("value", ["0", "-3", "abc", "2.5"])
-    def test_bad_env_worker_count(self, monkeypatch, value):
-        monkeypatch.setenv("WILLIAMSON_WORKERS", value)
-        with pytest.raises(DomainError, match="WILLIAMSON_WORKERS"):
-            RunConfig(n=6)
-
     def test_bad_worker_count_exit_code(self, capsys):
         code, out, err = run_cli(capsys, "enumerate", "--order", "6", "-j", "0")
         assert code == 1 and "-j" in err
-
-    def test_env_override_is_reported(self, monkeypatch, capsys):
-        monkeypatch.setenv("WILLIAMSON_WORKERS", "1")
-        code, out, err = run_cli(capsys, "enumerate", "--order", "2", "-j", "2")
-        assert code == 0 and err == "note: WILLIAMSON_WORKERS=1 overrides -j 2\n"
-        code, out, err = run_cli(capsys, "enumerate", "--order", "2", "-j", "1")
-        assert code == 0 and err == ""
 
     @pytest.mark.parametrize("budget", [0, -1])
     def test_budget_below_one(self, budget):
@@ -82,6 +65,10 @@ class TestRunConfig:
     def test_budget_below_one_exit_code(self, capsys):
         code, out, err = run_cli(capsys, "enumerate", "--order", "6", "--budget-bytes", "0")
         assert code == 1 and "--budget-bytes" in err and out == ""
+
+
+# the run_enumeration totals that test_search_counters_pinned compares
+PINNED_TOTALS = ("decisions", "conflicts", "propagations", "callback_clauses", "solutions", "verified")
 
 
 class TestEnumerate:
@@ -263,8 +250,17 @@ class TestEnumerate:
     ])
     def test_search_counters_pinned(self, n, totals):
         report = run_enumeration(RunConfig(n=n))
-        names = ("decisions", "conflicts", "propagations", "callback_clauses", "solutions", "verified")
-        assert tuple(report.total(k) for k in names) == totals
+        assert tuple(report.total(k) for k in PINNED_TOTALS) == totals
+
+    # the same totals with the callback off: models are then filtered by
+    # exact verification after the search, so solutions exceed verified
+    @pytest.mark.parametrize("n,totals", [
+        (9, (65, 35, 424, 0, 33, 15)),
+        (12, (1530, 765, 5343, 0, 768, 128)),
+    ])
+    def test_search_counters_pinned_without_callback(self, n, totals):
+        report = run_enumeration(RunConfig(n=n, programmatic_callback=False))
+        assert tuple(report.total(k) for k in PINNED_TOTALS) == totals
 
     def test_unverified_model_with_callback_raises(self, monkeypatch):
         monkeypatch.setattr(cli, "verify_williamson", lambda q: False)
@@ -317,6 +313,21 @@ class TestVerify:
         path.write_text("+x\n")
         code, out, err = run_cli(capsys, "verify", str(path))
         assert code == 1 and "line 1" in err
+
+    def test_mixed_orders_name_the_block(self, tmp_path, capsys):
+        path = tmp_path / "mixed.txt"
+        path.write_text("+\n+\n+\n+\n\n+++\n+++\n+++\n+++++\n")
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert code == 1 and out == ""
+        assert err == "error: block 2: members must have equal order\n"
+
+    @pytest.mark.parametrize("text", ["", "\n  \n"], ids=["empty", "blank"])
+    def test_file_without_blocks_fails(self, tmp_path, capsys, text):
+        path = tmp_path / "empty.txt"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert code == 1 and out == ""
+        assert err == f"error: {path} holds no quadruple blocks\n"
 
 
 class TestOtherCommands:

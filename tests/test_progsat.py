@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from williamson.oracle import brute_force_enumerate, brute_force_uncompress
-from williamson.progsat import CdclSolver, WilliamsonCallback, solve_all
-from williamson.satgen import SatInstance, VariableMap, encode_uncompression, parse_dimacs
+from williamson.progsat import CdclSolver, WilliamsonCallback
+from williamson.satgen import SatInstance, VariableMap, build_instance, encode_uncompression, parse_dimacs
 from williamson.seqcore import (
     EPSILON_DEFAULT,
     SymmetricSequence,
@@ -33,8 +33,12 @@ def truth_table_models(num_vars, clauses):
     return models
 
 
+def solve(inst, callback=None):
+    return CdclSolver(inst.num_vars, inst.clauses, callback).solve_all()
+
+
 def models_of(inst, callback=None):
-    return set(solve_all(inst, callback))
+    return set(solve(inst, callback))
 
 
 class TestSolveAllBasics:
@@ -50,15 +54,17 @@ class TestSolveAllBasics:
     def test_no_clauses_full_space(self):
         assert len(models_of(SatInstance(3, []))) == 8
 
+    def test_one_variable_unit_blocking_clauses(self):
+        # each model's blocking clause has one literal: the unit branch of
+        # the clause routine asserts it at level 0, then exhausts the instance
+        assert CdclSolver(1, []).solve_all() == [(-1,), (1,)]
+
     def test_pipeline_n2_instance_four_solutions(self):
         inst = encode_uncompression([[0], [0], [2], [2]], 2)
-        models = solve_all(inst)
+        models = solve(inst)
         assert len(models) == 4
         for model in models:
             assert verify_williamson(inst.var_map.decode(model))
-
-    def test_max_solutions_cap(self):
-        assert len(solve_all(SatInstance(4, []), max_solutions=5)) == 5
 
     def test_dimacs_cross_check(self):
         inst = parse_dimacs("p cnf 3 2\n1 -2 0\n2 3 0\n")
@@ -175,7 +181,7 @@ class TestWilliamsonCallback:
         model = tuple(v if values[v] > 0 else -v for v in range(1, vm.num_vars + 1))
         assert verify_williamson(vm.decode(model))
         inst = encode_uncompression([[0], [0], [2], [2]], 2)
-        assert model in solve_all(inst, WilliamsonCallback(inst.var_map, 2))
+        assert model in solve(inst, WilliamsonCallback(inst.var_map, 2))
 
     def test_callback_memoizes_psd(self):
         vm = VariableMap(2)
@@ -219,17 +225,21 @@ def test_callback_agrees_with_uncompression_oracle():
         rows = [compress(x, 3) for x in q.members]
         inst = encode_uncompression(rows, n)
         cb = WilliamsonCallback(inst.var_map, n)
-        found = set(map(inst.var_map.decode, solve_all(inst, cb)))
+        found = set(map(inst.var_map.decode, solve(inst, cb)))
         assert found == set(brute_force_uncompress(rows, n))
 
 
-def test_learned_clauses_unique_within_solve():
-    inst = encode_uncompression([[0, 0, 0], [0, 0, 0], [2, 2, 2], [-2, 2, 2]], 6)
-    cb = WilliamsonCallback(inst.var_map, 6)
-    solver = CdclSolver(inst.num_vars, inst.clauses, cb)
-    solver.solve_all()  # raises RuntimeError on duplicate external clauses
-    keys = list(solver.clause_keys)
-    assert len(keys) == len(set(keys))
+@pytest.mark.parametrize("n", [6, 9, 12])
+def test_watched_clauses_distinct_after_solve(n):
+    # the solver keeps no clause registry: no learned, callback or blocking
+    # clause may repeat the literal set of another clause it watches
+    for iid, rows in _pipeline_instances(n):
+        inst = build_instance(rows, n)
+        solver = CdclSolver(inst.num_vars, inst.clauses, WilliamsonCallback(inst.var_map, n))
+        solver.solve_all()
+        clauses = {id(c): c for wl in solver.watches for c in wl}.values()
+        keys = [frozenset(c) for c in clauses]
+        assert len(keys) == len(set(keys)), iid
 
 
 def test_stats_populated():

@@ -105,7 +105,7 @@ class TestEncodeUncompression:
     @pytest.mark.parametrize("n", [2, 3, 4, 6, 8, 9])
     def test_model_correspondence(self, n):
         # models of the instance are exactly the quadruples compressing to mc
-        from williamson.progsat import solve_all
+        from williamson.progsat import CdclSolver
         from williamson.seqcore import Quadruple, SymmetricSequence
 
         m = 2 if n % 2 == 0 else 3
@@ -130,7 +130,7 @@ class TestEncodeUncompression:
                 continue
             seen_mcs.add(rows)
             inst = encode_uncompression(rows, n)
-            decoded = set(map(inst.var_map.decode, solve_all(inst)))
+            decoded = set(map(inst.var_map.decode, CdclSolver(inst.num_vars, inst.clauses).solve_all()))
             expected = {
                 Quadruple(a, b, c, dd)
                 for a in uncompressions(rows[0])
