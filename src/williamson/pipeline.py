@@ -2,7 +2,10 @@
 
 All three steps pass int8 rows.  Step 2 enumerates every symmetric ±1
 sequence of order n, keeping the free entries of those whose rowsum occurs in
-some rowsum decomposition and whose PSD never exceeds 4n + epsilon.  Step 3
+some rowsum decomposition and whose PSD never exceeds 4n + epsilon.  It scans
+the codes in blocks, computes each row's rowsum from its free entries and
+expands and PSD-tests only the rows of a wanted rowsum, so it holds one block
+and the survivors, never all 2^(n//2+1) sequences.  Step 3
 compresses the survivors by the smallest prime factor m and groups them by
 rowsum.  Step 4 finds all compressed quadruples with
 
@@ -30,12 +33,14 @@ _PSD_CHUNK_ROWS = 1 << 15
 DEFAULT_BUDGET_BYTES = 256 * 1024 * 1024
 
 
-def enumerate_symmetric_free(n: int) -> np.ndarray:
-    """Free entries of all 2^(n//2+1) symmetric sequences, one row each."""
+def enumerate_symmetric_free(n: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """Free entries of the symmetric sequences with codes lo..hi-1, one int8
+    row each; hi defaults to 2^(n//2+1), all of them.  Bit n//2 - j of a
+    code is set when free entry j is -1."""
     f = n // 2 + 1
-    count = 1 << f
-    bits = (np.arange(count, dtype=np.uint32)[:, None] >> np.arange(f - 1, -1, -1, dtype=np.uint32)) & 1
-    return (1 - 2 * bits).astype(np.int8)
+    codes = np.arange(lo, (1 << f) if hi is None else hi, dtype=np.int64)
+    bits = ((codes[:, None] >> np.arange(f - 1, -1, -1, dtype=np.int64)) & 1).astype(np.int8)
+    return 1 - 2 * bits
 
 
 def _expand(free_rows: np.ndarray, n: int) -> np.ndarray:
@@ -96,23 +101,29 @@ class CandidateSet:
 
 
 def generate_candidates(n: int, decompositions, epsilon: float = EPSILON_DEFAULT) -> CandidateSet:
-    """Map rowsum -> free-entry rows of its PSD-passing sequences, over
-    every rowsum appearing in the decompositions; 2^(n//2+1) sequences are
-    examined."""
+    """Map rowsum -> free-entry rows of its PSD-passing sequences, in
+    ascending code order, over every rowsum appearing in the decompositions.
+
+    All 2^(n//2+1) codes are examined, _PSD_CHUNK_ROWS at a time; only rows
+    of a wanted rowsum are expanded and PSD-tested, and only the survivors
+    are kept."""
     if not decompositions:
         return CandidateSet(n, epsilon, {}, 0)
     wanted = sorted({r for dec in decompositions for r in dec.values})
-    free = enumerate_symmetric_free(n)
-    full = _expand(free, n)
-    rowsums = full.sum(axis=1, dtype=np.int32)
+    weights = np.bincount(fold_indices(n)).astype(np.int32)  # multiplicity of each free entry
     bound = 4 * n + epsilon
-    keep = np.empty(full.shape[0], dtype=bool)
-    for lo in range(0, full.shape[0], _PSD_CHUNK_ROWS):
-        hi = min(lo + _PSD_CHUNK_ROWS, full.shape[0])
-        spectra = psd_halfspectrum(full[lo:hi].astype(np.float64))
-        keep[lo:hi] = spectra.max(axis=1) <= bound
-    lists = {r: free[keep & (rowsums == r)] for r in wanted}
-    return CandidateSet(n, epsilon, lists, full.shape[0])
+    count = 1 << (n // 2 + 1)
+    parts = {r: [] for r in wanted}
+    for lo in range(0, count, _PSD_CHUNK_ROWS):
+        free = enumerate_symmetric_free(n, lo, min(lo + _PSD_CHUNK_ROWS, count))
+        rowsums = free @ weights
+        used = np.isin(rowsums, wanted)
+        free, rowsums = free[used], rowsums[used]
+        keep = psd_halfspectrum(_expand(free, n).astype(np.float64)).max(axis=1) <= bound
+        for r in wanted:
+            parts[r].append(free[keep & (rowsums == r)])
+    lists = {r: np.concatenate(rows) for r, rows in parts.items()}
+    return CandidateSet(n, epsilon, lists, count)
 
 
 @dataclass
@@ -236,14 +247,16 @@ def _key_hash(words: np.ndarray, bits: int) -> np.ndarray:
 def _join(blocks) -> tuple:
     """Every pair of an A x B record and a C x D record with equal keys.
 
-    ``blocks`` holds (side, packed keys, pair indices), at least one block,
-    with side 0 (A x B) before side 1 (C x D).  Matches come in ascending key
+    ``blocks`` is a list of (side, packed keys, pair indices), at least one
+    block, with side 0 (A x B) before side 1 (C x D); it is emptied once
+    its records are concatenated.  Matches come in ascending key
     order, A x B records outer and C x D records inner, each side in the
     order given.  Returns the A x B and C x D pair indices and the packed key
     of each match."""
     words = np.concatenate([w for _, w, _ in blocks], axis=1)
     pairs = np.concatenate([p for _, _, p in blocks])
     n_ab = sum(p.size for side, _, p in blocks if side == 0)
+    blocks.clear()  # the concatenated copies are all the join needs
     # only records in a hash bucket that both sides use can match; 2-4 buckets a record
     bits = min(_FILTER_BITS, (2 * pairs.size + 1).bit_length())
     bucket = _key_hash(words, bits)

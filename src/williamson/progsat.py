@@ -348,7 +348,8 @@ class WilliamsonCallback:
     """Checks fully assigned members against the PSD bound and returns a
     conflict clause over a minimal violating subset of them, taking the
     largest values first, or None when they pass.  PSD vectors are memoized
-    by member bit pattern."""
+    by member bit pattern as tuples of floats, so a call does no NumPy work
+    once its patterns have been seen."""
 
     def __init__(self, var_map, n: int, epsilon: float = EPSILON_DEFAULT):
         self.bound = 4 * n + epsilon
@@ -356,14 +357,14 @@ class WilliamsonCallback:
         self._fold = fold_indices(n)
         self._memo = {}
 
-    def _block_psd(self, values, block):
+    def _block_psd(self, values, block) -> tuple:
         pattern = 0
         for v in block:
             pattern = (pattern << 1) | (values[v] > 0)
         cached = self._memo.get(pattern)
         if cached is None:
             free = [1.0 if values[v] > 0 else -1.0 for v in block]
-            cached = psd_halfspectrum(np.array([free[i] for i in self._fold]))
+            cached = tuple(psd_halfspectrum(np.array([free[i] for i in self._fold])).tolist())
             self._memo[pattern] = cached
         return cached
 
@@ -371,12 +372,20 @@ class WilliamsonCallback:
         full_blocks = [self.blocks[r] for r in range(4) if (full_bits >> r) & 1]
         if not full_blocks:
             return None
-        arr = np.stack([self._block_psd(values, block) for block in full_blocks])
-        exceeds = np.cumsum(-np.sort(-arr, axis=0), axis=0) > self.bound
-        if not exceeds.any():
+        psds = [self._block_psd(values, block) for block in full_blocks]
+        bound = self.bound
+        size, freq = len(psds) + 1, None
+        # per frequency, how many of the largest values it takes to exceed,
+        # added left to right; the first frequency needing the fewest wins
+        for s, column in enumerate(zip(*psds)):
+            total = 0.0
+            for k, value in enumerate(sorted(column, reverse=True), start=1):
+                total += value
+                if total > bound:
+                    if k < size:
+                        size, freq = k, s
+                    break
+        if freq is None:
             return None
-        # per frequency, how many of the largest values it takes to exceed
-        sizes = np.where(exceeds.any(axis=0), exceeds.argmax(axis=0) + 1, arr.shape[0] + 1)
-        s = int(sizes.argmin())
-        chosen = np.argsort(-arr[:, s], kind="stable")[: sizes[s]]
+        chosen = sorted(range(len(psds)), key=lambda i: -psds[i][freq])[:size]
         return tuple(-v if values[v] > 0 else v for i in chosen for v in full_blocks[i])

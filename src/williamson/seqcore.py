@@ -9,6 +9,7 @@ equality decisions.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import mul
 
 import numpy as np
 
@@ -182,14 +183,15 @@ def rowsum(seq) -> int:
 
 
 def verify_williamson(q: Quadruple) -> bool:
-    """Exact check that the four PAF values sum to zero at shifts 1..n//2.
+    """Exact check that the four PAF values sum to zero at shifts 1..n//2
+    (PAF(s) = PAF(n - s) covers the other shifts).
 
     Never uses floating point.
     """
     members = q.members if isinstance(q, Quadruple) else tuple(q)
-    pafs = [paf(x) for x in members]
-    n = len(pafs[0])
-    return all(sum(p[s] for p in pafs) == 0 for s in range(1, n // 2 + 1))
+    rows = [_entries_of(x) for x in members]
+    n = len(rows[0])
+    return all(sum(sum(map(mul, a, a[s:] + a[:s])) for a in rows) == 0 for s in range(1, n // 2 + 1))
 
 
 # --- text format -----------------------------------------------------------

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -15,7 +16,15 @@ from williamson.pipeline import (
     generate_candidates,
     match_compressions,
 )
-from williamson.seqcore import EPSILON_DEFAULT, SymmetricSequence, compress, paf, psd, rowsum
+from williamson.seqcore import (
+    EPSILON_DEFAULT,
+    SymmetricSequence,
+    compress,
+    paf,
+    psd,
+    psd_halfspectrum,
+    rowsum,
+)
 
 
 def make_candidates(n):
@@ -97,6 +106,37 @@ class TestGenerateCandidates:
             cands = generate_candidates(n, decs)
             assert cands.examined == 2 ** (n // 2 + 1)
             assert enumerate_symmetric_free(n).shape == (2 ** (n // 2 + 1), n // 2 + 1)
+
+    @pytest.mark.parametrize("n", [9, 12, 17])
+    def test_blocked_scan_equals_one_shot(self, n, monkeypatch):
+        # every code at once, expanded, then PSD-filtered: the lists in blocks
+        # of 5 codes (the last one short) must equal it row for row
+        decs = decompose_four_squares(n)
+        free = enumerate_symmetric_free(n)
+        full = free[:, [i if i <= n // 2 else n - i for i in range(n)]]
+        keep = psd_halfspectrum(full.astype(float)).max(axis=1) <= 4 * n + EPSILON_DEFAULT
+        rowsums = full.sum(axis=1)
+        expected = {r: free[keep & (rowsums == r)] for dec in decs for r in dec.values}
+        monkeypatch.setattr(pipeline, "_PSD_CHUNK_ROWS", 5)
+        cands = generate_candidates(n, decs)
+        assert cands.examined == free.shape[0]
+        assert cands.lists.keys() == expected.keys()
+        for r, rows in expected.items():
+            got = cands.full(r)
+            assert got.dtype == rows.dtype == np.int8
+            assert got.shape == rows.shape
+            assert np.array_equal(got, rows)
+
+    def test_scan_holds_one_block(self):
+        # 2^19 codes at n=36: holding them all expanded peaked at 114 MiB
+        decs = decompose_four_squares(36)
+        tracemalloc.start()
+        try:
+            generate_candidates(36, decs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     def test_members_have_stated_rowsum_and_survive_filter(self):
         decs, cands = make_candidates(9)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from williamson.diophantine import decompose_four_squares
 from williamson.oracle import brute_force_enumerate, brute_force_uncompress
+from williamson.pipeline import generate_candidates
 from williamson.progsat import CdclSolver, WilliamsonCallback
 from williamson.satgen import SatInstance, VariableMap, build_instance, encode_uncompression, parse_dimacs
 from williamson.seqcore import (
@@ -152,6 +154,40 @@ class TestLearnMinimalPsdClause:
             literals = [v if values[v] > 0 else -v for i in best[1] for v in vm.blocks()[full[i]]]
             assert clause == tuple(-lit for lit in literals)
         assert learned > 20
+
+    @pytest.mark.parametrize("n", [9, 12, 27])
+    def test_clause_equals_numpy_formula(self, n):
+        # the pure-Python selection against the NumPy formula it replaced, on
+        # full and partial assignments of random and PSD-passing members
+        vm = VariableMap(n)
+        cb = WilliamsonCallback(vm, n)
+        decs = decompose_four_squares(n)
+        cands = generate_candidates(n, decs)
+        passing = np.concatenate([cands.full(r) for r in cands.rowsums()])
+        rng = np.random.default_rng(n)
+        outcomes = set()
+        for trial in range(300):
+            frees = [[int(v) for v in (passing[rng.integers(len(passing))] if rng.integers(2)
+                                        else rng.choice([-1, 1], size=vm.free_count))]
+                     for _ in range(4)]
+            full_bits = 0b1111 if trial % 2 else int(rng.integers(16))
+            values = assign(vm, [frees[r] if (full_bits >> r) & 1 else None for r in range(4)])
+            full_blocks = [vm.blocks()[r] for r in range(4) if (full_bits >> r) & 1]
+            expected = None
+            if full_blocks:
+                arr = np.stack([psd_halfspectrum(np.array(
+                    SymmetricSequence.from_free(n, frees[r]).entries, dtype=float))
+                    for r in range(4) if (full_bits >> r) & 1])
+                exceeds = np.cumsum(-np.sort(-arr, axis=0), axis=0) > cb.bound
+                if exceeds.any():
+                    sizes = np.where(exceeds.any(axis=0), exceeds.argmax(axis=0) + 1, arr.shape[0] + 1)
+                    s = int(sizes.argmin())
+                    chosen = np.argsort(-arr[:, s], kind="stable")[: sizes[s]]
+                    expected = tuple(-v if values[v] > 0 else v for i in chosen for v in full_blocks[i])
+            clause = cb(values, full_bits)
+            assert clause == expected
+            outcomes.add((full_bits == 0b1111, clause is None))
+        assert outcomes >= {(True, False), (False, True), (False, False)}
 
     def test_no_violation_is_no_clause(self):
         # A = B = [1,-1] sum to [0, 8] <= 8 + eps: full members within the bound

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from williamson.oracle import brute_force_enumerate
 from williamson.seqcore import (
     Quadruple,
     SymmetricSequence,
@@ -189,6 +190,19 @@ class TestVerifyWilliamson:
 
     def test_order_two_false(self):
         assert not verify_williamson(Quadruple([1, 1], [1, 1], [1, 1], [1, -1]))
+
+    @pytest.mark.parametrize("n", [5, 8, 9])
+    def test_agrees_with_every_shift(self, n):
+        # checking shifts 1..n//2 decides the same as checking all n - 1, on
+        # the oracle's solutions and on each with one free entry of A flipped
+        for q in brute_force_enumerate(n)[:100]:
+            a, b, c, d = q.members
+            variants = [q] + [Quadruple(SymmetricSequence.from_free(n, a.free[:i] + (-a.free[i],) + a.free[i + 1:]),
+                                        b, c, d) for i in range(n // 2 + 1)]
+            for v in variants:
+                expected = all(sum(paf(x)[s] for x in v.members) == 0 for s in range(1, n))
+                assert verify_williamson(v) == expected
+            assert verify_williamson(q)
 
     def test_agrees_with_psd_characterization(self):
         # whenever the PAF condition holds the PSD values sum to 4n everywhere
