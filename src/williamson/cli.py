@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -39,7 +38,6 @@ def smallest_prime_divisor(n: int) -> int:
 @dataclass
 class RunConfig:
     n: int
-    epsilon: float = EPSILON_DEFAULT
     workers: int = 1
     out_dir: str = None
     matcher_budget_bytes: int = DEFAULT_BUDGET_BYTES
@@ -49,8 +47,6 @@ class RunConfig:
     def __post_init__(self):
         if self.n < 1:
             raise DomainError("order must be positive")
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
-            raise DomainError(f"epsilon must be finite and positive, got {self.epsilon}")
         if self.dump_cnf and not self.out_dir:
             raise DomainError("--dump-cnf needs a run directory (--out)")
         if self.matcher_budget_bytes < 1:
@@ -87,20 +83,13 @@ def _instance_id(rows) -> str:
 
 
 def _solve_task(args):
-    instance_id, rows, n, epsilon, use_callback = args
+    instance_id, rows, n, use_callback = args
     inst = satgen.build_instance(rows, n)
-    callback = WilliamsonCallback(inst.var_map, n, epsilon) if use_callback else None
+    callback = WilliamsonCallback(inst.var_map, n) if use_callback else None
     solver = CdclSolver(inst.num_vars, inst.clauses, callback)
     models = solver.solve_all()
     solutions = [[list(x.free) for x in inst.var_map.decode(model)] for model in models]
-    st = solver.stats
-    stats = {
-        "decisions": st.decisions,
-        "conflicts": st.conflicts,
-        "propagations": st.propagations,
-        "callback_clauses": st.callback_clauses,
-        "solutions": len(models),
-    }
+    stats = {k: len(models) if k == "solutions" else getattr(solver.stats, k) for k in COUNTERS}
     return instance_id, solutions, stats
 
 
@@ -112,11 +101,11 @@ def _generate_instances(cfg: RunConfig):
     if cfg.out_dir:
         os.makedirs(cfg.out_dir, exist_ok=True)
     decs = decompose_four_squares(n)
-    candidates = generate_candidates(n, decs, cfg.epsilon)
+    candidates = generate_candidates(n, decs)
     matched = []
     for dec in decs:
         lists = build_compression_lists(candidates, dec, m)
-        matched.extend(match_compressions(lists, n, cfg.epsilon, budget_bytes=cfg.matcher_budget_bytes))
+        matched.extend(match_compressions(lists, n, budget_bytes=cfg.matcher_budget_bytes))
     kept, discarded = satgen.dedupe_instances(matched, n)
     kept_rows = [mc.rows.tolist() for mc in kept]
     kept_ids = [_instance_id(rows) for rows in kept_rows]
@@ -193,7 +182,7 @@ def run_enumeration(cfg: RunConfig) -> EnumerationReport:
     checkpoint_path = None
     done = {}
     # the settings the results depend on: a resume must have the same
-    header = {"n": n, "epsilon": cfg.epsilon, "callback": cfg.programmatic_callback, "version": __version__}
+    header = {"n": n, "epsilon": EPSILON_DEFAULT, "callback": cfg.programmatic_callback, "version": __version__}
     if out_dir:
         checkpoint_path = os.path.join(out_dir, "checkpoint.jsonl")
         if os.path.exists(checkpoint_path):
@@ -202,12 +191,7 @@ def run_enumeration(cfg: RunConfig) -> EnumerationReport:
             for discarded_id, kept_id in discarded:
                 f.write(f"{discarded_id}\tkept={kept_id}\n")
 
-    pending = [
-        (iid, rows, n, cfg.epsilon, cfg.programmatic_callback)
-        for iid, rows in tasks
-        if iid not in done
-    ]
-    solved_this_run = 0
+    pending = [(iid, rows, n, cfg.programmatic_callback) for iid, rows in tasks if iid not in done]
     ckpt = open(checkpoint_path, "a") if checkpoint_path else None
     if ckpt and ckpt.tell() == 0:
         ckpt.write(json.dumps({"header": header}) + "\n")
@@ -219,28 +203,26 @@ def run_enumeration(cfg: RunConfig) -> EnumerationReport:
             ckpt.write(json.dumps({"id": iid, "solutions": solutions, "stats": stats}) + "\n")
             ckpt.flush()
 
+    pool = None
     try:
         if cfg.workers > 1 and len(pending) > 1:
-            import multiprocessing as mp
+            import multiprocessing  # here, not at the top: only a pool needs it
 
-            with mp.Pool(cfg.workers) as pool:
-                for iid, solutions, stats in pool.imap_unordered(_solve_task, pending):
-                    record(iid, solutions, stats)
-                    solved_this_run += 1
-        else:
-            for task in pending:
-                iid, solutions, stats = _solve_task(task)
-                record(iid, solutions, stats)
-                solved_this_run += 1
+            pool = multiprocessing.Pool(cfg.workers)
+        for iid, solutions, stats in (pool.imap_unordered if pool else map)(_solve_task, pending):
+            record(iid, solutions, stats)
     finally:
+        if pool:
+            pool.terminate()
         if ckpt:
             ckpt.close()
 
     # The callback passes a model only if its summed PSD stays below 4n + eps
     # at every frequency.  The PSD sums average exactly 4n, so each PAF sum is
-    # within 2 eps of its target; for eps < 1/2 these integers hit it exactly
-    # and a model that fails the exact check is a defect, not a filter hit.
-    strict = cfg.programmatic_callback and 2 * cfg.epsilon < 1
+    # within 2 eps of its target; as eps = EPSILON_DEFAULT < 1/2 these integers
+    # hit it exactly and a model that fails the exact check is a defect, not a
+    # filter hit.
+    strict = cfg.programmatic_callback
     solutions = []
     instance_stats = []
     for iid, rows in tasks:
@@ -270,7 +252,7 @@ def run_enumeration(cfg: RunConfig) -> EnumerationReport:
         canonical=canonical,
         elapsed=elapsed,
         instance_stats=instance_stats,
-        solved_this_run=solved_this_run,
+        solved_this_run=len(pending),
         discarded_instances=len(discarded),
     )
     if out_dir:
@@ -291,12 +273,10 @@ def _write_run_outputs(cfg: RunConfig, report: EnumerationReport, tasks) -> None
             f"{len(report.solutions)}\t{report.inequivalent_count}\n"
         )
     with open(os.path.join(out_dir, "stats.tsv"), "w") as f:
-        f.write("instance\tdecisions\tconflicts\tpropagations\tcallback_clauses\tsolutions\tverified\n")
+        columns = COUNTERS + ("verified",)
+        f.write("\t".join(("instance",) + columns) + "\n")
         for s in report.instance_stats:
-            f.write(
-                f"{s['id']}\t{s['decisions']}\t{s['conflicts']}\t{s['propagations']}\t"
-                f"{s['callback_clauses']}\t{s['solutions']}\t{s['verified']}\n"
-            )
+            f.write("\t".join([s["id"]] + [str(s[k]) for k in columns]) + "\n")
     if cfg.dump_cnf:
         cnf_dir = os.path.join(out_dir, "instances")
         os.makedirs(cnf_dir, exist_ok=True)
@@ -311,7 +291,6 @@ def _write_run_outputs(cfg: RunConfig, report: EnumerationReport, tasks) -> None
 def cmd_enumerate(args) -> int:
     cfg = RunConfig(
         n=args.order,
-        epsilon=args.epsilon,
         workers=args.workers,
         out_dir=args.out,
         matcher_budget_bytes=args.budget_bytes,
@@ -431,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="run the full pipeline for one order")
     p.add_argument("--order", "-n", type=int, required=True)
-    p.add_argument("--epsilon", type=float, default=EPSILON_DEFAULT)
     p.add_argument("--workers", "-j", type=int, default=1)
     p.add_argument("--out", "-o", default=None, help="run directory (enables checkpointing)")
     p.add_argument("--budget-bytes", type=int, default=DEFAULT_BUDGET_BYTES,

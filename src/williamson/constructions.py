@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .equivalence import canonical_forms, distinct_forms
-from .seqcore import Quadruple, SymmetricSequence, _entries_of, paf, verify_williamson
+from .seqcore import Quadruple, SymmetricSequence, _entries_of, verify_williamson
 
 
 class CirculantMatrix:
@@ -95,10 +95,7 @@ class OctupleSequence:
 
 def verify_octuple(octuple) -> bool:
     """Exact check that the eight PAF values sum to zero at shifts 1..n-1."""
-    members = octuple.members if isinstance(octuple, OctupleSequence) else tuple(octuple)
-    pafs = [paf(x) for x in members]
-    n = len(pafs[0])
-    return all(sum(p[s] for p in pafs) == 0 for s in range(1, n))
+    return verify_williamson(octuple)
 
 
 def interleave(a, b) -> tuple:

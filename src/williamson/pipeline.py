@@ -2,12 +2,12 @@
 
 All three steps pass int8 rows.  Step 2 enumerates every symmetric ±1
 sequence of order n, keeping the free entries of those whose rowsum occurs in
-some rowsum decomposition and whose PSD never exceeds 4n + epsilon.  It scans
-the codes in blocks, computes each row's rowsum from its free entries and
-expands and PSD-tests only the rows of a wanted rowsum, so it holds one block
-and the survivors, never all 2^(n//2+1) sequences.  Step 3
-compresses the survivors by the smallest prime factor m and groups them by
-rowsum.  Step 4 finds all compressed quadruples with
+some rowsum decomposition and whose PSD never exceeds `seqcore.psd_bound`.  It
+scans the codes in blocks, computes each row's rowsum from its free entries
+and expands and PSD-tests only the rows of a wanted rowsum, so it holds one
+block and the survivors, never all 2^(n//2+1) sequences.  Step 3 compresses
+the survivors by the smallest prime factor m and groups them by rowsum.
+Step 4 finds all compressed quadruples with
 
     PAF(A') + PAF(B') = [4n, 0, ..., 0] - (PAF(C') + PAF(D'))
 
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equivalence import units
-from .seqcore import EPSILON_DEFAULT, fold_indices, psd_halfspectrum
+from .seqcore import fold_indices, psd_bound, psd_halfspectrum
 
 _PSD_CHUNK_ROWS = 1 << 15
 DEFAULT_BUDGET_BYTES = 256 * 1024 * 1024
@@ -62,9 +62,8 @@ class CandidateSet:
     representative was kept).  Compressed lists are made once per (rowsum,
     pruned, factor)."""
 
-    def __init__(self, n: int, epsilon: float, lists: dict, examined: int):
+    def __init__(self, n: int, lists: dict, examined: int):
         self.n = n
-        self.epsilon = epsilon
         self.lists = lists
         self.examined = examined
         self._compressed: dict = {}
@@ -100,7 +99,7 @@ class CandidateSet:
         return free[codes == best]
 
 
-def generate_candidates(n: int, decompositions, epsilon: float = EPSILON_DEFAULT) -> CandidateSet:
+def generate_candidates(n: int, decompositions) -> CandidateSet:
     """Map rowsum -> free-entry rows of its PSD-passing sequences, in
     ascending code order, over every rowsum appearing in the decompositions.
 
@@ -108,10 +107,10 @@ def generate_candidates(n: int, decompositions, epsilon: float = EPSILON_DEFAULT
     of a wanted rowsum are expanded and PSD-tested, and only the survivors
     are kept."""
     if not decompositions:
-        return CandidateSet(n, epsilon, {}, 0)
+        return CandidateSet(n, {}, 0)
     wanted = sorted({r for dec in decompositions for r in dec.values})
     weights = np.bincount(fold_indices(n)).astype(np.int32)  # multiplicity of each free entry
-    bound = 4 * n + epsilon
+    bound = psd_bound(n)
     count = 1 << (n // 2 + 1)
     parts = {r: [] for r in wanted}
     for lo in range(0, count, _PSD_CHUNK_ROWS):
@@ -123,7 +122,7 @@ def generate_candidates(n: int, decompositions, epsilon: float = EPSILON_DEFAULT
         for r in wanted:
             parts[r].append(free[keep & (rowsums == r)])
     lists = {r: np.concatenate(rows) for r, rows in parts.items()}
-    return CandidateSet(n, epsilon, lists, count)
+    return CandidateSet(n, lists, count)
 
 
 @dataclass
@@ -248,24 +247,26 @@ def _join(blocks) -> tuple:
     """Every pair of an A x B record and a C x D record with equal keys.
 
     ``blocks`` is a list of (side, packed keys, pair indices), at least one
-    block, with side 0 (A x B) before side 1 (C x D); it is emptied once
-    its records are concatenated.  Matches come in ascending key
+    block, with side 0 (A x B) before side 1 (C x D); each block is popped
+    from it as its records are filtered.  Matches come in ascending key
     order, A x B records outer and C x D records inner, each side in the
     order given.  Returns the A x B and C x D pair indices and the packed key
     of each match."""
-    words = np.concatenate([w for _, w, _ in blocks], axis=1)
-    pairs = np.concatenate([p for _, _, p in blocks])
-    n_ab = sum(p.size for side, _, p in blocks if side == 0)
-    blocks.clear()  # the concatenated copies are all the join needs
     # only records in a hash bucket that both sides use can match; 2-4 buckets a record
-    bits = min(_FILTER_BITS, (2 * pairs.size + 1).bit_length())
-    bucket = _key_hash(words, bits)
+    bits = min(_FILTER_BITS, (2 * sum(p.size for _, _, p in blocks) + 1).bit_length())
     sides = np.zeros(1 << bits, dtype=np.uint8)
-    sides[bucket[:n_ab]] = 1
-    sides[bucket[n_ab:]] |= 2
-    kept = np.flatnonzero(sides[bucket] == 3)
-    n_ab = int(np.searchsorted(kept, n_ab))
-    words, pairs = words[:, kept], pairs[kept]
+    for side, words, _ in blocks:
+        sides[_key_hash(words, bits)] |= 1 << side
+    kept, n_ab = [], 0
+    while blocks:
+        side, words, pairs = blocks.pop(0)
+        keep = sides[_key_hash(words, bits)] == 3
+        kept.append((words[:, keep], pairs[keep]))
+        if side == 0:
+            n_ab += kept[-1][1].size
+    words = np.concatenate([w for w, _ in kept], axis=1)
+    pairs = np.concatenate([p for _, p in kept])
+    del kept
     order = np.lexsort(words[::-1])  # stable: of equal keys, A x B records come first
     words = words[:, order]
     new = np.ones(order.size, dtype=bool)
@@ -313,8 +314,8 @@ def _partitioned_join(blocks, n_words: int, budget_bytes: int) -> tuple:
     return pair_ab[order], pair_cd[order]
 
 
-def match_compressions(lists: tuple, n: int, epsilon: float = EPSILON_DEFAULT,
-                       mod4_filter: bool = True, budget_bytes: int = DEFAULT_BUDGET_BYTES) -> list:
+def match_compressions(lists: tuple, n: int, mod4_filter: bool = True,
+                       budget_bytes: int = DEFAULT_BUDGET_BYTES) -> list:
     """All compressed quadruples (A', B', C', D') from the four lists whose
     PAF vectors sum exactly to [4n, 0, ..., 0]; pairs are pre-filtered by the
     PSD bound and, for even n, matches are post-filtered by the mod-4 rowsum
@@ -333,7 +334,7 @@ def match_compressions(lists: tuple, n: int, epsilon: float = EPSILON_DEFAULT,
     target = np.zeros(la.rows.shape[1] // 2 + 1, dtype=np.int32)  # PAF(s) = PAF(d - s)
     target[0] = 4 * n
     layout = _key_layout(lists, target)
-    bound = 4 * n + epsilon
+    bound = psd_bound(n)
 
     def blocks():
         for side, (lx, ly) in enumerate(((la, lb), (lc, ld))):
@@ -353,8 +354,10 @@ def match_compressions(lists: tuple, n: int, epsilon: float = EPSILON_DEFAULT,
 
     ia, ib = np.divmod(pair_ab, len(lb))
     ic, id_ = np.divmod(pair_cd, len(ld))
-    stack = np.stack([la.rows[ia], lb.rows[ib], lc.rows[ic], ld.rows[id_]], axis=1)
     if mod4_filter and n % 2 == 0:
-        stack = stack[~np.any(stack.sum(axis=1) % 4, axis=1)]
+        # int8 sums of four 2-compressed entries lie in -8..8; & 3 is their residue mod 4
+        keep = ~np.any((la.rows[ia] + lb.rows[ib] + lc.rows[ic] + ld.rows[id_]) & 3, axis=1)
+        ia, ib, ic, id_ = ia[keep], ib[keep], ic[keep], id_[keep]
+    stack = np.stack([la.rows[ia], lb.rows[ib], lc.rows[ic], ld.rows[id_]], axis=1)
     stack.setflags(write=False)
     return [MatchedCompression(r) for r in stack]

@@ -12,8 +12,8 @@ where it asserts that literal; otherwise to one level below the deepest,
 asserting nothing.  Only propagation conflicts are analysed, bump activities
 and count in ``conflicts``.  Clauses are kept only in the watch lists; there
 is no registry of them.  The Williamson callback rejects a minimal subset of
-fully assigned members whose PSD values sum beyond 4n + epsilon; when all
-four members pass, the trail is total and the model is recorded like any
+fully assigned members whose PSD values sum beyond `seqcore.psd_bound`; when
+all four members pass, the trail is total and the model is recorded like any
 other.
 
 Literals are nonzero ints (DIMACS convention); variables are 1-based.
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seqcore import EPSILON_DEFAULT, fold_indices, psd_halfspectrum
+from .seqcore import fold_indices, psd_bound, psd_halfspectrum
 
 
 @dataclass
@@ -351,8 +351,8 @@ class WilliamsonCallback:
     by member bit pattern as tuples of floats, so a call does no NumPy work
     once its patterns have been seen."""
 
-    def __init__(self, var_map, n: int, epsilon: float = EPSILON_DEFAULT):
-        self.bound = 4 * n + epsilon
+    def __init__(self, var_map, n: int):
+        self.bound = psd_bound(n)
         self.blocks = var_map.blocks()
         self._fold = fold_indices(n)
         self._memo = {}

@@ -145,41 +145,6 @@ def export_dimacs(inst: SatInstance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_dimacs(text: str) -> SatInstance:
-    num_vars = None
-    declared = None
-    clauses = []
-    pending = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("c"):
-            continue
-        if line.startswith("p"):
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise ValueError(f"line {lineno}: malformed header")
-            num_vars, declared = int(parts[2]), int(parts[3])
-            continue
-        if num_vars is None:
-            raise ValueError(f"line {lineno}: clause before header")
-        for tok in line.split():
-            lit = int(tok)
-            if lit == 0:
-                clauses.append(list(pending))
-                pending = []
-            else:
-                if abs(lit) > num_vars:
-                    raise ValueError(f"line {lineno}: literal {lit} out of range")
-                pending.append(lit)
-    if pending:
-        raise ValueError("unterminated clause at end of input")
-    if num_vars is None:
-        raise ValueError("missing header")
-    if declared != len(clauses):
-        raise ValueError(f"header declares {declared} clauses, found {len(clauses)}")
-    return SatInstance(num_vars, clauses)
-
-
 # -- instance-level deduplication --------------------------------------------
 
 

@@ -16,6 +16,12 @@ import numpy as np
 EPSILON_DEFAULT = 1e-2
 
 
+def psd_bound(n: int) -> float:
+    """The bound every PSD value of order n is tested against: 4n, with
+    EPSILON_DEFAULT of slack for floating-point error."""
+    return 4 * n + EPSILON_DEFAULT
+
+
 @lru_cache(maxsize=None)
 def fold_indices(n: int) -> tuple:
     """The symmetric fold: entry i of a symmetric sequence of order n is its

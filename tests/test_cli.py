@@ -9,6 +9,7 @@ from williamson import __version__, cli
 from williamson.cli import DomainError, RunConfig, main, run_enumeration, smallest_prime_divisor
 from williamson.equivalence import dedupe
 from williamson.oracle import brute_force_enumerate
+from williamson.satgen import build_instance, encode_product_theorem, export_dimacs
 from williamson.seqcore import EPSILON_DEFAULT, format_block, read_quadruples
 
 from helpers import class_key
@@ -30,17 +31,13 @@ class TestRunConfig:
     def test_validation(self):
         with pytest.raises(DomainError):
             RunConfig(n=0)
-        with pytest.raises(DomainError):
-            RunConfig(n=6, epsilon=0)
 
-    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf")])
-    def test_non_finite_epsilon(self, epsilon):
-        with pytest.raises(DomainError, match="epsilon"):
-            RunConfig(n=6, epsilon=epsilon)
-
-    def test_non_finite_epsilon_exit_code(self, capsys):
-        code, out, err = run_cli(capsys, "enumerate", "-n", "10", "--epsilon", "nan")
-        assert code == 1 and "epsilon" in err and out == ""
+    def test_epsilon_is_no_option(self, capsys):
+        # the PSD slack is fixed (seqcore.psd_bound): argparse rejects the option
+        with pytest.raises(SystemExit) as exit_info:
+            main(["enumerate", "-n", "6", "--epsilon", "0.1"])
+        assert exit_info.value.code == 2
+        assert "--epsilon" in capsys.readouterr().err
 
     def test_dump_cnf_needs_out_dir(self, capsys):
         with pytest.raises(DomainError, match="--out"):
@@ -96,24 +93,22 @@ class TestEnumerate:
         assert len(stats) == 1 + int(row[2])
         cnfs = os.listdir(os.path.join(out_dir, "instances"))
         assert len(cnfs) == int(row[2]) and all(f.endswith(".cnf") for f in cnfs)
-        from williamson.satgen import parse_dimacs
-
-        parse_dimacs(open(os.path.join(out_dir, "instances", cnfs[0])).read())
+        tasks, _ = cli._generate_instances(RunConfig(n=6))
+        for iid, rows in tasks:
+            dumped = open(os.path.join(out_dir, "instances", f"{iid}.cnf")).read()
+            assert dumped == export_dimacs(build_instance(rows, 6))
 
     def test_odd_order_cnf_dumps_hold_product_clauses(self, tmp_path):
-        from williamson.satgen import build_instance, encode_product_theorem, parse_dimacs
-
         out_dir = tmp_path / "run"
         run_enumeration(RunConfig(n=9, out_dir=str(out_dir), dump_cnf=True))
         tasks, _ = cli._generate_instances(RunConfig(n=9))
         assert sorted(os.listdir(out_dir / "instances")) == sorted(f"{iid}.cnf" for iid, _ in tasks)
         for iid, rows in tasks:
-            dumped = parse_dimacs((out_dir / "instances" / f"{iid}.cnf").read_text())
+            dumped = (out_dir / "instances" / f"{iid}.cnf").read_text()
             expected = build_instance(rows, 9)
-            assert dumped.num_vars == expected.num_vars
-            assert dumped.clauses == expected.clauses
-            product = [list(c) for c in encode_product_theorem(9, expected.var_map)]
-            assert dumped.clauses[-len(product):] == product
+            assert dumped == export_dimacs(expected)
+            product = [" ".join(map(str, c)) + " 0" for c in encode_product_theorem(9, expected.var_map)]
+            assert dumped.splitlines()[-len(product):] == product
 
     def test_determinism(self, tmp_path):
         a = run_enumeration(RunConfig(n=9, out_dir=str(tmp_path / "a")))
@@ -149,14 +144,21 @@ class TestEnumerate:
             assert sorted(ids) == sorted(s["id"] for s in first.instance_stats)
 
     @pytest.mark.parametrize("field,change", [
-        ("epsilon", {"epsilon": 0.02}),
+        ("epsilon", {}),  # no option sets it: the checkpoint's header line is edited
         ("callback", {"programmatic_callback": False}),
     ])
     def test_resume_rejects_another_config(self, tmp_path, field, change):
-        out_dir = str(tmp_path / "run")
-        run_enumeration(RunConfig(n=9, out_dir=out_dir))
-        with pytest.raises(DomainError, match=f"written with {field}="):
-            run_enumeration(RunConfig(n=9, out_dir=out_dir, **change))
+        out_dir = tmp_path / "run"
+        run_enumeration(RunConfig(n=9, out_dir=str(out_dir)))
+        written = "True"
+        if field == "epsilon":
+            ckpt = out_dir / "checkpoint.jsonl"
+            header, rest = ckpt.read_text().split("\n", 1)
+            assert f'"epsilon": {EPSILON_DEFAULT},' in header
+            ckpt.write_text(header.replace(f'"epsilon": {EPSILON_DEFAULT},', '"epsilon": 0.02,') + "\n" + rest)
+            written = "0.02"
+        with pytest.raises(DomainError, match=f"written with {field}={written}"):
+            run_enumeration(RunConfig(n=9, out_dir=str(out_dir), **change))
 
     def test_resume_rejects_another_version(self, tmp_path, monkeypatch):
         out_dir = str(tmp_path / "run")

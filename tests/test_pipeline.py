@@ -17,11 +17,11 @@ from williamson.pipeline import (
     match_compressions,
 )
 from williamson.seqcore import (
-    EPSILON_DEFAULT,
     SymmetricSequence,
     compress,
     paf,
     psd,
+    psd_bound,
     psd_halfspectrum,
     rowsum,
 )
@@ -58,12 +58,12 @@ def normalize_to_decomposition(q):
     return members
 
 
-def reference_join(lists, n, epsilon=EPSILON_DEFAULT):
+def reference_join(lists, n):
     """Plain-Python step 4: every PSD-passing pair in a dict keyed by its full
     PAF sum (C x D keys subtracted from the target), shared keys in ascending
     order, each expanded with A x B pairs outer; then the mod-4 filter."""
     la, lb, lc, ld = lists
-    bound = 4 * n + epsilon
+    bound = psd_bound(n)
     target = [4 * n] + [0] * (la.rows.shape[1] - 1)
 
     def groups(lx, ly, negate):
@@ -114,7 +114,7 @@ class TestGenerateCandidates:
         decs = decompose_four_squares(n)
         free = enumerate_symmetric_free(n)
         full = free[:, [i if i <= n // 2 else n - i for i in range(n)]]
-        keep = psd_halfspectrum(full.astype(float)).max(axis=1) <= 4 * n + EPSILON_DEFAULT
+        keep = psd_halfspectrum(full.astype(float)).max(axis=1) <= psd_bound(n)
         rowsums = full.sum(axis=1)
         expected = {r: free[keep & (rowsums == r)] for dec in decs for r in dec.values}
         monkeypatch.setattr(pipeline, "_PSD_CHUNK_ROWS", 5)
@@ -144,7 +144,7 @@ class TestGenerateCandidates:
             assert cands.full(r).dtype == np.int8
             for s in sequences_of(cands.full(r), 9):
                 assert rowsum(s) == r
-                assert psd(s).max() <= 4 * 9 + cands.epsilon
+                assert psd(s).max() <= psd_bound(9)
 
     def test_completeness_of_lists(self):
         # every surviving symmetric sequence appears; nothing else does
@@ -157,7 +157,7 @@ class TestGenerateCandidates:
         for free in product((-1, 1), repeat=n // 2 + 1):
             s = SymmetricSequence.from_free(n, free)
             r = rowsum(s)
-            if r in wanted and psd(s).max() <= 4 * n + EPSILON_DEFAULT:
+            if r in wanted and psd(s).max() <= psd_bound(n):
                 expected.setdefault(r, set()).add(s.free)
         for r in wanted:
             assert free_set(cands.full(r)) == expected.get(r, set())
@@ -325,3 +325,17 @@ class TestMatchCompressions:
         lists = build_compression_lists(cands, decs[0], 2)
         with pytest.raises(ValueError, match="hash bucket"):
             match_compressions(lists, 6, budget_bytes=1)
+
+    def test_match_memory_at_n40(self):
+        # concatenating every key record before the semi-join, and the int64
+        # mod-4 sums over the unfiltered matches, peaked at 110-118 MiB here
+        decs, cands = make_candidates(40)
+        for dec in decs:
+            lists = build_compression_lists(cands, dec, 2)
+            tracemalloc.start()
+            try:
+                match_compressions(lists, 40)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 80 * 2**20, dec.values

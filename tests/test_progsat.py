@@ -5,7 +5,7 @@ from williamson.diophantine import decompose_four_squares
 from williamson.oracle import brute_force_enumerate, brute_force_uncompress
 from williamson.pipeline import generate_candidates
 from williamson.progsat import CdclSolver, WilliamsonCallback
-from williamson.satgen import SatInstance, VariableMap, build_instance, encode_uncompression, parse_dimacs
+from williamson.satgen import SatInstance, VariableMap, build_instance, encode_uncompression
 from williamson.seqcore import (
     EPSILON_DEFAULT,
     SymmetricSequence,
@@ -69,7 +69,7 @@ class TestSolveAllBasics:
             assert verify_williamson(inst.var_map.decode(model))
 
     def test_dimacs_cross_check(self):
-        inst = parse_dimacs("p cnf 3 2\n1 -2 0\n2 3 0\n")
+        inst = SatInstance(3, [[1, -2], [2, 3]])
         assert models_of(inst) == truth_table_models(3, inst.clauses)
 
 

@@ -15,7 +15,6 @@ from williamson.satgen import (
     encode_product_theorem,
     encode_uncompression,
     export_dimacs,
-    parse_dimacs,
 )
 from williamson.seqcore import compress
 
@@ -188,24 +187,6 @@ class TestDimacs:
 
     def test_unit_negative(self):
         assert "-1 0" in export_dimacs(SatInstance(1, [[-1]]))
-
-    def test_round_trip(self):
-        inst = encode_uncompression([[0], [0], [2], [2]], 2)
-        assert parse_dimacs(export_dimacs(inst)) == inst
-
-    def test_parse_errors(self):
-        with pytest.raises(ValueError, match="header"):
-            parse_dimacs("1 2 0\n")
-        with pytest.raises(ValueError, match="unterminated"):
-            parse_dimacs("p cnf 2 1\n1 2\n")
-        with pytest.raises(ValueError, match="declares"):
-            parse_dimacs("p cnf 2 2\n1 0\n")
-        with pytest.raises(ValueError, match="out of range"):
-            parse_dimacs("p cnf 1 1\n2 0\n")
-
-    def test_parse_multiline_and_comments(self):
-        inst = parse_dimacs("c hi\np cnf 3 2\n1 2\n3 0\n-1 0\n")
-        assert inst.clauses == [[1, 2, 3], [-1]]
 
 
 class TestInstanceDedup:
