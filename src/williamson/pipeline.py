@@ -6,18 +6,23 @@ some rowsum decomposition and whose PSD never exceeds `seqcore.psd_bound`.  It
 scans the codes in blocks, computes each row's rowsum from its free entries
 and expands and PSD-tests only the rows of a wanted rowsum, so it holds one
 block and the survivors, never all 2^(n//2+1) sequences.  Step 3 compresses
-the survivors by the smallest prime factor m and groups them by rowsum.
-Step 4 finds all compressed quadruples with
+the survivors by the smallest prime factor m, per rowsum, and keeps the
+distinct compressions in ascending order.  Step 4 finds all compressed
+quadruples with
 
     PAF(A') + PAF(B') = [4n, 0, ..., 0] - (PAF(C') + PAF(D'))
 
 as a sorted join.  The key of a PSD-passing A x B or C x D pair is the first
 d//2+1 entries of its side of the equation (PAF(s) = PAF(d-s) fixes the
-rest), packed into uint64 words that compare like the key.  One stable sort
-of both sides' records puts equal keys together, and each key both sides hold
-yields its A x B by C x D cross product through array arithmetic.  Key
-records over the memory budget are joined in hash partitions of the packed
-key, each generating the pairs again.  The matches form one read-only
+rest).  Each list row holds its part of the key packed into uint64 words, so
+a pair's packed key, which compares like the key, is the sum of its rows'
+parts.  A pair is held as an eight-byte record, a 32-bit hash of its packed
+key and its pair index, until a semi-join filter drops those whose hash
+bucket the other side lacks; only the survivors get their packed keys back.
+One stable sort of both sides' survivors puts equal keys together, and each
+key both sides hold yields its A x B by C x D cross product through array
+arithmetic.  Records over the memory budget are joined in partitions of hash
+buckets, each generating the pairs again.  The matches form one read-only
 S x 4 x d int8 stack; each `MatchedCompression` is a 4 x d view into it.
 """
 from __future__ import annotations
@@ -146,13 +151,28 @@ def _paf_rows(rows: np.ndarray) -> np.ndarray:
     return out
 
 
+def _distinct_rows(comp: np.ndarray, m: int) -> np.ndarray:
+    """The distinct rows of m-compressions in ascending order, as
+    np.unique(comp, axis=0) gives them.
+
+    Each row is coded by the digits (v + m) // 2 in base m + 1, most
+    significant first, so the codes sort like the rows.  Rows whose codes
+    overflow uint64 (d > 40 for m = 2, d > 32 for m = 3) go to np.unique."""
+    if (m + 1) ** comp.shape[1] > 1 << 64:
+        return np.unique(comp, axis=0)
+    codes = np.zeros(comp.shape[0], dtype=np.uint64)
+    for column in comp.T:
+        codes = codes * np.uint64(m + 1) + ((column + m) // 2).astype(np.uint64)
+    return comp[np.unique(codes, return_index=True)[1]]
+
+
 def _compress_list(free_rows: np.ndarray, n: int, m: int) -> CompressedList:
     d = n // m
     comp = _expand(free_rows, n).reshape(-1, m, d).sum(axis=1, dtype=np.int8)
     if comp.shape[0] == 0:
         empty = np.empty((0, d))
         return CompressedList(comp, empty.astype(np.int32), empty[:, : d // 2 + 1].astype(np.float64))
-    rows = np.unique(comp, axis=0)
+    rows = _distinct_rows(comp, m)
     return CompressedList(rows, _paf_rows(rows), psd_halfspectrum(rows.astype(np.float64)))
 
 
@@ -177,13 +197,18 @@ class MatchedCompression:
     rows: np.ndarray
 
 
-def _key_layout(lists: tuple, target: np.ndarray) -> tuple:
-    """(offsets, [(column, word, shift)], words) that pack the h-column keys
-    of both join sides into uint64 words comparing like the int32 keys.
+def _packed_rows(lists: tuple, target: np.ndarray) -> tuple:
+    """The packed key parts of the four lists' rows: uint64 words, one column
+    per row, such that words_a[:, x] + words_b[:, y] is the packed key of an
+    A x B pair and words_c[:, x] + words_d[:, y] that of a C x D pair.  The
+    packed keys compare like the int32 keys (the first h PAF sums, or target
+    minus them).
 
     Offsets and widths cover each column's key range on both sides, from the
-    column ranges of the four PAF lists.  Column 0 takes the high bits of
-    word 0; a column that does not fit in what a word has left starts the next."""
+    column ranges of the four PAF lists.  Each side's offset is split over
+    its two lists so that both parts are nonnegative and their sum stays
+    inside the field.  Column 0 takes the high bits of word 0; a column that
+    does not fit in what a word has left starts the next."""
     cols = [lx.paf[:, :target.size] for lx in lists]
     lo_x, hi_x = [c.min(axis=0) for c in cols], [c.max(axis=0) for c in cols]
     lo = np.minimum(lo_x[0] + lo_x[1], target - hi_x[2] - hi_x[3])
@@ -197,24 +222,29 @@ def _key_layout(lists: tuple, target: np.ndarray) -> tuple:
             word, used = word + 1, 0
         used += width
         fields.append((j, word, np.uint64(64 - used)))
-    return lo, fields, word + 1
+    parts = (cols[0] - lo_x[0], cols[1] - (lo - lo_x[0]),
+             hi_x[2] - cols[2], (target - lo - hi_x[2]) - cols[3])
+    out = []
+    for part in parts:
+        words = np.zeros((word + 1, part.shape[0]), dtype=np.uint64)
+        for j, w, shift in fields:
+            words[w] |= part[:, j].astype(np.uint64) << shift
+        out.append(words)
+    return tuple(out)
 
 
-def _pack(keys: np.ndarray, layout) -> np.ndarray:
-    lo, fields, n_words = layout
-    words = np.zeros((n_words, keys.shape[0]), dtype=np.uint64)
-    for j, w, shift in fields:
-        words[w] |= (keys[:, j] - lo[j]).astype(np.uint64) << shift
-    return words
+def _pair_dtype(count_x: int, count_y: int):
+    """The narrowest integer type holding every pair index x * count_y + y."""
+    return np.int32 if count_x * count_y < 2**31 else np.int64
 
 
-def _pair_blocks(lx: CompressedList, ly: CompressedList, bound: float, layout,
-                 target: np.ndarray, negate: bool):
-    """Blocks (packed keys, pair index x * len(ly) + y) of the pairs of lx x ly
-    that pass the PSD bound, in row-major order, one block or more.  The key
-    is the pair's PAF sum, or target minus it when negate is set."""
-    h = target.size
+def _pair_blocks(lx: CompressedList, ly: CompressedList, wx: np.ndarray, wy: np.ndarray,
+                 bound: float):
+    """Blocks (key hashes, pair indices x * len(ly) + y) of the pairs of lx x ly
+    that pass the PSD bound, in row-major order, one block or more; wx and wy
+    are the packed key parts of the two lists."""
     count_y = len(ly)
+    dtype = _pair_dtype(len(lx), count_y)
     block = max(1, (1 << 18) // count_y)
     psd_y = ly.psd_half.T.copy()
     for lo in range(0, len(lx), block):
@@ -224,46 +254,50 @@ def _pair_blocks(lx: CompressedList, ly: CompressedList, bound: float, layout,
             ok &= lx.psd_half[lo:hi, j:j + 1] + psd_y[j] <= bound
         xi, yi = np.nonzero(ok)
         xi += lo
-        keys = lx.paf[xi, :h] + ly.paf[yi, :h]
-        if negate:
-            keys = target - keys
-        yield _pack(keys, layout), xi * count_y + yi
+        yield _key_hash(wx[:, xi] + wy[:, yi]), (xi * count_y + yi).astype(dtype)
 
 
 _HASH_MULT = np.uint64(0x9E3779B97F4A7C15)
-_FILTER_BITS = 22      # semi-join filter: at most 4 Mi hash buckets
-_PARTITION_BITS = 16   # over-budget runs: partitions of 64 Ki hash buckets
+# The filter and the partitions take disjoint bits of the 32-bit key hash, so
+# the records of one partition still spread over every filter bucket.
+_FILTER_BITS = 22      # semi-join filter: at most 4 Mi buckets, from the high bits
+_PARTITION_BITS = 10   # over-budget runs: 1 Ki buckets, from the low bits
 
 
-def _key_hash(words: np.ndarray, bits: int) -> np.ndarray:
-    """A bits-bit multiplicative hash of each packed key."""
+def _key_hash(words: np.ndarray) -> np.ndarray:
+    """A 32-bit multiplicative hash of each packed key; the final xor-shift
+    makes its low bits depend on every key bit."""
     hashed = np.zeros(words.shape[1], dtype=np.uint64)
     for w in words:
         hashed = (hashed ^ w) * _HASH_MULT
-    return (hashed >> np.uint64(64 - bits)).astype(np.intp)
+    hashed = (hashed ^ (hashed >> np.uint64(32))) * _HASH_MULT
+    return (hashed >> np.uint64(32)).astype(np.uint32)
 
 
-def _join(blocks) -> tuple:
+def _join(blocks, packed) -> tuple:
     """Every pair of an A x B record and a C x D record with equal keys.
 
-    ``blocks`` is a list of (side, packed keys, pair indices), at least one
+    ``blocks`` is a list of (side, key hashes, pair indices), at least one
     block, with side 0 (A x B) before side 1 (C x D); each block is popped
-    from it as its records are filtered.  Matches come in ascending key
-    order, A x B records outer and C x D records inner, each side in the
-    order given.  Returns the A x B and C x D pair indices and the packed key
-    of each match."""
+    from it as its records are filtered.  ``packed(side, pairs)`` rebuilds
+    the packed keys of the records that pass the filter, so equal keys are
+    decided on the keys themselves.  Matches come in ascending key order,
+    A x B records outer and C x D records inner, each side in the order
+    given.  Returns the A x B and C x D pair indices and the packed key of
+    each match."""
     # only records in a hash bucket that both sides use can match; 2-4 buckets a record
     bits = min(_FILTER_BITS, (2 * sum(p.size for _, _, p in blocks) + 1).bit_length())
+    shift = np.uint32(32 - bits)
     sides = np.zeros(1 << bits, dtype=np.uint8)
-    for side, words, _ in blocks:
-        sides[_key_hash(words, bits)] |= 1 << side
+    for side, hashes, _ in blocks:
+        sides[hashes >> shift] |= 1 << side
     kept, n_ab = [], 0
     while blocks:
-        side, words, pairs = blocks.pop(0)
-        keep = sides[_key_hash(words, bits)] == 3
-        kept.append((words[:, keep], pairs[keep]))
+        side, hashes, pairs = blocks.pop(0)
+        pairs = pairs[sides[hashes >> shift] == 3]
+        kept.append((packed(side, pairs), pairs))
         if side == 0:
-            n_ab += kept[-1][1].size
+            n_ab += pairs.size
     words = np.concatenate([w for w, _ in kept], axis=1)
     pairs = np.concatenate([p for _, p in kept])
     del kept
@@ -284,13 +318,14 @@ def _join(blocks) -> tuple:
     return pairs[order[ab]], pairs[order[first_cd + inner]], words[:, ab]
 
 
-def _partitioned_join(blocks, n_words: int, budget_bytes: int) -> tuple:
-    """_join of all the records of blocks(), in partitions of hash buckets of
-    the packed key that hold at most budget_bytes of records each.  Every
-    partition calls blocks() again and keeps its own records."""
-    bucket_bytes = 8 * (n_words + 1) * sum(
-        np.bincount(_key_hash(words, _PARTITION_BITS), minlength=1 << _PARTITION_BITS)
-        for _, words, _ in blocks())
+def _partitioned_join(blocks, packed, budget_bytes: int) -> tuple:
+    """_join of all the records of blocks(), in partitions of hash buckets
+    that hold at most budget_bytes of records each.  Every partition calls
+    blocks() again and keeps its own records."""
+    mask = np.uint32((1 << _PARTITION_BITS) - 1)
+    bucket_bytes = sum(
+        np.bincount(hashes & mask, minlength=1 << _PARTITION_BITS) * (hashes.itemsize + pairs.itemsize)
+        for _, hashes, pairs in blocks())
     if bucket_bytes.max() > budget_bytes:
         raise ValueError(f"matcher budget of {budget_bytes} bytes is below the {bucket_bytes.max()} "
                          "bytes of key records in one hash bucket")
@@ -305,10 +340,10 @@ def _partitioned_join(blocks, n_words: int, budget_bytes: int) -> tuple:
     joined = []
     for p in range(count):
         mine = []
-        for side, words, pairs in blocks():
-            keep = part[_key_hash(words, _PARTITION_BITS)] == p
-            mine.append((side, words[:, keep], pairs[keep]))
-        joined.append(_join(mine))
+        for side, hashes, pairs in blocks():
+            keep = part[hashes & mask] == p
+            mine.append((side, hashes[keep], pairs[keep]))
+        joined.append(_join(mine, packed))
     pair_ab, pair_cd, keys = (np.concatenate(arrays, axis=-1) for arrays in zip(*joined))
     order = np.lexsort(keys[::-1])  # stable: the matches of one key keep their order
     return pair_ab[order], pair_cd[order]
@@ -318,45 +353,55 @@ def match_compressions(lists: tuple, n: int, mod4_filter: bool = True,
                        budget_bytes: int = DEFAULT_BUDGET_BYTES) -> list:
     """All compressed quadruples (A', B', C', D') from the four lists whose
     PAF vectors sum exactly to [4n, 0, ..., 0]; pairs are pre-filtered by the
-    PSD bound and, for even n, matches are post-filtered by the mod-4 rowsum
-    invariant of 2-compressions.
+    PSD bound and, for even n, matches of 2-compressions are post-filtered by
+    the mod-4 rowsum invariant.
 
     Matches come in ascending key order, then A x B pair, then C x D pair,
     each a view into one read-only S x 4 x d int8 stack of rows.
-    ``budget_bytes`` bounds the key records (packed key plus an int64 pair
-    index per PSD-passing pair, both sides) held for one join.  Records over
-    it are joined in partitions of hash buckets of the packed key, each of
-    which generates all pairs again and keeps its own; a hash bucket larger
-    than the budget is a ValueError."""
+    ``budget_bytes`` bounds the key records held for one join: a 32-bit key
+    hash and a pair index (int32, or int64 when a side has 2^31 pairs or
+    more) per PSD-passing pair, both sides; the packed keys are rebuilt only
+    for the records the hash filter keeps.  Records over the budget are
+    joined in partitions of hash buckets, each of which generates all pairs
+    again and keeps its own; a hash bucket larger than the budget is a
+    ValueError."""
     la, lb, lc, ld = lists
     if not all(len(lx) for lx in lists):
         return []
     target = np.zeros(la.rows.shape[1] // 2 + 1, dtype=np.int32)  # PAF(s) = PAF(d - s)
     target[0] = 4 * n
-    layout = _key_layout(lists, target)
+    wa, wb, wc, wd = _packed_rows(lists, target)
+    sides = ((la, lb, wa, wb), (lc, ld, wc, wd))
     bound = psd_bound(n)
 
     def blocks():
-        for side, (lx, ly) in enumerate(((la, lb), (lc, ld))):
-            for words, pairs in _pair_blocks(lx, ly, bound, layout, target, negate=side == 1):
-                yield side, words, pairs
+        for side, (lx, ly, wx, wy) in enumerate(sides):
+            for hashes, pairs in _pair_blocks(lx, ly, wx, wy, bound):
+                yield side, hashes, pairs
+
+    def packed(side, pairs):
+        _, ly, wx, wy = sides[side]
+        xi, yi = np.divmod(pairs, len(ly))
+        return wx[:, xi] + wy[:, yi]
 
     held, held_bytes = [], 0
     for block in blocks():
         held_bytes += block[1].nbytes + block[2].nbytes
         if held_bytes > budget_bytes:
             held.clear()
-            pair_ab, pair_cd = _partitioned_join(blocks, layout[2], budget_bytes)
+            pair_ab, pair_cd = _partitioned_join(blocks, packed, budget_bytes)
             break
         held.append(block)
     else:
-        pair_ab, pair_cd, _ = _join(held)
+        pair_ab, pair_cd, _ = _join(held, packed)
 
     ia, ib = np.divmod(pair_ab, len(lb))
     ic, id_ = np.divmod(pair_cd, len(ld))
     if mod4_filter and n % 2 == 0:
-        # int8 sums of four 2-compressed entries lie in -8..8; & 3 is their residue mod 4
-        keep = ~np.any((la.rows[ia] + lb.rows[ib] + lc.rows[ic] + ld.rows[id_]) & 3, axis=1)
+        # entries of 2-compressions are -2, 0 or 2, so four of them sum to 0 mod 4
+        # exactly when an even number are nonzero: xor the packed nonzero masks
+        ma, mb, mc, md = (np.packbits(lx.rows != 0, axis=1) for lx in lists)
+        keep = ~np.any(ma[ia] ^ mb[ib] ^ mc[ic] ^ md[id_], axis=1)
         ia, ib, ic, id_ = ia[keep], ib[keep], ic[keep], id_[keep]
     stack = np.stack([la.rows[ia], lb.rows[ib], lc.rows[ic], ld.rows[id_]], axis=1)
     stack.setflags(write=False)

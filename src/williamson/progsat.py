@@ -16,7 +16,9 @@ fully assigned members whose PSD values sum beyond `seqcore.psd_bound`; when
 all four members pass, the trail is total and the model is recorded like any
 other.
 
-Literals are nonzero ints (DIMACS convention); variables are 1-based.
+Literals are nonzero ints (DIMACS convention); variables are 1-based.  The
+assignment and the watch lists are indexed by literal, a negative literal
+counting from the end of the list, so a literal's value is one lookup.
 """
 from __future__ import annotations
 
@@ -54,7 +56,8 @@ class CdclSolver:
 
     def __init__(self, num_vars: int, clauses, callback=None):
         self.num_vars = num_vars
-        self.values = [0] * (num_vars + 1)   # 0 unassigned, 1 true, -1 false
+        # indexed by literal (a negative one from the end): 0 unassigned, 1 true, -1 false
+        self.values = [0] * (2 * num_vars + 1)
         self.level = [0] * (num_vars + 1)
         self.reason = [None] * (num_vars + 1)
         self.saved = [False] * (num_vars + 1)
@@ -63,7 +66,7 @@ class CdclSolver:
         self.trail = []
         self.trail_lim = []
         self.qhead = 0
-        self.watches = [[] for _ in range(2 * num_vars + 2)]
+        self.watches = [[] for _ in range(2 * num_vars + 1)]  # by literal, like values
         self.stats = SolverStats()
         self.ok = True
 
@@ -85,13 +88,6 @@ class CdclSolver:
 
     # -- clause plumbing ---------------------------------------------------
 
-    def _widx(self, lit: int) -> int:
-        return 2 * lit if lit > 0 else -2 * lit + 1
-
-    def _lit_value(self, lit: int) -> int:
-        v = self.values[lit if lit > 0 else -lit]
-        return v if lit > 0 else -v
-
     def _add_input_clause(self, lits) -> bool:
         seen = set()
         clause = []
@@ -107,7 +103,7 @@ class CdclSolver:
             return False
         if len(clause) == 1:
             lit = clause[0]
-            val = self._lit_value(lit)
+            val = self.values[lit]
             if val == -1:
                 return False
             if val == 0:
@@ -117,8 +113,8 @@ class CdclSolver:
         return True
 
     def _watch(self, clause: list) -> None:
-        self.watches[self._widx(clause[0])].append(clause)
-        self.watches[self._widx(clause[1])].append(clause)
+        self.watches[clause[0]].append(clause)
+        self.watches[clause[1]].append(clause)
 
     # -- assignment --------------------------------------------------------
 
@@ -128,7 +124,8 @@ class CdclSolver:
 
     def _enqueue(self, lit: int, reason) -> None:
         v = lit if lit > 0 else -lit
-        self.values[v] = 1 if lit > 0 else -1
+        self.values[lit] = 1
+        self.values[-lit] = -1
         self.level[v] = self.decision_level
         self.reason[v] = reason
         self.trail.append(lit)
@@ -144,7 +141,7 @@ class CdclSolver:
             lit = self.trail[i]
             v = lit if lit > 0 else -lit
             self.saved[v] = lit > 0
-            self.values[v] = 0
+            self.values[lit] = self.values[-lit] = 0
             self.reason[v] = None
             bi = self.block_of[v]
             if bi >= 0:
@@ -166,12 +163,17 @@ class CdclSolver:
     def _propagate(self):
         values = self.values
         watches = self.watches
-        while self.qhead < len(self.trail):
-            lit = self.trail[self.qhead]
-            self.qhead += 1
-            self.stats.propagations += 1
+        trail = self.trail
+        level, reason = self.level, self.reason
+        block_of, block_remaining = self.block_of, self.block_remaining
+        current = len(self.trail_lim)
+        qhead = self.qhead
+        conflict = None
+        while qhead < len(trail):
+            lit = trail[qhead]
+            qhead += 1
             neg = -lit
-            wl = watches[self._widx(neg)]
+            wl = watches[neg]
             i = 0
             end = len(wl)
             while i < end:
@@ -179,17 +181,16 @@ class CdclSolver:
                 if clause[0] == neg:
                     clause[0], clause[1] = clause[1], clause[0]
                 first = clause[0]
-                fv = values[first] if first > 0 else -values[-first]
+                fv = values[first]
                 if fv == 1:
                     i += 1
                     continue
                 moved = False
                 for k in range(2, len(clause)):
                     other = clause[k]
-                    ov = values[other] if other > 0 else -values[-other]
-                    if ov != -1:
+                    if values[other] != -1:
                         clause[1], clause[k] = clause[k], clause[1]
-                        watches[self._widx(other)].append(clause)
+                        watches[other].append(clause)
                         wl[i] = wl[-1]
                         wl.pop()
                         end -= 1
@@ -198,10 +199,24 @@ class CdclSolver:
                 if moved:
                     continue
                 if fv == -1:
-                    return clause
-                self._enqueue(first, clause)
+                    conflict = clause
+                    break
+                # enqueue first, implied by clause
+                v = first if first > 0 else -first
+                values[first] = 1
+                values[-first] = -1
+                level[v] = current
+                reason[v] = clause
+                trail.append(first)
+                bi = block_of[v]
+                if bi >= 0:
+                    block_remaining[bi] -= 1
                 i += 1
-        return None
+            if conflict is not None:
+                break
+        self.stats.propagations += qhead - self.qhead
+        self.qhead = qhead
+        return conflict
 
     def _analyze(self, conflict) -> list:
         seen = [False] * (self.num_vars + 1)

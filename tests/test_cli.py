@@ -2,9 +2,13 @@ import hashlib
 import json
 import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import williamson
 from williamson import __version__, cli
 from williamson.cli import DomainError, RunConfig, main, run_enumeration, smallest_prime_divisor
 from williamson.equivalence import dedupe
@@ -78,6 +82,20 @@ class TestEnumerate:
         code, out, err = run_cli(capsys, "enumerate", "--order", "2")
         assert code == 0
         assert "inequivalent=1" in out
+
+    def test_python_dash_m(self, tmp_path):
+        # the package runs as a module, loading cli once: running williamson.cli
+        # that way printed a RuntimeWarning on every run
+        src = str(Path(williamson.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "williamson", "enumerate", "-n", "12",
+             "-o", str(tmp_path / "run")],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert "inequivalent=3" in proc.stdout
+        assert (tmp_path / "run" / "solutions.txt").exists()
 
     def test_outputs_written(self, tmp_path, capsys):
         out_dir = str(tmp_path / "run")

@@ -213,6 +213,28 @@ class TestBuildCompressionLists:
                     images = {compress(x, n // m) for x in sequences_of(cands.full(r), n)}
                     assert [tuple(row) for row in lx.rows.tolist()] == sorted(images)
 
+    @pytest.mark.parametrize("n", [9, 12, 18, 27, 28])
+    def test_distinct_rows_equal_unique(self, n):
+        # integer codes in base m+1 sort like the rows: np.unique(axis=0) is the reference
+        m = smallest_prime_divisor(n)
+        decs, cands = make_candidates(n)
+        for r in cands.rowsums():
+            for free in (cands.full(r), cands.a_role(r)):
+                comp = pipeline._expand(free, n).reshape(-1, m, n // m).sum(axis=1, dtype=np.int8)
+                rows = pipeline._distinct_rows(comp, m)
+                assert rows.dtype == np.int8
+                assert np.array_equal(rows, np.unique(comp, axis=0)), r
+                assert np.array_equal(pipeline._compress_list(free, n, m).rows, rows), r
+
+    @pytest.mark.parametrize("m, d", [(2, 40), (2, 41), (3, 32), (3, 33)])
+    def test_distinct_rows_at_the_code_width(self, m, d):
+        # 3^40 and 4^32 codes fit in uint64; one more column takes np.unique
+        rng = np.random.default_rng(d)
+        comp = (2 * rng.integers(0, m + 1, size=(500, d)) - m).astype(np.int8)
+        comp[250:] = comp[:250]
+        comp[:, 0] = np.where(rng.random(500) < 0.5, m, -m)
+        assert np.array_equal(pipeline._distinct_rows(comp, m), np.unique(comp, axis=0))
+
     def test_each_list_is_compressed_once(self):
         # one CompressedList per (rowsum, pruned) across decompositions and calls
         decs, cands = make_candidates(12)
@@ -283,9 +305,11 @@ class TestMatchCompressions:
         # hash partitions and must give the same list
         joins = []
 
-        def spy(blocks):
-            joins.append(sum(words.nbytes + pairs.nbytes for _, words, pairs in blocks))
-            return join(blocks)
+        def spy(blocks, packed):
+            # a record is a uint32 key hash and an int32 pair index at these orders
+            assert all(h.dtype == np.uint32 and p.dtype == np.int32 for _, h, p in blocks)
+            joins.append(sum(hashes.nbytes + pairs.nbytes for _, hashes, pairs in blocks))
+            return join(blocks, packed)
 
         join = pipeline._join
         monkeypatch.setattr(pipeline, "_join", spy)
@@ -326,9 +350,17 @@ class TestMatchCompressions:
         with pytest.raises(ValueError, match="hash bucket"):
             match_compressions(lists, 6, budget_bytes=1)
 
+    def test_pair_index_dtype(self):
+        # int32 while every index x * len(ly) + y fits; n=70 lists can pass 2^31 pairs
+        assert pipeline._pair_dtype(46340, 46340) is np.int32
+        assert pipeline._pair_dtype(1, 2**31 - 1) is np.int32
+        assert pipeline._pair_dtype(46341, 46341) is np.int64
+        assert pipeline._pair_dtype(2, 2**30) is np.int64
+
     def test_match_memory_at_n40(self):
-        # concatenating every key record before the semi-join, and the int64
-        # mod-4 sums over the unfiltered matches, peaked at 110-118 MiB here
+        # 24-byte records (two uint64 key words and an int64 pair index) held
+        # until the semi-join peaked at 57-61 MiB here, 110-118 MiB while every
+        # record was concatenated before it
         decs, cands = make_candidates(40)
         for dec in decs:
             lists = build_compression_lists(cands, dec, 2)
@@ -338,4 +370,4 @@ class TestMatchCompressions:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < 80 * 2**20, dec.values
+            assert peak < 45 * 2**20, dec.values
