@@ -9,7 +9,10 @@ are Williamson sequences of order 2n, where x is the perfect shuffle and B*
 is B rotated so that the shuffle stays symmetric (entry i of X* is
 x[(i + (n+1)/2) mod n], i.e. a cyclic shift by half the order).  Extraction
 inverts the construction: any Williamson sequence of order 2n (n odd)
-de-interleaves into eight symmetric sequences whose PAF values sum to zero.
+de-interleaves into eight symmetric sequences whose PAF values sum to zero,
+which `verify_williamson` checks exactly as it does for four.  The Hadamard
+matrix places the circulant matrices of A, B, C, D in the Williamson array;
+each circulant block is one index array (j - i) mod n applied to its first row.
 """
 from __future__ import annotations
 
@@ -17,25 +20,6 @@ import numpy as np
 
 from .equivalence import canonical_forms, distinct_forms
 from .seqcore import Quadruple, SymmetricSequence, _entries_of, verify_williamson
-
-
-class CirculantMatrix:
-    """n x n matrix with entry(i, j) = firstRow[(j - i) mod n]."""
-
-    __slots__ = ("first_row", "dimension")
-
-    def __init__(self, first_row):
-        self.first_row = tuple(_entries_of(first_row))
-        self.dimension = len(self.first_row)
-
-    def entry(self, i: int, j: int) -> int:
-        return self.first_row[(j - i) % self.dimension]
-
-    def to_array(self) -> np.ndarray:
-        n = self.dimension
-        row = np.asarray(self.first_row, dtype=np.int64)
-        idx = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
-        return row[idx]
 
 
 class HadamardMatrix:
@@ -91,11 +75,6 @@ class OctupleSequence:
 
     def __hash__(self):
         return hash(self.members)
-
-
-def verify_octuple(octuple) -> bool:
-    """Exact check that the eight PAF values sum to zero at shifts 1..n-1."""
-    return verify_williamson(octuple)
 
 
 def interleave(a, b) -> tuple:
@@ -175,7 +154,7 @@ def extract_eight_williamson(q: Quadruple) -> OctupleSequence:
         members.append(SymmetricSequence(evens))
         members.append(SymmetricSequence(unshift_half(odds)))
     octuple = OctupleSequence(members)
-    if not verify_octuple(octuple):
+    if not verify_williamson(octuple):
         raise AssertionError("extracted octuple fails the PAF identity")
     return octuple
 
@@ -198,10 +177,14 @@ def assemble_hadamard(q: Quadruple) -> HadamardMatrix:
         [ -B  A -D  C ]
         [ -C  D  A -B ]
         [ -D -C  B  A ]
+
+    where block X has entry (i, j) = x[(j - i) mod n].
     """
     if not verify_williamson(q):
         raise ValueError("input quadruple is not Williamson")
-    a, b, c, d = (CirculantMatrix(x).to_array() for x in q.members)
+    n = q.order
+    idx = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
+    a, b, c, d = np.array([x.entries for x in q.members], dtype=np.int64)[:, idx]
     h = np.block(
         [
             [a, b, c, d],

@@ -8,6 +8,10 @@ Five invertible operations generate the equivalence classes:
   E4  apply an automorphism i -> k*i of Z_n to all members at once
   E5  negate every second entry of all members    (even n only)
 
+Each operation is written once, as a move on a tuple of member entry tuples
+(`_e1` .. `_e5`).  `apply_equivalence` checks its arguments and applies one
+move; `expand_class` closes a quadruple under all of them.
+
 The canonical representative of a class is its lexicographic minimum, where
 +1 sorts before -1 and members are compared in order.  E4 and E5 map each
 member's {id, E2, E3, E2*E3} orbit to the image's, so the minimum is found by
@@ -20,7 +24,7 @@ matched compressions before the SAT stage.  `expand_class` is its reference.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -32,28 +36,6 @@ _CHUNK_BYTES = 1 << 17  # images of one canonical_rows block; keeps its temporar
 def units(n: int) -> list:
     """Multipliers of the phi(n) automorphisms of the cyclic group Z_n."""
     return [k for k in range(1, n + 1) if math.gcd(k, n) == 1]
-
-
-class Automorphism:
-    """Index map i -> k*i mod n with gcd(k, n) = 1; fixes index 0."""
-
-    __slots__ = ("k", "n", "_perm")
-
-    def __init__(self, k: int, n: int):
-        if math.gcd(k, n) != 1:
-            raise ValueError(f"k={k} is not coprime to n={n}")
-        self.k = k % n if n > 1 else 1
-        self.n = n
-        self._perm = tuple((k * i) % n for i in range(n))
-
-    @property
-    def index_map(self) -> tuple:
-        return self._perm
-
-    def apply(self, entries) -> tuple:
-        p = self._perm
-        e = tuple(entries)
-        return tuple(e[p[i]] for i in range(self.n))
 
 
 @lru_cache(maxsize=None)
@@ -74,47 +56,55 @@ def _group(n: int, length: int) -> tuple:
     return maps, signs, (n // 2) % length if n % 2 == 0 else 0
 
 
-def _negate(e: tuple) -> tuple:
-    return tuple(-v for v in e)
+def _e1(members: tuple, perm) -> tuple:
+    """E1: member i of the image is members[perm[i]]."""
+    return tuple(members[i] for i in perm)
 
 
-def _half_shift(e: tuple) -> tuple:
-    n = len(e)
-    h = n // 2
-    return tuple(e[(i + h) % n] for i in range(n))
+def _e2(members: tuple, i: int) -> tuple:
+    """E2: negate member i."""
+    return members[:i] + (tuple(-v for v in members[i]),) + members[i + 1:]
 
 
-def _alternate(e: tuple) -> tuple:
-    return tuple(v if i % 2 == 0 else -v for i, v in enumerate(e))
+def _e3(members: tuple, i: int) -> tuple:
+    """E3: shift member i cyclically by n/2."""
+    h = len(members[i]) // 2
+    return members[:i] + (members[i][h:] + members[i][:h],) + members[i + 1:]
+
+
+def _e4(members: tuple, k: int) -> tuple:
+    """E4: entry j of each member becomes entry k*j mod n."""
+    n = len(members[0])
+    return tuple(tuple(e[k * j % n] for j in range(n)) for e in members)
+
+
+def _e5(members: tuple) -> tuple:
+    """E5: negate every second entry of every member."""
+    return tuple(tuple(-v if j % 2 else v for j, v in enumerate(e)) for e in members)
 
 
 def apply_equivalence(q: Quadruple, op: str, *, perm=None, member=None, k=None) -> Quadruple:
     """Apply one equivalence operation; every operation is invertible."""
     n = q.order
-    members = [x.entries for x in q.members]
+    members = tuple(x.entries for x in q.members)
+    if op in ("E3", "E5") and n % 2 != 0:
+        raise ValueError(f"{op} requires even order")
     if op == "E1":
         if perm is None or sorted(perm) != [0, 1, 2, 3]:
             raise ValueError("E1 requires perm, a permutation of (0,1,2,3)")
-        members = [members[i] for i in perm]
-    elif op == "E2":
-        if member is None:
-            raise ValueError("E2 requires member index")
-        members[member] = _negate(members[member])
-    elif op == "E3":
-        if n % 2 != 0:
-            raise ValueError("E3 requires even order")
-        if member is None:
-            raise ValueError("E3 requires member index")
-        members[member] = _half_shift(members[member])
+        members = _e1(members, perm)
+    elif op in ("E2", "E3"):
+        if member not in range(4):
+            raise ValueError(f"{op} requires a member index in 0..3, got {member!r}")
+        members = (_e2 if op == "E2" else _e3)(members, member)
     elif op == "E4":
         if k is None:
             raise ValueError("E4 requires multiplier k")
-        sigma = Automorphism(k, n)
-        members = [sigma.apply(x) for x in members]
+        if math.gcd(k, n) != 1:
+            raise ValueError(f"k={k} is not coprime to n={n}")
+        members = _e4(members, k)
     elif op == "E5":
-        if n % 2 != 0:
-            raise ValueError("E5 requires even order")
-        members = [_alternate(x) for x in members]
+        members = _e5(members)
     else:
         raise ValueError(f"unknown operation {op!r}")
     return Quadruple(*(SymmetricSequence(x) for x in members))
@@ -181,28 +171,11 @@ def dedupe(qs) -> list:
 def expand_class(q: Quadruple) -> list:
     """Every quadruple equivalent to q (closure under E1-E5)."""
     n = q.order
-    even = n % 2 == 0
-    perms = [Automorphism(k, n).index_map for k in units(n)]
-
-    def neighbors(state):
-        out = []
-        for i in range(3):  # adjacent swaps generate all reorderings
-            s = list(state)
-            s[i], s[i + 1] = s[i + 1], s[i]
-            out.append(tuple(s))
-        for i in range(4):
-            s = list(state)
-            s[i] = _negate(s[i])
-            out.append(tuple(s))
-            if even:
-                s = list(state)
-                s[i] = _half_shift(s[i])
-                out.append(tuple(s))
-        for p in perms:
-            out.append(tuple(tuple(e[p[i]] for i in range(n)) for e in state))
-        if even:
-            out.append(tuple(_alternate(e) for e in state))
-        return out
+    swaps = ((1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2))  # adjacent swaps generate all reorderings
+    moves = [partial(_e1, perm=p) for p in swaps] + [partial(_e2, i=i) for i in range(4)]
+    moves += [partial(_e4, k=k) for k in units(n)]
+    if n % 2 == 0:
+        moves += [partial(_e3, i=i) for i in range(4)] + [_e5]
 
     start = tuple(x.entries for x in q.members)
     seen = {start}
@@ -210,7 +183,8 @@ def expand_class(q: Quadruple) -> list:
     while frontier:
         nxt = []
         for state in frontier:
-            for nb in neighbors(state):
+            for move in moves:
+                nb = move(state)
                 if nb not in seen:
                     seen.add(nb)
                     nxt.append(nb)

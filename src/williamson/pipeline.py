@@ -176,16 +176,16 @@ def _compress_list(free_rows: np.ndarray, n: int, m: int) -> CompressedList:
     return CompressedList(rows, _paf_rows(rows), psd_halfspectrum(rows.astype(np.float64)))
 
 
-def build_compression_lists(candidates: CandidateSet, decomposition, m: int,
-                            prune_a: bool = True) -> tuple:
-    """The A, B, C and D compressed lists of one decomposition."""
+def build_compression_lists(candidates: CandidateSet, decomposition, m: int) -> tuple:
+    """The A, B, C and D compressed lists of one decomposition; the A list
+    is orbit-pruned."""
     n = candidates.n
     if m not in (2, 3):
         raise ValueError("compression factor must be 2 or 3")
     if n % m != 0:
         raise ValueError(f"m={m} does not divide n={n}")
     ra, rb, rc, rd = decomposition.values
-    return (candidates.compressed(ra, m, prune_a), candidates.compressed(rb, m),
+    return (candidates.compressed(ra, m, prune=True), candidates.compressed(rb, m),
             candidates.compressed(rc, m), candidates.compressed(rd, m))
 
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from williamson.constructions import (
-    CirculantMatrix,
     HadamardMatrix,
     OctupleSequence,
     assemble_hadamard,
@@ -16,7 +15,6 @@ from williamson.constructions import (
     interleave,
     shift_half,
     unshift_half,
-    verify_octuple,
 )
 from williamson.equivalence import apply_equivalence, dedupe
 from williamson.oracle import brute_force_enumerate
@@ -135,7 +133,7 @@ class TestExtractEight:
         assert tuple(x.entries for x in octuple) == (
             (1,), (1,), (1,), (1,), (1,), (-1,), (1,), (-1,),
         )
-        assert verify_octuple(octuple)  # vacuous at order 1
+        assert verify_williamson(octuple)  # vacuous at order 1
 
     def test_rejects_wrong_shape(self):
         q = Quadruple([1], [1], [1], [1])
@@ -157,7 +155,7 @@ class TestExtractEight:
     def test_extraction_members_symmetric_and_octuple_verifies(self):
         for q in brute_force_enumerate(6)[:40]:
             octuple = extract_eight_williamson(q)
-            assert verify_octuple(octuple)
+            assert verify_williamson(octuple)
 
     def test_extraction_is_class_invariant(self):
         rng = np.random.default_rng(13)
@@ -183,11 +181,14 @@ class TestOctuple:
 
 class TestHadamard:
     def test_circulant_entries(self):
-        c = CirculantMatrix([1, -1, 1])
-        assert c.entry(1, 1) == 1
-        assert c.entry(1, 0) == c.first_row[2]
-        arr = c.to_array()
-        assert arr.tolist() == [[1, -1, 1], [1, 1, -1], [-1, 1, 1]]
+        n = 3
+        q = brute_force_enumerate(n)[0]
+        h = assemble_hadamard(q).entries
+        for col, x in enumerate(q.members):  # top block row: A B C D
+            a = x.entries
+            block = h[:n, col * n:(col + 1) * n]
+            assert block.tolist() == [[a[(j - i) % n] for j in range(n)] for i in range(n)]
+        assert len({x.entries for x in q.members}) > 1
 
     def test_order_one_quadruple_gives_4x4(self):
         h = assemble_hadamard(Quadruple([1], [1], [1], [1]))

@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from williamson.equivalence import (
-    Automorphism,
+    _group,
     apply_equivalence,
     canonical_form,
     dedupe,
@@ -44,6 +46,13 @@ class TestApplyEquivalence:
         with pytest.raises(ValueError):
             apply_equivalence(q, "E4", k=3)
 
+    @pytest.mark.parametrize("op", ["E2", "E3"])
+    @pytest.mark.parametrize("member", [-1, 4, None])
+    def test_member_index_out_of_range(self, op, member):
+        q = Quadruple([1, 1, -1, 1], [1, 1, 1, 1], [1, -1, 1, -1], [1, 1, 1, 1])
+        with pytest.raises(ValueError, match=op):
+            apply_equivalence(q, op, member=member)
+
     def test_all_ops_invertible(self):
         rng = np.random.default_rng(7)
         q = random_quadruple(rng, 8)
@@ -68,12 +77,11 @@ class TestAutomorphism:
     def test_count_is_phi(self):
         for n, phi in ((2, 1), (6, 2), (9, 6), (12, 4), (30, 8)):
             assert len(units(n)) == phi
-            maps = {Automorphism(k, n).index_map for k in units(n)}
-            assert len(maps) == phi
+            assert len(_group(n, n)[0]) == phi
 
     def test_fixes_zero(self):
-        for k in units(10):
-            assert Automorphism(k, 10).index_map[0] == 0
+        for n in (2, 6, 9, 10, 12, 30):
+            assert all(p[0] == 0 for p in _group(n, n)[0])
 
 
 class TestCanonicalForm:
@@ -151,3 +159,18 @@ class TestExpandClass:
         qs = brute_force_enumerate(2)
         orbit = set(expand_class(qs[0]))
         assert orbit == set(qs)  # n=2 has a single class
+
+    @pytest.mark.parametrize("n", [4, 6, 9])
+    def test_every_single_operation_stays_in_the_orbit(self, n):
+        # apply_equivalence and expand_class share the E1-E5 moves; check each
+        # operation with each of its arguments lands in the closure
+        q = random_quadruple(np.random.default_rng(n), n)
+        orbit = set(expand_class(q))
+        images = [apply_equivalence(q, "E1", perm=p) for p in itertools.permutations(range(4))]
+        images += [apply_equivalence(q, "E2", member=i) for i in range(4)]
+        images += [apply_equivalence(q, "E4", k=k) for k in units(n)]
+        if n % 2 == 0:
+            images += [apply_equivalence(q, "E3", member=i) for i in range(4)]
+            images.append(apply_equivalence(q, "E5"))
+        for image in images:
+            assert image in orbit

@@ -208,7 +208,7 @@ class TestBuildCompressionLists:
             m = smallest_prime_divisor(n)
             decs, cands = make_candidates(n)
             for dec in decs:
-                lists = build_compression_lists(cands, dec, m, prune_a=False)
+                lists = tuple(cands.compressed(r, m) for r in dec.values)
                 for lx, r in zip(lists, dec.values):
                     images = {compress(x, n // m) for x in sequences_of(cands.full(r), n)}
                     assert [tuple(row) for row in lx.rows.tolist()] == sorted(images)
@@ -290,7 +290,7 @@ class TestMatchCompressions:
         decs, cands = make_candidates(n)
         outputs = {}
         for dec in decs:
-            lists = build_compression_lists(cands, dec, m, prune_a=False)
+            lists = tuple(cands.compressed(r, m) for r in dec.values)
             outputs[dec.values] = {rows_of(mc) for mc in match_compressions(lists, n)}
         for q in brute_force_enumerate(n):
             members = normalize_to_decomposition(q)
