@@ -18,7 +18,7 @@ from .seqcore import (
     rowsum,
     verify_williamson,
 )
-from .diophantine import RowsumDecomposition, decompose_four_squares, sign_fix
+from .diophantine import decompose_four_squares, sign_fix
 from .equivalence import apply_equivalence, canonical_form, dedupe, expand_class
 from .constructions import (
     HadamardMatrix,
@@ -40,7 +40,6 @@ __all__ = [
     "psd",
     "rowsum",
     "verify_williamson",
-    "RowsumDecomposition",
     "decompose_four_squares",
     "sign_fix",
     "apply_equivalence",

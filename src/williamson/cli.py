@@ -174,7 +174,7 @@ def _load_checkpoint(path: str, header: dict) -> dict:
 
 
 def run_enumeration(cfg: RunConfig) -> EnumerationReport:
-    start = time.time()
+    start = time.perf_counter()
     n = cfg.n
     tasks, discarded = _generate_instances(cfg)
 
@@ -243,7 +243,7 @@ def run_enumeration(cfg: RunConfig) -> EnumerationReport:
 
     solutions.sort(key=lambda q: tuple(x.entries for x in q.members))
     canonical = equivalence.dedupe(solutions)
-    elapsed = time.time() - start
+    elapsed = time.perf_counter() - start
 
     report = EnumerationReport(
         n=n,
@@ -288,6 +288,14 @@ def _write_run_outputs(cfg: RunConfig, report: EnumerationReport, tasks) -> None
 # -- subcommands -------------------------------------------------------------
 
 
+def _read_quadruples(path) -> list:
+    """The quadruple blocks of the file at path, or of stdin when path is None."""
+    if path is None:
+        return seqcore.read_quadruples(sys.stdin)
+    with open(path) as f:
+        return seqcore.read_quadruples(f)
+
+
 def cmd_enumerate(args) -> int:
     cfg = RunConfig(
         n=args.order,
@@ -307,8 +315,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    with open(args.file) as f:
-        quadruples = seqcore.read_quadruples(f)
+    quadruples = _read_quadruples(args.file)
     if not quadruples:
         raise DomainError(f"{args.file} holds no quadruple blocks")
     ok = True
@@ -321,18 +328,12 @@ def cmd_verify(args) -> int:
 
 def cmd_decompose(args) -> int:
     for dec in decompose_four_squares(args.order):
-        print(" ".join(str(v) for v in dec.values))
+        print(" ".join(str(v) for v in dec))
     return 0
 
 
 def cmd_canonicalize(args) -> int:
-    stream = open(args.file) if args.file else sys.stdin
-    try:
-        quadruples = seqcore.read_quadruples(stream)
-    finally:
-        if args.file:
-            stream.close()
-    canon = [equivalence.canonical_form(q) for q in quadruples]
+    canon = [equivalence.canonical_form(q) for q in _read_quadruples(args.file)]
     seqcore.write_blocks(sys.stdout, (q.members for q in canon))
     return 0
 
@@ -348,25 +349,19 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_double(args) -> int:
-    with open(args.file) as f:
-        quadruples = seqcore.read_quadruples(f)
-    doubled = [constructions.double(q) for q in quadruples]
+    doubled = [constructions.double(q) for q in _read_quadruples(args.file)]
     seqcore.write_blocks(sys.stdout, (q.members for q in doubled))
     return 0
 
 
 def cmd_extract8(args) -> int:
-    with open(args.file) as f:
-        quadruples = seqcore.read_quadruples(f)
-    octs = [constructions.extract_eight_williamson(q) for q in quadruples]
+    octs = [constructions.extract_eight_williamson(q) for q in _read_quadruples(args.file)]
     seqcore.write_blocks(sys.stdout, (o.members for o in octs))
     return 0
 
 
 def cmd_hadamard(args) -> int:
-    with open(args.file) as f:
-        quadruples = seqcore.read_quadruples(f)
-    for i, q in enumerate(quadruples, start=1):
+    for i, q in enumerate(_read_quadruples(args.file), start=1):
         h = constructions.assemble_hadamard(q)
         print(f"block {i}\thadamard order {h.order}\tverified")
         if args.print_matrix:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .equivalence import canonical_forms, distinct_forms
+from .equivalence import distinct_forms
 from .seqcore import Quadruple, SymmetricSequence, _entries_of, verify_williamson
 
 
@@ -157,13 +157,6 @@ def extract_eight_williamson(q: Quadruple) -> OctupleSequence:
     if not verify_williamson(octuple):
         raise AssertionError("extracted octuple fails the PAF identity")
     return octuple
-
-
-def canonical_octuple(octuple) -> OctupleSequence:
-    """Canonical representative of an octuple under reorder, negation and
-    automorphisms (the shift and alternating-negation operations do not apply
-    since the order is odd)."""
-    return OctupleSequence(canonical_forms([octuple])[0].tolist())
 
 
 def dedupe_octuples(octuples) -> list:

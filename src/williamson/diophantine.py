@@ -5,27 +5,12 @@ Up to reordering and negation of members it suffices to consider one
 normalized tuple per solution: for even n the rowsums are taken nonnegative
 and sorted; for odd n each rowsum sign is fixed by r = n (mod 4), which also
 forces the first entry of every member to +1, and tuples are sorted by
-absolute value.
+absolute value.  A decomposition is a plain 4-tuple of ints (ra, rb, rc, rd),
+the rowsums of A, B, C and D.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True, order=True)
-class RowsumDecomposition:
-    ra: int
-    rb: int
-    rc: int
-    rd: int
-
-    @property
-    def values(self) -> tuple:
-        return (self.ra, self.rb, self.rc, self.rd)
-
-    def __iter__(self):
-        return iter(self.values)
 
 
 def sign_fix(r: int, n: int) -> int:
@@ -39,7 +24,8 @@ def sign_fix(r: int, n: int) -> int:
 
 
 def decompose_four_squares(n: int) -> list:
-    """All normalized decompositions ra^2+rb^2+rc^2+rd^2 = 4n.
+    """All normalized decompositions ra^2+rb^2+rc^2+rd^2 = 4n, as 4-tuples
+    sorted by their absolute values.
 
     Nested loop over the three smallest values with a perfect-square test on
     the remainder; trivially fast for the orders handled here.
@@ -68,8 +54,8 @@ def decompose_four_squares(n: int) -> list:
                 if d * d != rest or (d - parity) % 2 != 0:
                     continue
                 if parity:
-                    out.append(RowsumDecomposition(*(sign_fix(v, n) for v in (a, b, c, d))))
+                    out.append(tuple(sign_fix(v, n) for v in (a, b, c, d)))
                 else:
-                    out.append(RowsumDecomposition(a, b, c, d))
-    out.sort(key=lambda t: tuple(abs(v) for v in t.values))
+                    out.append((a, b, c, d))
+    out.sort(key=lambda t: tuple(abs(v) for v in t))
     return out

@@ -5,9 +5,11 @@ sequence of order n, keeping the free entries of those whose rowsum occurs in
 some rowsum decomposition and whose PSD never exceeds `seqcore.psd_bound`.  It
 scans the codes in blocks, computes each row's rowsum from its free entries
 and expands and PSD-tests only the rows of a wanted rowsum, so it holds one
-block and the survivors, never all 2^(n//2+1) sequences.  Step 3 compresses
-the survivors by the smallest prime factor m, per rowsum, and keeps the
-distinct compressions in ascending order.  Step 4 finds all compressed
+block and the survivors, never all 2^(n//2+1) sequences.  Its
+`CandidateSet` holds them as `lists`, a plain dict from rowsum to rows; the
+A role alone takes an orbit-pruned view (`a_role`).  Step 3 compresses the
+survivors by the smallest prime factor m, per rowsum, and keeps the distinct
+compressions in ascending order.  Step 4 finds all compressed
 quadruples with
 
     PAF(A') + PAF(B') = [4n, 0, ..., 0] - (PAF(C') + PAF(D'))
@@ -60,12 +62,12 @@ def _free_codes(free_rows: np.ndarray) -> np.ndarray:
 
 
 class CandidateSet:
-    """Candidates keyed by rowsum, each an int8 array of free-entry rows,
-    with an orbit-pruned view for the A role: of each index-automorphism
-    orbit only the member with minimal code is kept (the B, C, D lists must
-    stay complete, since their representatives have to match whichever A
-    representative was kept).  Compressed lists are made once per (rowsum,
-    pruned, factor)."""
+    """Candidates keyed by rowsum: `lists` maps each rowsum to an int8 array
+    of free-entry rows.  The A role takes an orbit-pruned view: of each
+    index-automorphism orbit only the member with minimal code is kept (the
+    B, C, D lists must stay complete, since their representatives have to
+    match whichever A representative was kept).  Compressed lists are made
+    once per (rowsum, pruned, factor)."""
 
     def __init__(self, n: int, lists: dict, examined: int):
         self.n = n
@@ -73,35 +75,25 @@ class CandidateSet:
         self.examined = examined
         self._compressed: dict = {}
 
-    def rowsums(self) -> list:
-        return sorted(self.lists)
-
-    def full(self, rowsum: int) -> np.ndarray:
-        return self.lists[rowsum]
-
-    def a_role(self, rowsum: int, prune: bool = True) -> np.ndarray:
+    def a_role(self, rowsum: int) -> np.ndarray:
+        """The rows of the rowsum list whose code is minimal in their orbit."""
         free = self.lists[rowsum]
-        return self._prune_orbits(free) if prune else free
+        n = self.n
+        fold = np.array(fold_indices(n))
+        codes = _free_codes(free)
+        best = codes.copy()
+        for k in units(n)[1:]:  # units(n)[0] == 1, the identity
+            perm = fold[(k * np.arange(n // 2 + 1)) % n]
+            np.minimum(best, _free_codes(free[:, perm]), out=best)
+        return free[codes == best]
 
     def compressed(self, rowsum: int, m: int, prune: bool = False) -> CompressedList:
         """The m-compressions of the rowsum list, orbit-pruned when prune."""
         key = (rowsum, prune, m)
         if key not in self._compressed:
-            self._compressed[key] = _compress_list(self.a_role(rowsum, prune), self.n, m)
+            free = self.a_role(rowsum) if prune else self.lists[rowsum]
+            self._compressed[key] = _compress_list(free, self.n, m)
         return self._compressed[key]
-
-    def _prune_orbits(self, free: np.ndarray) -> np.ndarray:
-        n = self.n
-        if free.shape[0] == 0:
-            return free
-        f = n // 2 + 1
-        fold = np.array(fold_indices(n))
-        codes = _free_codes(free)
-        best = codes.copy()
-        for k in units(n)[1:]:  # units(n)[0] == 1, the identity
-            perm = fold[(k * np.arange(f)) % n]
-            np.minimum(best, _free_codes(free[:, perm]), out=best)
-        return free[codes == best]
 
 
 def generate_candidates(n: int, decompositions) -> CandidateSet:
@@ -113,7 +105,7 @@ def generate_candidates(n: int, decompositions) -> CandidateSet:
     are kept."""
     if not decompositions:
         return CandidateSet(n, {}, 0)
-    wanted = sorted({r for dec in decompositions for r in dec.values})
+    wanted = sorted({r for dec in decompositions for r in dec})
     weights = np.bincount(fold_indices(n)).astype(np.int32)  # multiplicity of each free entry
     bound = psd_bound(n)
     count = 1 << (n // 2 + 1)
@@ -169,9 +161,6 @@ def _distinct_rows(comp: np.ndarray, m: int) -> np.ndarray:
 def _compress_list(free_rows: np.ndarray, n: int, m: int) -> CompressedList:
     d = n // m
     comp = _expand(free_rows, n).reshape(-1, m, d).sum(axis=1, dtype=np.int8)
-    if comp.shape[0] == 0:
-        empty = np.empty((0, d))
-        return CompressedList(comp, empty.astype(np.int32), empty[:, : d // 2 + 1].astype(np.float64))
     rows = _distinct_rows(comp, m)
     return CompressedList(rows, _paf_rows(rows), psd_halfspectrum(rows.astype(np.float64)))
 
@@ -184,7 +173,7 @@ def build_compression_lists(candidates: CandidateSet, decomposition, m: int) -> 
         raise ValueError("compression factor must be 2 or 3")
     if n % m != 0:
         raise ValueError(f"m={m} does not divide n={n}")
-    ra, rb, rc, rd = decomposition.values
+    ra, rb, rc, rd = decomposition
     return (candidates.compressed(ra, m, prune=True), candidates.compressed(rb, m),
             candidates.compressed(rc, m), candidates.compressed(rd, m))
 

@@ -4,7 +4,9 @@ Boolean variables stand for the free entries of the four sequences (true is
 +1, false is -1), numbered role-major: A's entries, then B, C, D.  Symmetry
 keeps only the entries x[0..n//2]; any index beyond n/2 folds to n-i.  Each
 compressed entry constrains its two (m=2) or three (m=3) source entries with
-one of seven clause patterns covering the values -m..m.
+one of seven clause patterns covering the values -m..m.  The numbering
+depends on n alone, so `encode_product_theorem(n)`, whose clauses force
+a_k b_k c_k d_k = -1 for odd n, builds its own `VariableMap(n)`.
 
 Instances whose compressed quadruples are related by an equivalence
 transformation have equivalent solution sets; they are deduplicated before
@@ -111,13 +113,13 @@ def encode_uncompression(rows, n: int) -> SatInstance:
     return SatInstance(vm.num_vars, [list(c) for c in clauses], vm)
 
 
-def encode_product_theorem(n: int, var_map: VariableMap = None) -> list:
+def encode_product_theorem(n: int) -> list:
     """Clauses forcing a_k b_k c_k d_k = -1 for k = 1..(n-1)/2 (odd n, first
     entries fixed to +1 by the rowsum sign convention): the 8 width-4 clauses
     per k that each forbid one even-negation sign pattern."""
     if n % 2 == 0:
         raise ValueError("the product constraint applies to odd orders")
-    vm = var_map or VariableMap(n)
+    vm = VariableMap(n)
     clauses = []
     for k in range(1, (n - 1) // 2 + 1):
         vs = [vm.var(role, k) for role in range(4)]
@@ -134,7 +136,7 @@ def build_instance(rows, n: int) -> SatInstance:
     then the product clauses when n is odd."""
     inst = encode_uncompression(rows, n)
     if n % 2 == 1:
-        inst.clauses.extend(list(c) for c in encode_product_theorem(n, inst.var_map))
+        inst.clauses.extend(list(c) for c in encode_product_theorem(n))
     return inst
 
 

@@ -225,7 +225,7 @@ def test_criterion_8_solver_validation():
             inst = encode_uncompression(rows, n)
             clauses = list(inst.clauses)
             if n % 2 == 1:
-                clauses.extend(encode_product_theorem(n, inst.var_map))
+                clauses.extend(encode_product_theorem(n))
             with_cb = _solve_instance_models(inst, clauses, WilliamsonCallback(inst.var_map, n))
             without = _solve_instance_models(inst, clauses, None)
             if with_cb != without:

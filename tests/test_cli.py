@@ -125,7 +125,7 @@ class TestEnumerate:
             dumped = (out_dir / "instances" / f"{iid}.cnf").read_text()
             expected = build_instance(rows, 9)
             assert dumped == export_dimacs(expected)
-            product = [" ".join(map(str, c)) + " 0" for c in encode_product_theorem(9, expected.var_map)]
+            product = [" ".join(map(str, c)) + " 0" for c in encode_product_theorem(9)]
             assert dumped.splitlines()[-len(product):] == product
 
     def test_determinism(self, tmp_path):
@@ -293,6 +293,12 @@ class TestEnumerate:
         assert report.total("solutions") > 0
         assert report.solutions == [] and report.inequivalent_count == 0
 
+    def test_elapsed_ignores_wall_clock_steps(self, monkeypatch):
+        # a wall clock stepped back by a second on every read must not reach the timing
+        clock = iter(range(10**6, 0, -1))
+        monkeypatch.setattr(cli.time, "time", lambda: float(next(clock)))
+        assert run_enumeration(RunConfig(n=6)).elapsed >= 0
+
     def test_parallel_workers_match_serial(self, tmp_path):
         serial = run_enumeration(RunConfig(n=12, workers=1))
         parallel = run_enumeration(RunConfig(n=12, workers=2))
@@ -368,6 +374,21 @@ class TestOtherCommands:
         path2.write_text(first)
         code, second, err = run_cli(capsys, "canonicalize", str(path2))
         assert second == first
+
+    def test_canonicalize_reads_stdin(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "qs.txt"
+        path.write_text("\n\n".join(format_block(q.members) for q in brute_force_enumerate(4)) + "\n")
+        code, from_file, err = run_cli(capsys, "canonicalize", str(path))
+        assert code == 0 and from_file
+        with open(path) as f:
+            monkeypatch.setattr(sys, "stdin", f)
+            code, from_stdin, err = run_cli(capsys, "canonicalize")
+        assert code == 0 and from_stdin == from_file
+
+    @pytest.mark.parametrize("command", ["verify", "canonicalize", "double", "extract8", "hadamard"])
+    def test_missing_file_exit_code(self, tmp_path, capsys, command):
+        code, out, err = run_cli(capsys, command, str(tmp_path / "missing.txt"))
+        assert code == 1 and err.startswith("error:")
 
     def test_oracle_matches_enumerate(self, capsys):
         code, out, err = run_cli(capsys, "oracle", "--order", "3")

@@ -7,7 +7,6 @@ from williamson.constructions import (
     HadamardMatrix,
     OctupleSequence,
     assemble_hadamard,
-    canonical_octuple,
     dedupe_octuples,
     deinterleave,
     double,
@@ -16,7 +15,7 @@ from williamson.constructions import (
     shift_half,
     unshift_half,
 )
-from williamson.equivalence import apply_equivalence, dedupe
+from williamson.equivalence import apply_equivalence, canonical_forms, dedupe
 from williamson.oracle import brute_force_enumerate
 from williamson.seqcore import Quadruple, paf, verify_williamson
 from helpers import class_key, random_op
@@ -160,11 +159,11 @@ class TestExtractEight:
     def test_extraction_is_class_invariant(self):
         rng = np.random.default_rng(13)
         base = brute_force_enumerate(6)[0]
-        key = canonical_octuple(extract_eight_williamson(base)).members
+        key = canonical_forms([extract_eight_williamson(base)])[0].tobytes()
         q = base
         for _ in range(8):
             q = random_op(rng, q)
-            assert canonical_octuple(extract_eight_williamson(q)).members == key
+            assert canonical_forms([extract_eight_williamson(q)])[0].tobytes() == key
 
 
 class TestOctuple:

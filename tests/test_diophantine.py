@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from williamson.diophantine import RowsumDecomposition, decompose_four_squares, sign_fix
+from williamson.diophantine import decompose_four_squares, sign_fix
 from williamson.oracle import brute_force_enumerate
 from williamson.seqcore import rowsum
 
@@ -27,21 +27,20 @@ def brute_force_decompositions(n):
 
 
 def test_n2():
-    assert [d.values for d in decompose_four_squares(2)] == [(0, 0, 2, 2)]
+    assert decompose_four_squares(2) == [(0, 0, 2, 2)]
 
 
 def test_n6():
-    assert [d.values for d in decompose_four_squares(6)] == [(0, 2, 2, 4)]
+    assert decompose_four_squares(6) == [(0, 2, 2, 4)]
 
 
 def test_n3_signs_fixed():
-    assert [d.values for d in decompose_four_squares(3)] == [(-1, -1, -1, 3)]
+    assert decompose_four_squares(3) == [(-1, -1, -1, 3)]
 
 
 def test_invariants_hold():
     for n in range(1, 40):
-        for dec in decompose_four_squares(n):
-            vals = dec.values
+        for vals in decompose_four_squares(n):
             assert sum(v * v for v in vals) == 4 * n
             assert all((v - n) % 2 == 0 for v in vals)
             if n % 2 == 0:
@@ -54,7 +53,7 @@ def test_invariants_hold():
 
 def test_deterministic_order():
     for n in (9, 18, 30):
-        decs = [d.values for d in decompose_four_squares(n)]
+        decs = decompose_four_squares(n)
         keys = [tuple(abs(v) for v in t) for t in decs]
         assert keys == sorted(keys)
         assert len(set(decs)) == len(decs)
@@ -62,7 +61,7 @@ def test_deterministic_order():
 
 def test_completeness_against_brute_force():
     for n in range(1, 71):
-        got = {d.values for d in decompose_four_squares(n)}
+        got = set(decompose_four_squares(n))
         assert got == brute_force_decompositions(n), f"n={n}"
 
 
@@ -101,7 +100,7 @@ class TestSignFix:
 def test_oracle_rowsums_present():
     # every Williamson quadruple's normalized rowsum tuple is in the list
     for n in (2, 3, 4, 6):
-        table = {d.values for d in decompose_four_squares(n)}
+        table = set(decompose_four_squares(n))
         for q in brute_force_enumerate(n):
             rs = [rowsum(x) for x in q.members]
             if n % 2 == 0:
@@ -111,7 +110,8 @@ def test_oracle_rowsums_present():
             assert norm in table
 
 
-def test_ordering_dataclass():
-    a = RowsumDecomposition(0, 0, 2, 2)
-    assert a.values == (0, 0, 2, 2)
-    assert list(a) == [0, 0, 2, 2]
+def test_decompositions_are_int_4_tuples():
+    for n in (2, 3, 27, 28):
+        for dec in decompose_four_squares(n):
+            assert type(dec) is tuple and len(dec) == 4
+            assert all(type(v) is int for v in dec)

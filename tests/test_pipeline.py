@@ -92,13 +92,13 @@ def reference_join(lists, n):
 class TestGenerateCandidates:
     def test_n2_classes(self):
         decs, cands = make_candidates(2)
-        assert free_set(cands.full(0)) == {(1, -1), (-1, 1)}
-        assert free_set(cands.full(2)) == {(1, 1)}
+        assert free_set(cands.lists[0]) == {(1, -1), (-1, 1)}
+        assert free_set(cands.lists[2]) == {(1, 1)}
 
     def test_boundary_psd_kept(self):
         decs, cands = make_candidates(4)
         # the all-ones sequence peaks exactly at 4n and must survive
-        assert (1, 1, 1) in free_set(cands.full(4))
+        assert (1, 1, 1) in free_set(cands.lists[4])
 
     def test_examined_count(self):
         for n in (2, 5, 9, 12):
@@ -116,13 +116,13 @@ class TestGenerateCandidates:
         full = free[:, [i if i <= n // 2 else n - i for i in range(n)]]
         keep = psd_halfspectrum(full.astype(float)).max(axis=1) <= psd_bound(n)
         rowsums = full.sum(axis=1)
-        expected = {r: free[keep & (rowsums == r)] for dec in decs for r in dec.values}
+        expected = {r: free[keep & (rowsums == r)] for dec in decs for r in dec}
         monkeypatch.setattr(pipeline, "_PSD_CHUNK_ROWS", 5)
         cands = generate_candidates(n, decs)
         assert cands.examined == free.shape[0]
         assert cands.lists.keys() == expected.keys()
         for r, rows in expected.items():
-            got = cands.full(r)
+            got = cands.lists[r]
             assert got.dtype == rows.dtype == np.int8
             assert got.shape == rows.shape
             assert np.array_equal(got, rows)
@@ -140,9 +140,9 @@ class TestGenerateCandidates:
 
     def test_members_have_stated_rowsum_and_survive_filter(self):
         decs, cands = make_candidates(9)
-        for r in cands.rowsums():
-            assert cands.full(r).dtype == np.int8
-            for s in sequences_of(cands.full(r), 9):
+        for r in sorted(cands.lists):
+            assert cands.lists[r].dtype == np.int8
+            for s in sequences_of(cands.lists[r], 9):
                 assert rowsum(s) == r
                 assert psd(s).max() <= psd_bound(9)
 
@@ -150,7 +150,7 @@ class TestGenerateCandidates:
         # every surviving symmetric sequence appears; nothing else does
         n = 6
         decs, cands = make_candidates(n)
-        wanted = {r for dec in decs for r in dec.values}
+        wanted = {r for dec in decs for r in dec}
         from itertools import product
 
         expected = {}
@@ -160,13 +160,13 @@ class TestGenerateCandidates:
             if r in wanted and psd(s).max() <= psd_bound(n):
                 expected.setdefault(r, set()).add(s.free)
         for r in wanted:
-            assert free_set(cands.full(r)) == expected.get(r, set())
+            assert free_set(cands.lists[r]) == expected.get(r, set())
 
     def test_a_role_pruning_keeps_orbit_representatives(self):
         n = 9
         decs, cands = make_candidates(n)
-        r = decs[0].values[0]
-        full = free_set(cands.full(r))
+        r = decs[0][0]
+        full = free_set(cands.lists[r])
         pruned = free_set(cands.a_role(r))
         assert pruned <= full
         # every full member has some automorphism image among the pruned
@@ -208,9 +208,9 @@ class TestBuildCompressionLists:
             m = smallest_prime_divisor(n)
             decs, cands = make_candidates(n)
             for dec in decs:
-                lists = tuple(cands.compressed(r, m) for r in dec.values)
-                for lx, r in zip(lists, dec.values):
-                    images = {compress(x, n // m) for x in sequences_of(cands.full(r), n)}
+                lists = tuple(cands.compressed(r, m) for r in dec)
+                for lx, r in zip(lists, dec):
+                    images = {compress(x, n // m) for x in sequences_of(cands.lists[r], n)}
                     assert [tuple(row) for row in lx.rows.tolist()] == sorted(images)
 
     @pytest.mark.parametrize("n", [9, 12, 18, 27, 28])
@@ -218,8 +218,8 @@ class TestBuildCompressionLists:
         # integer codes in base m+1 sort like the rows: np.unique(axis=0) is the reference
         m = smallest_prime_divisor(n)
         decs, cands = make_candidates(n)
-        for r in cands.rowsums():
-            for free in (cands.full(r), cands.a_role(r)):
+        for r in sorted(cands.lists):
+            for free in (cands.lists[r], cands.a_role(r)):
                 comp = pipeline._expand(free, n).reshape(-1, m, n // m).sum(axis=1, dtype=np.int8)
                 rows = pipeline._distinct_rows(comp, m)
                 assert rows.dtype == np.int8
@@ -240,7 +240,7 @@ class TestBuildCompressionLists:
         decs, cands = make_candidates(12)
         seen = {}
         for dec in decs * 2:
-            for role, (lx, r) in enumerate(zip(build_compression_lists(cands, dec, 2), dec.values)):
+            for role, (lx, r) in enumerate(zip(build_compression_lists(cands, dec, 2), dec)):
                 assert seen.setdefault((r, role == 0), lx) is lx
         assert len(seen) < 4 * len(decs)
 
@@ -290,8 +290,8 @@ class TestMatchCompressions:
         decs, cands = make_candidates(n)
         outputs = {}
         for dec in decs:
-            lists = tuple(cands.compressed(r, m) for r in dec.values)
-            outputs[dec.values] = {rows_of(mc) for mc in match_compressions(lists, n)}
+            lists = tuple(cands.compressed(r, m) for r in dec)
+            outputs[dec] = {rows_of(mc) for mc in match_compressions(lists, n)}
         for q in brute_force_enumerate(n):
             members = normalize_to_decomposition(q)
             key = tuple(rowsum(x) for x in members)
@@ -318,7 +318,7 @@ class TestMatchCompressions:
             lists = build_compression_lists(cands, dec, smallest_prime_divisor(n))
             expected = reference_join(lists, n)
             joins.clear()
-            assert [rows_of(mc) for mc in match_compressions(lists, n)] == expected, dec.values
+            assert [rows_of(mc) for mc in match_compressions(lists, n)] == expected, dec
             assert len(joins) == 1
             records = joins[0]
             budget = records // 3
@@ -330,7 +330,7 @@ class TestMatchCompressions:
                 except ValueError as e:
                     assert "hash bucket" in str(e)
                     budget += budget // 4 + 1
-            assert [rows_of(mc) for mc in matched] == expected, (dec.values, budget)
+            assert [rows_of(mc) for mc in matched] == expected, (dec, budget)
             assert len(joins) >= 2 and budget < records
             assert max(joins) <= budget
 
@@ -370,4 +370,4 @@ class TestMatchCompressions:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < 45 * 2**20, dec.values
+            assert peak < 45 * 2**20, dec

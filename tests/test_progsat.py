@@ -163,7 +163,7 @@ class TestLearnMinimalPsdClause:
         cb = WilliamsonCallback(vm, n)
         decs = decompose_four_squares(n)
         cands = generate_candidates(n, decs)
-        passing = np.concatenate([cands.full(r) for r in cands.rowsums()])
+        passing = np.concatenate([cands.lists[r] for r in sorted(cands.lists)])
         rng = np.random.default_rng(n)
         outcomes = set()
         for trial in range(300):
@@ -246,7 +246,7 @@ def test_callback_equals_post_filter(n):
         inst = encode_uncompression(rows, n)
         clauses = list(inst.clauses)
         if n % 2 == 1:
-            clauses.extend(encode_product_theorem(n, inst.var_map))
+            clauses.extend(encode_product_theorem(n))
         plain = CdclSolver(inst.num_vars, clauses).solve_all()
         plain_quads = {q for q in map(inst.var_map.decode, plain) if verify_williamson(q)}
         cb = WilliamsonCallback(inst.var_map, n)

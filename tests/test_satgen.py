@@ -155,7 +155,7 @@ class TestProductTheorem:
     def test_product_minus_one_satisfies_all(self):
         n = 3
         vm = VariableMap(n)
-        clauses = encode_product_theorem(n, vm)
+        clauses = encode_product_theorem(n)
         ks = [vm.var(role, 1) for role in range(4)]
         for signs in product((1, -1), repeat=4):
             values = dict(zip(ks, signs))
@@ -177,7 +177,7 @@ class TestBuildInstance:
         rows = [[1, 1, 1], [-1, 1, 1], [3, -1, -1], [-3, 1, 1]]
         inst = build_instance(rows, 9)
         base = encode_uncompression(rows, 9).clauses
-        product_clauses = [list(c) for c in encode_product_theorem(9, inst.var_map)]
+        product_clauses = [list(c) for c in encode_product_theorem(9)]
         assert inst.clauses == base + product_clauses
 
 
