@@ -9,12 +9,16 @@ the current partial assignment, or None.  Every clause added during search (a
 blocking clause) is stored and asserted by one routine, ``_add_clause``.  It
 backjumps: when one literal has the deepest level, to the next deepest level,
 where it asserts that literal; otherwise to one level below the deepest,
-asserting nothing.  Only propagation conflicts are analysed, bump activities
-and count in ``conflicts``.  Clauses are kept only in the watch lists; there
-is no registry of them.  The Williamson callback rejects a minimal subset of
-fully assigned members whose PSD values sum beyond `seqcore.psd_bound`; when
-all four members pass, the trail is total and the model is recorded like any
-other.
+asserting nothing.  Only propagation conflicts are analysed and count in
+``conflicts``.  Clauses are kept only in the watch lists; there is no
+registry of them.  There is no restart and one fixed decision rule: the
+lowest unassigned variable, given its saved phase (the value it last held,
+false at first).  `satgen.VariableMap` numbers variables role-major, so the
+decisions complete one member after another, and each completed member is a
+block the callback can check.  The Williamson callback rejects a minimal
+subset of fully assigned members whose PSD values sum beyond
+`seqcore.psd_bound`; when all four members pass, the trail is total and the
+model is recorded like any other.
 
 Literals are nonzero ints (DIMACS convention); variables are 1-based.  The
 assignment and the watch lists are indexed by literal, a negative literal
@@ -35,24 +39,12 @@ class SolverStats:
     conflicts: int = 0
     propagations: int = 0
     callback_clauses: int = 0
-    restarts: int = 0
-
-
-def _luby(i: int) -> int:
-    # Luby restart sequence: 1 1 2 1 1 2 4 1 1 2 ... (i is 0-based)
-    j = i + 1
-    while True:
-        k = j.bit_length()
-        if j == (1 << k) - 1:
-            return 1 << (k - 1)
-        j -= (1 << (k - 1)) - 1
 
 
 class CdclSolver:
-    """CDCL with watched literals, VSIDS-style activities, phase saving,
-    Luby restarts, all-solutions enumeration and a programmatic callback."""
-
-    RESTART_BASE = 128
+    """CDCL with watched literals, a fixed decision order (the lowest
+    unassigned variable, given its saved phase), no restart, all-solutions
+    enumeration and a programmatic callback."""
 
     def __init__(self, num_vars: int, clauses, callback=None):
         self.num_vars = num_vars
@@ -61,8 +53,6 @@ class CdclSolver:
         self.level = [0] * (num_vars + 1)
         self.reason = [None] * (num_vars + 1)
         self.saved = [False] * (num_vars + 1)
-        self.activity = [0.0] * (num_vars + 1)
-        self.var_inc = 1.0
         self.trail = []
         self.trail_lim = []
         self.qhead = 0
@@ -151,13 +141,6 @@ class CdclSolver:
         del self.trail_lim[target_level:]
         self.qhead = len(self.trail)
 
-    def _bump(self, v: int) -> None:
-        self.activity[v] += self.var_inc
-        if self.activity[v] > 1e100:
-            for i in range(1, self.num_vars + 1):
-                self.activity[i] *= 1e-100
-            self.var_inc *= 1e-100
-
     # -- search ------------------------------------------------------------
 
     def _propagate(self):
@@ -233,7 +216,6 @@ class CdclSolver:
                 v = q if q > 0 else -q
                 if not seen[v] and self.level[v] > 0:
                     seen[v] = True
-                    self._bump(v)
                     if self.level[v] >= current:
                         counter += 1
                     else:
@@ -252,18 +234,11 @@ class CdclSolver:
         return [-p] + learned
 
     def _decide(self) -> None:
-        best_v = 0
-        best_a = -1.0
-        values = self.values
-        activity = self.activity
-        for v in range(1, self.num_vars + 1):
-            if values[v] == 0 and activity[v] > best_a:
-                best_a = activity[v]
-                best_v = v
+        # the lowest unassigned variable: values[1..num_vars] are the positive literals
+        v = self.values.index(0, 1)
         self.stats.decisions += 1
         self.trail_lim.append(len(self.trail))
-        lit = best_v if self.saved[best_v] else -best_v
-        self._enqueue(lit, None)
+        self._enqueue(v if self.saved[v] else -v, None)
 
     def _add_clause(self, lits) -> bool:
         """Add a clause that is falsified by the current assignment, backtrack
@@ -271,8 +246,8 @@ class CdclSolver:
         exhausted (the clause is falsified at level 0)."""
         clause = list(dict.fromkeys(lits))
         levels = [self.level[abs(l)] for l in clause]
-        max_level = max(levels)
-        if max_level == 0:
+        max_level = max(levels, default=0)
+        if max_level == 0:  # also the empty clause, e.g. blocking a model of no variables
             return False
         deepest = [i for i, lv in enumerate(levels) if lv == max_level]
         if len(clause) == 1:
@@ -308,19 +283,14 @@ class CdclSolver:
             return models
         callback = self.callback
         n_blocks = len(self.block_remaining)
-        restarts_enabled = True
-        conflict_budget = self.RESTART_BASE * _luby(0)
-        conflicts_here = 0
 
         while True:
             conflict = self._propagate()
             if conflict is not None:
                 self.stats.conflicts += 1
-                conflicts_here += 1
                 if self.decision_level == 0:
                     return models
                 self._add_clause(self._analyze(conflict))
-                self.var_inc *= 1.052
                 continue
 
             if callback is not None and n_blocks:
@@ -341,16 +311,8 @@ class CdclSolver:
                 # total model with no callback objection
                 model = self._current_model()
                 models.append(model)
-                restarts_enabled = False
                 if not self._add_clause([-lit for lit in model]):
                     return models
-                continue
-
-            if restarts_enabled and conflicts_here >= conflict_budget:
-                self.stats.restarts += 1
-                conflicts_here = 0
-                conflict_budget = self.RESTART_BASE * _luby(self.stats.restarts)
-                self._backjump(0)
                 continue
 
             self._decide()

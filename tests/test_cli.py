@@ -261,12 +261,13 @@ class TestEnumerate:
         assert (len(got), len(log)) == (tasks, discarded)
         assert hashlib.sha1(json.dumps([got, log]).encode()).hexdigest()[:16] == digest
 
-    # run_enumeration totals at the seed commit; a solver change that moves
-    # the search on purpose updates these and says so
+    # run_enumeration totals under the fixed decision rule (lowest unassigned
+    # variable, saved phase, no restarts); a solver change that moves the
+    # search on purpose updates these and says so
     @pytest.mark.parametrize("n,totals", [
-        (9, (54, 29, 315, 12, 15, 15)),
-        (12, (492, 268, 2109, 92, 128, 128)),
-        (18, (3808, 2057, 15865, 1092, 584, 584)),
+        (9, (55, 30, 332, 12, 15, 15)),
+        (12, (452, 235, 2007, 92, 128, 128)),
+        (18, (3557, 1877, 15615, 1093, 584, 584)),
     ])
     def test_search_counters_pinned(self, n, totals):
         report = run_enumeration(RunConfig(n=n))
@@ -275,7 +276,7 @@ class TestEnumerate:
     # the same totals with the callback off: models are then filtered by
     # exact verification after the search, so solutions exceed verified
     @pytest.mark.parametrize("n,totals", [
-        (9, (65, 35, 424, 0, 33, 15)),
+        (9, (65, 35, 418, 0, 33, 15)),
         (12, (1530, 765, 5343, 0, 768, 128)),
     ])
     def test_search_counters_pinned_without_callback(self, n, totals):

@@ -53,6 +53,10 @@ class TestSolveAllBasics:
     def test_empty_clause_unsat(self):
         assert models_of(SatInstance(2, [[1], []])) == set()
 
+    def test_zero_variables_one_empty_model(self):
+        # the empty model's blocking clause is empty, which ends the search
+        assert CdclSolver(0, []).solve_all() == [()]
+
     def test_no_clauses_full_space(self):
         assert len(models_of(SatInstance(3, []))) == 8
 
@@ -263,6 +267,32 @@ def test_callback_agrees_with_uncompression_oracle():
         cb = WilliamsonCallback(inst.var_map, n)
         found = set(map(inst.var_map.decode, solve(inst, cb)))
         assert found == set(brute_force_uncompress(rows, n))
+
+
+class LowestFirstSolver(CdclSolver):
+    """Checks each decision against the fixed rule: the lowest unassigned
+    variable, given the phase it last held (false at first)."""
+
+    checked = 0
+
+    def _decide(self):
+        v = next(v for v in range(1, self.num_vars + 1) if self.values[v] == 0)
+        expected = v if self.saved[v] else -v
+        super()._decide()
+        assert self.trail[-1] == expected and self.level[v] == self.decision_level
+        self.checked += 1
+
+
+def test_decisions_take_lowest_unassigned_variable():
+    n = 18
+    decisions = 0
+    for iid, rows in _pipeline_instances(n):
+        inst = build_instance(rows, n)
+        solver = LowestFirstSolver(inst.num_vars, inst.clauses, WilliamsonCallback(inst.var_map, n))
+        solver.solve_all()
+        assert solver.checked == solver.stats.decisions, iid
+        decisions += solver.stats.decisions
+    assert decisions > 1000
 
 
 @pytest.mark.parametrize("n", [6, 9, 12])
