@@ -2,10 +2,11 @@
 
 The enumerate command runs the full pipeline for one order n divisible by 2
 or 3: rowsum decompositions, PSD-filtered candidates, compression lists,
-pair-sum matching, instance deduplication, and SAT uncompression with the
-programmatic PSD callback.  One SAT instance is one task in a worker pool;
-results are checkpointed per instance so a killed run can resume.  All found
-quadruples are verified exactly before counting.
+pair-sum matching, instance deduplication, and SAT uncompression, always with
+the programmatic PSD callback.  One SAT instance is one task in a worker pool;
+results are checkpointed per instance so a killed run can resume.  Every found
+quadruple is verified exactly before counting, and one that fails aborts the
+run.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from . import __version__, constructions, equivalence, oracle, satgen, seqcore
 from .diophantine import decompose_four_squares
 from .pipeline import DEFAULT_BUDGET_BYTES, build_compression_lists, generate_candidates, match_compressions
 from .progsat import CdclSolver, WilliamsonCallback
-from .seqcore import EPSILON_DEFAULT, Quadruple, SymmetricSequence, verify_williamson
+from .seqcore import Quadruple, SymmetricSequence, verify_williamson
 
 
 class DomainError(Exception):
@@ -41,7 +42,6 @@ class RunConfig:
     workers: int = 1
     out_dir: str = None
     matcher_budget_bytes: int = DEFAULT_BUDGET_BYTES
-    programmatic_callback: bool = True
     dump_cnf: bool = False
 
     def __post_init__(self):
@@ -83,10 +83,9 @@ def _instance_id(rows) -> str:
 
 
 def _solve_task(args):
-    instance_id, rows, n, use_callback = args
+    instance_id, rows, n = args
     inst = satgen.build_instance(rows, n)
-    callback = WilliamsonCallback(inst.var_map, n) if use_callback else None
-    solver = CdclSolver(inst.num_vars, inst.clauses, callback)
+    solver = CdclSolver(inst.num_vars, inst.clauses, WilliamsonCallback(inst.var_map, n))
     models = solver.solve_all()
     solutions = [[list(x.free) for x in inst.var_map.decode(model)] for model in models]
     stats = {k: len(models) if k == "solutions" else getattr(solver.stats, k) for k in COUNTERS}
@@ -116,14 +115,15 @@ def _generate_instances(cfg: RunConfig):
 def _load_checkpoint(path: str, header: dict) -> dict:
     """Instance id -> (solutions, stats) from checkpoint.jsonl.
 
-    The first record is the header the file was started with; it must equal
-    ``header``.  A run killed mid-write leaves a torn last line (no newline,
-    or no JSON): it is dropped, and the file truncated to the end of the last
-    complete record so the next record starts a line of its own.  An
-    unreadable line before the last is an error, and so is a complete line
-    that is not a record: JSON other than an object with a string ``id``,
-    ``solutions`` each of four rows of n//2+1 entries ±1, and ``stats``
-    holding the `COUNTERS` as ints (a header object on line 1).
+    The first record is the header the file was started with, n and the
+    package version; it must equal ``header``.  A run killed mid-write leaves
+    a torn last line (no newline, or no JSON): it is dropped, and the file
+    truncated to the end of the last complete record so the next record
+    starts a line of its own.  An unreadable line before the last is an
+    error, and so is a complete line that is not a record: JSON other than an
+    object with a string ``id``, ``solutions`` each of four rows of n//2+1
+    entries ±1, and ``stats`` holding the `COUNTERS` as ints (a header object
+    on line 1).
     """
     free = header["n"] // 2 + 1
 
@@ -163,7 +163,7 @@ def _load_checkpoint(path: str, header: dict) -> dict:
                 old = rec.get("header") if isinstance(rec, dict) else None
                 if not isinstance(old, dict):
                     raise DomainError(f"{path}: line {lineno} holds no header record "
-                                      "(n, epsilon, callback, version); it cannot be resumed")
+                                      "(n, version); it cannot be resumed")
                 for key, value in header.items():
                     if old.get(key) != value:
                         raise DomainError(f"{path} was written with {key}={old.get(key)!r}; "
@@ -181,8 +181,8 @@ def run_enumeration(cfg: RunConfig) -> EnumerationReport:
     out_dir = cfg.out_dir
     checkpoint_path = None
     done = {}
-    # the settings the results depend on: a resume must have the same
-    header = {"n": n, "epsilon": EPSILON_DEFAULT, "callback": cfg.programmatic_callback, "version": __version__}
+    # what the results depend on: a resume must have the same
+    header = {"n": n, "version": __version__}
     if out_dir:
         checkpoint_path = os.path.join(out_dir, "checkpoint.jsonl")
         if os.path.exists(checkpoint_path):
@@ -191,7 +191,7 @@ def run_enumeration(cfg: RunConfig) -> EnumerationReport:
             for discarded_id, kept_id in discarded:
                 f.write(f"{discarded_id}\tkept={kept_id}\n")
 
-    pending = [(iid, rows, n, cfg.programmatic_callback) for iid, rows in tasks if iid not in done]
+    pending = [(iid, rows, n) for iid, rows in tasks if iid not in done]
     ckpt = open(checkpoint_path, "a") if checkpoint_path else None
     if ckpt and ckpt.tell() == 0:
         ckpt.write(json.dumps({"header": header}) + "\n")
@@ -222,24 +222,20 @@ def run_enumeration(cfg: RunConfig) -> EnumerationReport:
     # within 2 eps of its target; as eps = EPSILON_DEFAULT < 1/2 these integers
     # hit it exactly and a model that fails the exact check is a defect, not a
     # filter hit.
-    strict = cfg.programmatic_callback
     solutions = []
     instance_stats = []
     for iid, rows in tasks:
         sols, stats = done[iid]
         stats = dict(stats)
         stats["id"] = iid
-        verified = []
         for free_rows in sols:
             q = Quadruple(*(SymmetricSequence.from_free(n, fr) for fr in free_rows))
-            if verify_williamson(q):
-                verified.append(q)
-            elif strict:
+            if not verify_williamson(q):
                 raise RuntimeError(f"instance {iid}: the solver returned a model "
                                    "that is not a Williamson quadruple")
-        stats["verified"] = len(verified)
+            solutions.append(q)
+        stats["verified"] = len(sols)
         instance_stats.append(stats)
-        solutions.extend(verified)
 
     solutions.sort(key=lambda q: tuple(x.entries for x in q.members))
     canonical = equivalence.dedupe(solutions)
@@ -302,7 +298,6 @@ def cmd_enumerate(args) -> int:
         workers=args.workers,
         out_dir=args.out,
         matcher_budget_bytes=args.budget_bytes,
-        programmatic_callback=not args.no_callback,
         dump_cnf=args.dump_cnf,
     )
     report = run_enumeration(cfg)
@@ -410,7 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget-bytes", type=int, default=DEFAULT_BUDGET_BYTES,
                    help="bytes of key records the matcher holds for one join; more are joined "
                         "in hash partitions, each generating the pairs again")
-    p.add_argument("--no-callback", action="store_true", help="disable the programmatic PSD callback")
     p.add_argument("--dump-cnf", action="store_true", help="write instances/*.cnf DIMACS dumps")
     p.set_defaults(func=cmd_enumerate)
 

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .seqcore import Quadruple, SymmetricSequence, verify_williamson
+from .seqcore import Quadruple, SymmetricSequence
 
 MAX_ORDER = 12
-_PRODUCT_BUDGET = 1 << 24
 
 
 def _check_budget(n: int) -> None:
@@ -72,8 +71,8 @@ def _enumerate_index_tuples(n: int):
 
 
 def brute_force_uncompress(mc, n: int) -> list:
-    """All symmetric quadruples whose m-compression equals mc and which are
-    Williamson.  mc is four rows of compressed entries (illegal entries give [])."""
+    """The Williamson quadruples of order n whose m-compressions equal the
+    four rows of mc (rows with illegal entries give [])."""
     _check_budget(n)
     targets = [tuple(int(v) for v in row) for row in mc]
     d = len(targets[0])
@@ -84,27 +83,8 @@ def brute_force_uncompress(mc, n: int) -> list:
     if any(len(t) != d or any(v not in legal for v in t) for t in targets):
         return []
 
-    rows = all_symmetric_sequences(n)
-    per_member = []
-    for t in targets:
-        matches = []
-        for r in rows:
-            if all(int(sum(r[j + k * d] for k in range(m))) == t[j] for j in range(d)):
-                matches.append(tuple(int(v) for v in r))
-        per_member.append(matches)
+    def compressed(x) -> tuple:
+        e = x.entries
+        return tuple(sum(e[j + k * d] for k in range(m)) for j in range(d))
 
-    total = 1
-    for matches in per_member:
-        total *= max(len(matches), 1)
-    if total > _PRODUCT_BUDGET:
-        raise ValueError("uncompression product beyond the brute-force budget")
-
-    out = []
-    for a in per_member[0]:
-        for b in per_member[1]:
-            for c in per_member[2]:
-                for dd in per_member[3]:
-                    q = Quadruple(a, b, c, dd)
-                    if verify_williamson(q):
-                        out.append(q)
-    return out
+    return [q for q in brute_force_enumerate(n) if [compressed(x) for x in q.members] == targets]

@@ -1,13 +1,34 @@
 """Shared test helpers."""
 import numpy as np
 
+from williamson.cli import COUNTERS, RunConfig, _generate_instances
 from williamson.equivalence import apply_equivalence, canonical_forms, units
-from williamson.seqcore import Quadruple, SymmetricSequence
+from williamson.progsat import CdclSolver
+from williamson.satgen import build_instance
+from williamson.seqcore import Quadruple, SymmetricSequence, verify_williamson
 
 
 def class_key(q):
     """Order and canonical-form bytes of q: equal exactly for equivalent quadruples."""
     return (q.order, canonical_forms([q])[0].tobytes())
+
+
+def solve_without_callback(n):
+    """CNF-only solving of every instance the driver keeps at order n: the
+    solver counters summed over the instances (the driver's `COUNTERS` plus
+    ``verified``), and the models that pass the exact check."""
+    totals = dict.fromkeys(COUNTERS + ("verified",), 0)
+    verified = []
+    tasks, _ = _generate_instances(RunConfig(n=n))
+    for _, rows in tasks:
+        inst = build_instance(rows, n)
+        solver = CdclSolver(inst.num_vars, inst.clauses)
+        models = [inst.var_map.decode(model) for model in solver.solve_all()]
+        for k in COUNTERS:
+            totals[k] += len(models) if k == "solutions" else getattr(solver.stats, k)
+        verified.extend(q for q in models if verify_williamson(q))
+    totals["verified"] = len(verified)
+    return totals, verified
 
 
 def random_pm1(rng, n):

@@ -22,7 +22,7 @@ from williamson.progsat import CdclSolver, WilliamsonCallback
 from williamson.satgen import SatInstance, encode_product_theorem, encode_uncompression
 from williamson.seqcore import read_quadruples, verify_williamson
 
-from helpers import class_key
+from helpers import class_key, solve_without_callback
 
 WORKERS = min(4, os.cpu_count() or 1)
 BUDGET_SCALE = 4 / WORKERS
@@ -43,13 +43,10 @@ ORDER63 = """\
 _cache = {}
 
 
-def enumerate_order(n, callback=True):
-    key = (n, callback)
-    if key not in _cache:
-        _cache[key] = run_enumeration(
-            RunConfig(n=n, workers=WORKERS, programmatic_callback=callback)
-        )
-    return _cache[key]
+def enumerate_order(n):
+    if n not in _cache:
+        _cache[n] = run_enumeration(RunConfig(n=n, workers=WORKERS))
+    return _cache[n]
 
 
 def report(num, ok, detail):
@@ -240,11 +237,11 @@ def test_criterion_9_programmatic_speedup():
     results = {}
     ok = True
     for n in (18, 24):
-        on = enumerate_order(n, callback=True)
-        off = enumerate_order(n, callback=False)
-        con, coff = on.total("conflicts"), off.total("conflicts")
+        on = enumerate_order(n)
+        off, off_quadruples = solve_without_callback(n)
+        con, coff = on.total("conflicts"), off["conflicts"]
         results[n] = (con, coff)
         ok = ok and con < coff
-        ok = ok and {class_key(q) for q in on.canonical} == {class_key(q) for q in off.canonical}
+        ok = ok and {class_key(q) for q in on.canonical} == {class_key(q) for q in off_quadruples}
     report(9, ok, "total solver conflicts with callback strictly lower: "
                   + ", ".join(f"n={n}: {a} < {b}" for n, (a, b) in results.items()))

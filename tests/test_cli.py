@@ -14,9 +14,9 @@ from williamson.cli import DomainError, RunConfig, main, run_enumeration, smalle
 from williamson.equivalence import dedupe
 from williamson.oracle import brute_force_enumerate
 from williamson.satgen import build_instance, encode_product_theorem, export_dimacs
-from williamson.seqcore import EPSILON_DEFAULT, format_block, read_quadruples
+from williamson.seqcore import format_block, read_quadruples
 
-from helpers import class_key
+from helpers import class_key, solve_without_callback
 
 
 def run_cli(capsys, *argv):
@@ -42,6 +42,13 @@ class TestRunConfig:
             main(["enumerate", "-n", "6", "--epsilon", "0.1"])
         assert exit_info.value.code == 2
         assert "--epsilon" in capsys.readouterr().err
+
+    def test_no_callback_is_no_option(self, capsys):
+        # the driver always solves with the PSD callback
+        with pytest.raises(SystemExit) as exit_info:
+            main(["enumerate", "-n", "6", "--no-callback"])
+        assert exit_info.value.code == 2
+        assert "--no-callback" in capsys.readouterr().err
 
     def test_dump_cnf_needs_out_dir(self, capsys):
         with pytest.raises(DomainError, match="--out"):
@@ -161,29 +168,24 @@ class TestEnumerate:
             ids = [json.loads(line)["id"] for line in records]
             assert sorted(ids) == sorted(s["id"] for s in first.instance_stats)
 
-    @pytest.mark.parametrize("field,change", [
-        ("epsilon", {}),  # no option sets it: the checkpoint's header line is edited
-        ("callback", {"programmatic_callback": False}),
-    ])
-    def test_resume_rejects_another_config(self, tmp_path, field, change):
-        out_dir = tmp_path / "run"
-        run_enumeration(RunConfig(n=9, out_dir=str(out_dir)))
-        written = "True"
-        if field == "epsilon":
-            ckpt = out_dir / "checkpoint.jsonl"
-            header, rest = ckpt.read_text().split("\n", 1)
-            assert f'"epsilon": {EPSILON_DEFAULT},' in header
-            ckpt.write_text(header.replace(f'"epsilon": {EPSILON_DEFAULT},', '"epsilon": 0.02,') + "\n" + rest)
-            written = "0.02"
-        with pytest.raises(DomainError, match=f"written with {field}={written}"):
-            run_enumeration(RunConfig(n=9, out_dir=str(out_dir), **change))
-
     def test_resume_rejects_another_version(self, tmp_path, monkeypatch):
         out_dir = str(tmp_path / "run")
         run_enumeration(RunConfig(n=6, out_dir=out_dir))
         monkeypatch.setattr(cli, "__version__", "0.0.0")
         with pytest.raises(DomainError, match="written with version="):
             run_enumeration(RunConfig(n=6, out_dir=out_dir))
+
+    def test_resume_rejects_version_0_2_0_checkpoint(self, tmp_path):
+        # the 0.2.0 header also held epsilon and the callback setting
+        out_dir = tmp_path / "run"
+        run_enumeration(RunConfig(n=9, out_dir=str(out_dir)))
+        ckpt = out_dir / "checkpoint.jsonl"
+        rest = ckpt.read_text().split("\n", 1)[1]
+        for callback in (True, False):
+            old = {"n": 9, "epsilon": 0.01, "callback": callback, "version": "0.2.0"}
+            ckpt.write_text(json.dumps({"header": old}) + "\n" + rest)
+            with pytest.raises(DomainError, match="written with version='0.2.0'"):
+                run_enumeration(RunConfig(n=9, out_dir=str(out_dir)))
 
     def test_resume_rejects_checkpoint_without_header(self, tmp_path):
         out_dir = str(tmp_path / "run")
@@ -273,26 +275,21 @@ class TestEnumerate:
         report = run_enumeration(RunConfig(n=n))
         assert tuple(report.total(k) for k in PINNED_TOTALS) == totals
 
-    # the same totals with the callback off: models are then filtered by
-    # exact verification after the search, so solutions exceed verified
+    # the same totals with the callback off, solving the driver's instances
+    # through the library: models are then filtered by exact verification
+    # after the search, so solutions exceed verified
     @pytest.mark.parametrize("n,totals", [
         (9, (65, 35, 418, 0, 33, 15)),
         (12, (1530, 765, 5343, 0, 768, 128)),
     ])
     def test_search_counters_pinned_without_callback(self, n, totals):
-        report = run_enumeration(RunConfig(n=n, programmatic_callback=False))
-        assert tuple(report.total(k) for k in PINNED_TOTALS) == totals
+        got, _ = solve_without_callback(n)
+        assert tuple(got[k] for k in PINNED_TOTALS) == totals
 
     def test_unverified_model_with_callback_raises(self, monkeypatch):
         monkeypatch.setattr(cli, "verify_williamson", lambda q: False)
         with pytest.raises(RuntimeError, match=r"instance [0-9a-f]{16}"):
             run_enumeration(RunConfig(n=9))
-
-    def test_unverified_model_without_callback_is_filtered(self, monkeypatch):
-        monkeypatch.setattr(cli, "verify_williamson", lambda q: False)
-        report = run_enumeration(RunConfig(n=9, programmatic_callback=False))
-        assert report.total("solutions") > 0
-        assert report.solutions == [] and report.inequivalent_count == 0
 
     def test_elapsed_ignores_wall_clock_steps(self, monkeypatch):
         # a wall clock stepped back by a second on every read must not reach the timing
@@ -432,21 +429,19 @@ class TestOtherCommands:
         assert len(rows) == 8
 
     def test_stats_command(self, tmp_path, capsys):
-        for callback in (True, False):
-            out_dir = str(tmp_path / f"run-{callback}")
-            report = run_enumeration(RunConfig(n=9, out_dir=out_dir, programmatic_callback=callback))
-            code, out, err = run_cli(capsys, "stats", out_dir)
-            assert code == 0
-            assert out.startswith("n\tseconds") and "total_conflicts=" in out
-            totals = dict(f.split("=") for f in out.splitlines()[-1].split("\t"))
-            with open(os.path.join(out_dir, "stats.tsv")) as f:
-                header = f.readline().rstrip("\n").split("\t")
-                rows = [dict(zip(header, line.rstrip("\n").split("\t"))) for line in f]
-            rejected = sum(int(r["solutions"]) - int(r["verified"]) for r in rows)
-            assert int(totals["total_propagations"]) == report.total("propagations") > 0
-            assert int(totals["total_rejected"]) == rejected
-            assert rejected == report.total("solutions") - len(report.solutions)
-            assert (rejected > 0) == (not callback)
+        out_dir = str(tmp_path / "run")
+        report = run_enumeration(RunConfig(n=9, out_dir=out_dir))
+        code, out, err = run_cli(capsys, "stats", out_dir)
+        assert code == 0
+        assert out.startswith("n\tseconds") and "total_conflicts=" in out
+        totals = dict(f.split("=") for f in out.splitlines()[-1].split("\t"))
+        with open(os.path.join(out_dir, "stats.tsv")) as f:
+            header = f.readline().rstrip("\n").split("\t")
+            rows = [dict(zip(header, line.rstrip("\n").split("\t"))) for line in f]
+        rejected = sum(int(r["solutions"]) - int(r["verified"]) for r in rows)
+        assert int(totals["total_propagations"]) == report.total("propagations") > 0
+        assert int(totals["total_rejected"]) == rejected == 0
+        assert report.total("solutions") == len(report.solutions) > 0
 
     def test_stats_without_verified_column(self, tmp_path, capsys):
         out_dir = tmp_path / "run"
@@ -479,8 +474,7 @@ class TestOtherCommands:
         run_enumeration(RunConfig(n=6, out_dir=out_dir))
         with open(os.path.join(out_dir, "checkpoint.jsonl")) as f:
             header, *records = [json.loads(line) for line in f]
-        assert header == {"header": {"n": 6, "epsilon": EPSILON_DEFAULT, "callback": True,
-                                     "version": __version__}}
+        assert header == {"header": {"n": 6, "version": __version__}}
         assert records
         for rec in records:
             assert set(rec) == {"id", "solutions", "stats"}
