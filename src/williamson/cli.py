@@ -234,7 +234,6 @@ def run_enumeration(cfg: RunConfig) -> EnumerationReport:
                 raise RuntimeError(f"instance {iid}: the solver returned a model "
                                    "that is not a Williamson quadruple")
             solutions.append(q)
-        stats["verified"] = len(sols)
         instance_stats.append(stats)
 
     solutions.sort(key=lambda q: tuple(x.entries for x in q.members))
@@ -269,10 +268,9 @@ def _write_run_outputs(cfg: RunConfig, report: EnumerationReport, tasks) -> None
             f"{len(report.solutions)}\t{report.inequivalent_count}\n"
         )
     with open(os.path.join(out_dir, "stats.tsv"), "w") as f:
-        columns = COUNTERS + ("verified",)
-        f.write("\t".join(("instance",) + columns) + "\n")
+        f.write("\t".join(("instance",) + COUNTERS) + "\n")
         for s in report.instance_stats:
-            f.write("\t".join([s["id"]] + [str(s[k]) for k in columns]) + "\n")
+            f.write("\t".join([s["id"]] + [str(s[k]) for k in COUNTERS]) + "\n")
     if cfg.dump_cnf:
         cnf_dir = os.path.join(out_dir, "instances")
         os.makedirs(cnf_dir, exist_ok=True)
@@ -371,7 +369,7 @@ def cmd_stats(args) -> int:
         sys.stdout.write(f.read())
     stats_path = os.path.join(args.rundir, "stats.tsv")
     if os.path.exists(stats_path):
-        totals = dict.fromkeys(COUNTERS + ("verified",), 0)
+        totals = dict.fromkeys(COUNTERS, 0)
         with open(stats_path) as f:
             header = f.readline().strip().split("\t")
             missing = [k for k in totals if k not in header]
@@ -386,7 +384,6 @@ def cmd_stats(args) -> int:
                                       f"{', '.join(totals)}") from None
                 for k, v in zip(totals, values):
                     totals[k] += v
-        totals["rejected"] = totals["solutions"] - totals.pop("verified")
         print("\t".join(f"total_{k}={v}" for k, v in totals.items()))
     return 0
 

@@ -3,8 +3,9 @@
 Enumerates every symmetric ±1 quadruple and keeps the ones whose PAF values
 sum to zero, with no equivalence reduction, no spectral filtering and no
 compression.  Deliberately kept free of any machinery shared with the real
-pipeline so it can serve as an independent oracle.  The quadruple test is a
-plain "try all combinations" scan, vectorized in chunks for speed.
+pipeline so it can serve as an independent oracle.  The quadruple test looks
+up, for every (A, B) pair, the (C, D) pairs whose PAF sums cancel its own, in
+a table of all pair sums.
 """
 from __future__ import annotations
 
@@ -61,12 +62,14 @@ def _enumerate_index_tuples(n: int):
     paf = _paf_matrix(rows)
     # all pair sums of PAF vectors, indexed by ia*count+ib
     pair = (paf[:, None, :] + paf[None, :, :]).reshape(count * count, -1)
+    by_sum = {}  # pair sum bytes -> ascending pair indices with that sum
+    for cd in range(count * count):
+        by_sum.setdefault(pair[cd].tobytes(), []).append(cd)
+    negated = -pair
     for ab in range(count * count):
-        target = -pair[ab]
-        hits = np.nonzero(np.all(pair == target, axis=1))[0]
         ia, ib = divmod(ab, count)
-        for cd in hits:
-            ic, idd = divmod(int(cd), count)
+        for cd in by_sum.get(negated[ab].tobytes(), ()):
+            ic, idd = divmod(cd, count)
             yield ia, ib, ic, idd, rows
 
 

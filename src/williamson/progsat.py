@@ -2,23 +2,24 @@
 
 The solver enumerates every satisfying total assignment: each model found is
 blocked by a clause negating it and the search continues until the instance
-is exhausted.  A callback, invoked at every unit-propagation fixpoint where a
-sequence block has newly become fully assigned, returns a clause falsified by
-the current partial assignment, or None.  Every clause added during search (a
-1UIP clause learned from a propagation conflict, a callback clause or a
-blocking clause) is stored and asserted by one routine, ``_add_clause``.  It
-backjumps: when one literal has the deepest level, to the next deepest level,
-where it asserts that literal; otherwise to one level below the deepest,
-asserting nothing.  Only propagation conflicts are analysed and count in
-``conflicts``.  Clauses are kept only in the watch lists; there is no
-registry of them.  There is no restart and one fixed decision rule: the
-lowest unassigned variable, given its saved phase (the value it last held,
-false at first).  `satgen.VariableMap` numbers variables role-major, so the
-decisions complete one member after another, and each completed member is a
-block the callback can check.  The Williamson callback rejects a minimal
-subset of fully assigned members whose PSD values sum beyond
-`seqcore.psd_bound`; when all four members pass, the trail is total and the
-model is recorded like any other.
+is exhausted.  A callback's ``blocks`` are variable ranges, one per sequence
+member.  At every unit-propagation fixpoint where the assignment shows a
+block newly full, the callback returns a clause falsified by the current
+partial assignment, or None; a backjump forgets the check of each block it
+leaves partly unassigned.  Every clause added during search (a 1UIP clause
+learned from a propagation conflict, a callback clause or a blocking clause)
+is stored and asserted by one routine, ``_add_clause``.  It backjumps: when
+one literal has the deepest level, to the next deepest level, where it
+asserts that literal; otherwise to one level below the deepest, asserting
+nothing.  Only propagation conflicts are analysed and count in ``conflicts``.
+Clauses are kept only in the watch lists; there is no registry of them.
+There is no restart and one fixed decision rule: the lowest unassigned
+variable, given its saved phase (the value it last held, false at first).
+`satgen.VariableMap` numbers variables role-major, so each member is one
+contiguous range of variables and the decisions complete one member after
+another.  The Williamson callback rejects a minimal subset of fully assigned
+members whose PSD values sum beyond `seqcore.psd_bound`; when all four
+members pass, the trail is total and the model is recorded like any other.
 
 Literals are nonzero ints (DIMACS convention); variables are 1-based.  The
 assignment and the watch lists are indexed by literal, a negative literal
@@ -44,7 +45,8 @@ class SolverStats:
 class CdclSolver:
     """CDCL with watched literals, a fixed decision order (the lowest
     unassigned variable, given its saved phase), no restart, all-solutions
-    enumeration and a programmatic callback."""
+    enumeration and a programmatic callback, called as
+    ``callback(values, full_bits)`` with bit i set for each full block i."""
 
     def __init__(self, num_vars: int, clauses, callback=None):
         self.num_vars = num_vars
@@ -61,14 +63,7 @@ class CdclSolver:
         self.ok = True
 
         self.callback = callback
-        blocks = getattr(callback, "blocks", None) if callback is not None else None
-        self.block_of = [-1] * (num_vars + 1)
-        self.block_remaining = []
-        if blocks:
-            for bi, vs in enumerate(blocks):
-                self.block_remaining.append(len(vs))
-                for v in vs:
-                    self.block_of[v] = bi
+        self.blocks = getattr(callback, "blocks", None) or []
         self.checked_mask = 0
 
         for clause in clauses:
@@ -119,9 +114,6 @@ class CdclSolver:
         self.level[v] = self.decision_level
         self.reason[v] = reason
         self.trail.append(lit)
-        bi = self.block_of[v]
-        if bi >= 0:
-            self.block_remaining[bi] -= 1
 
     def _backjump(self, target_level: int) -> None:
         if self.decision_level <= target_level:
@@ -133,13 +125,19 @@ class CdclSolver:
             self.saved[v] = lit > 0
             self.values[lit] = self.values[-lit] = 0
             self.reason[v] = None
-            bi = self.block_of[v]
-            if bi >= 0:
-                self.block_remaining[bi] += 1
-                self.checked_mask &= ~(1 << bi)
         del self.trail[bound:]
         del self.trail_lim[target_level:]
         self.qhead = len(self.trail)
+        self.checked_mask &= self._full_bits()
+
+    def _full_bits(self) -> int:
+        """Bit i set when every variable of block i is assigned."""
+        values = self.values
+        bits = 0
+        for i, block in enumerate(self.blocks):
+            if 0 not in values[block.start:block.stop]:
+                bits |= 1 << i
+        return bits
 
     # -- search ------------------------------------------------------------
 
@@ -148,7 +146,6 @@ class CdclSolver:
         watches = self.watches
         trail = self.trail
         level, reason = self.level, self.reason
-        block_of, block_remaining = self.block_of, self.block_remaining
         current = len(self.trail_lim)
         qhead = self.qhead
         conflict = None
@@ -191,9 +188,6 @@ class CdclSolver:
                 level[v] = current
                 reason[v] = clause
                 trail.append(first)
-                bi = block_of[v]
-                if bi >= 0:
-                    block_remaining[bi] -= 1
                 i += 1
             if conflict is not None:
                 break
@@ -282,7 +276,6 @@ class CdclSolver:
         if not self.ok:
             return models
         callback = self.callback
-        n_blocks = len(self.block_remaining)
 
         while True:
             conflict = self._propagate()
@@ -293,19 +286,15 @@ class CdclSolver:
                 self._add_clause(self._analyze(conflict))
                 continue
 
-            if callback is not None and n_blocks:
-                full_bits = 0
-                for bi in range(n_blocks):
-                    if self.block_remaining[bi] == 0:
-                        full_bits |= 1 << bi
-                if full_bits & ~self.checked_mask:
-                    self.checked_mask = full_bits
-                    clause = callback(self.values, full_bits)
-                    if clause is not None:
-                        self.stats.callback_clauses += 1
-                        if not self._add_clause(clause):
-                            return models
-                        continue
+            full_bits = self._full_bits()
+            if full_bits & ~self.checked_mask:
+                self.checked_mask = full_bits
+                clause = callback(self.values, full_bits)
+                if clause is not None:
+                    self.stats.callback_clauses += 1
+                    if not self._add_clause(clause):
+                        return models
+                    continue
 
             if len(self.trail) == self.num_vars:
                 # total model with no callback objection
@@ -325,24 +314,22 @@ class WilliamsonCallback:
     """Checks fully assigned members against the PSD bound and returns a
     conflict clause over a minimal violating subset of them, taking the
     largest values first, or None when they pass.  PSD vectors are memoized
-    by member bit pattern as tuples of floats, so a call does no NumPy work
-    once its patterns have been seen."""
+    by a member's free entries, the slice of the assignment over its range,
+    as tuples of floats, so a call does no NumPy work once its members have
+    been seen."""
 
     def __init__(self, var_map, n: int):
         self.bound = psd_bound(n)
         self.blocks = var_map.blocks()
-        self._fold = fold_indices(n)
+        self._fold = np.array(fold_indices(n))
         self._memo = {}
 
     def _block_psd(self, values, block) -> tuple:
-        pattern = 0
-        for v in block:
-            pattern = (pattern << 1) | (values[v] > 0)
-        cached = self._memo.get(pattern)
+        free = tuple(values[block.start:block.stop])
+        cached = self._memo.get(free)
         if cached is None:
-            free = [1.0 if values[v] > 0 else -1.0 for v in block]
-            cached = tuple(psd_halfspectrum(np.array([free[i] for i in self._fold])).tolist())
-            self._memo[pattern] = cached
+            cached = tuple(psd_halfspectrum(np.array(free, dtype=float)[self._fold]).tolist())
+            self._memo[free] = cached
         return cached
 
     def __call__(self, values, full_bits: int):

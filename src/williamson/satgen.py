@@ -40,8 +40,9 @@ class VariableMap:
         return role * self.free_count + self._fold[index % self.n] + 1
 
     def blocks(self) -> list:
+        """The variables of each member, A to D, as one range each."""
         f = self.free_count
-        return [[role * f + i + 1 for i in range(f)] for role in range(4)]
+        return [range(role * f + 1, role * f + f + 1) for role in range(4)]
 
     def decode(self, model) -> Quadruple:
         """The quadruple of a model as `progsat.CdclSolver.solve_all` returns

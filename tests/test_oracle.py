@@ -1,8 +1,12 @@
 import pytest
 
-from williamson.equivalence import dedupe
+from williamson.cli import RunConfig, run_enumeration
+from williamson.equivalence import dedupe, expand_class
 from williamson.oracle import brute_force_enumerate, brute_force_uncompress
 from williamson.seqcore import compress, rowsum, verify_williamson
+
+from helpers import class_key
+from test_acceptance import TABLE1, quadruple_key
 
 
 def test_order_one_all_sign_choices():
@@ -19,6 +23,19 @@ def test_order_two_count():
 
 def test_order_three_single_class():
     assert len(dedupe(brute_force_enumerate(3))) == 1
+
+
+def test_order_twelve_equals_pipeline():
+    # the largest order the oracle covers: its quadruples are exactly the
+    # class expansions of the pipeline's classes, as many as TABLE1 lists
+    qs = brute_force_enumerate(12)
+    assert len(qs) == 16384
+    classes = dedupe(qs)
+    assert len(classes) == TABLE1[12] == 3
+    report = run_enumeration(RunConfig(n=12))
+    assert {class_key(q) for q in classes} == {class_key(q) for q in report.canonical}
+    expanded = {quadruple_key(p) for q in report.canonical for p in expand_class(q)}
+    assert expanded == {quadruple_key(q) for q in qs}
 
 
 def test_budget_guard_is_hard_error():

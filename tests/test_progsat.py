@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,52 @@ class TestAgainstTruthTable:
             clauses = [[1, 2], [-1, -2]]
             inst = SatInstance(12, clauses)
             assert len(models_of(inst)) == 2 * 2 ** 10
+
+
+class ForbiddenPatterns:
+    """A callback over variable ranges that rejects a full block whose values
+    form one of its forbidden patterns, and checks that the solver reports
+    exactly the full blocks."""
+
+    def __init__(self, blocks, forbidden):
+        self.blocks = blocks
+        self.forbidden = forbidden  # per block, a set of value tuples
+
+    def __call__(self, values, full_bits):
+        for i, block in enumerate(self.blocks):
+            pattern = tuple(values[block.start:block.stop])
+            assert ((full_bits >> i) & 1) == (0 not in pattern)
+            if 0 not in pattern and pattern in self.forbidden[i]:
+                return tuple(-v if values[v] > 0 else v for v in block)
+        return None
+
+
+def test_callback_protocol_against_truth_table():
+    # random CNFs with blocks of 2-3 consecutive variables: the models are
+    # the truth-table models in which no block holds a forbidden pattern,
+    # each found once
+    rng = np.random.default_rng(107)
+    for _ in range(300):
+        num_vars = int(rng.integers(4, 11))
+        blocks, start = [], 1
+        while True:
+            size = int(rng.integers(2, 4))
+            if start + size - 1 > num_vars or rng.integers(5) == 0:
+                break
+            blocks.append(range(start, start + size))
+            start += size
+        forbidden = [{p for p in itertools.product((-1, 1), repeat=len(b)) if rng.random() < 0.3}
+                     for b in blocks]
+        clauses = []
+        for _ in range(int(rng.integers(0, 2 * num_vars))):
+            vs = rng.choice(num_vars, size=3, replace=False) + 1
+            clauses.append([int(v) * (1 if rng.integers(2) else -1) for v in vs])
+        models = CdclSolver(num_vars, clauses, ForbiddenPatterns(blocks, forbidden)).solve_all()
+        assert len(models) == len(set(models))
+        expected = {m for m in truth_table_models(num_vars, clauses)
+                    if not any(tuple(1 if m[v - 1] > 0 else -1 for v in b) in f
+                               for b, f in zip(blocks, forbidden))}
+        assert set(models) == expected
 
 
 def assign(vm, frees):
@@ -230,7 +278,7 @@ class TestWilliamsonCallback:
         cb(values, 0b0001)
         assert len(cb._memo) == 1
         cb(values, 0b0011)
-        assert len(cb._memo) == 1  # same bit pattern reused
+        assert len(cb._memo) == 1  # the same free entries reused
 
 
 def _pipeline_instances(n):
