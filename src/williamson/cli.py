@@ -445,7 +445,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed reader shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader took what it wanted (`| head`): not an error; stdout goes
+        # to devnull so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (DomainError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

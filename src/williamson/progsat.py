@@ -6,12 +6,14 @@ is exhausted.  A callback's ``blocks`` are variable ranges, one per sequence
 member.  At every unit-propagation fixpoint where the assignment shows a
 block newly full, the callback returns a clause falsified by the current
 partial assignment, or None; a backjump forgets the check of each block it
-leaves partly unassigned.  Every clause added during search (a 1UIP clause
-learned from a propagation conflict, a callback clause or a blocking clause)
-is stored and asserted by one routine, ``_add_clause``.  It backjumps: when
-one literal has the deepest level, to the next deepest level, where it
-asserts that literal; otherwise to one level below the deepest, asserting
-nothing.  Only propagation conflicts are analysed and count in ``conflicts``.
+leaves partly unassigned.  A callback clause is handled like a propagation
+conflict: after a backjump to its deepest level, ``_learn`` stores its 1UIP
+clause, backjumps to that clause's second deepest level and asserts its first
+literal there; the callback clause itself is not stored.  Only propagation
+conflicts count in ``conflicts``.  A blocking clause is not analysed:
+``_add_clause`` stores it and backjumps, when one literal has the deepest
+level, to the next deepest level, where it asserts that literal; otherwise
+to one level below the deepest, asserting nothing.
 Clauses are kept only in the watch lists; there is no registry of them.
 There is no restart and one fixed decision rule: the lowest unassigned
 variable, given its saved phase (the value it last held, false at first).
@@ -195,11 +197,14 @@ class CdclSolver:
         self.qhead = qhead
         return conflict
 
-    def _analyze(self, conflict) -> list:
+    def _analyze(self, conflict) -> tuple:
+        """The 1UIP clause of a clause falsified at the current level, with its
+        asserting literal first and the first literal of the highest remaining
+        level second, and that level (0 for a unit clause)."""
         seen = [False] * (self.num_vars + 1)
-        learned = []
-        counter = 0
-        p = None
+        level = self.level
+        learned = [0]  # the asserting literal goes first
+        p = back = second = counter = 0
         index = len(self.trail) - 1
         clause = conflict
         current = self.decision_level
@@ -208,11 +213,13 @@ class CdclSolver:
                 if q == p:
                     continue
                 v = q if q > 0 else -q
-                if not seen[v] and self.level[v] > 0:
+                if not seen[v] and level[v] > 0:
                     seen[v] = True
-                    if self.level[v] >= current:
+                    if level[v] >= current:
                         counter += 1
                     else:
+                        if level[v] > back:
+                            back, second = level[v], len(learned)
                         learned.append(q)
             while not seen[abs(self.trail[index])]:
                 index -= 1
@@ -225,7 +232,18 @@ class CdclSolver:
             index -= 1
             if counter == 0:
                 break
-        return [-p] + learned
+        learned[0] = -p
+        if second:
+            learned[1], learned[second] = learned[second], learned[1]
+        return learned, back
+
+    def _learn(self, conflict) -> None:
+        """Store the 1UIP clause of `conflict`, backjump and assert it."""
+        learned, back = self._analyze(conflict)
+        self._backjump(back)
+        if len(learned) > 1:
+            self._watch(learned)
+        self._enqueue(learned[0], learned)
 
     def _decide(self) -> None:
         # the lowest unassigned variable: values[1..num_vars] are the positive literals
@@ -235,10 +253,10 @@ class CdclSolver:
         self._enqueue(v if self.saved[v] else -v, None)
 
     def _add_clause(self, lits) -> bool:
-        """Add a clause that is falsified by the current assignment, backtrack
+        """Add a blocking clause, falsified by the current assignment, backtrack
         so the search can continue, and return False when the instance is
         exhausted (the clause is falsified at level 0)."""
-        clause = list(dict.fromkeys(lits))
+        clause = list(lits)
         levels = [self.level[abs(l)] for l in clause]
         max_level = max(levels, default=0)
         if max_level == 0:  # also the empty clause, e.g. blocking a model of no variables
@@ -283,7 +301,7 @@ class CdclSolver:
                 self.stats.conflicts += 1
                 if self.decision_level == 0:
                     return models
-                self._add_clause(self._analyze(conflict))
+                self._learn(conflict)
                 continue
 
             full_bits = self._full_bits()
@@ -292,8 +310,12 @@ class CdclSolver:
                 clause = callback(self.values, full_bits)
                 if clause is not None:
                     self.stats.callback_clauses += 1
-                    if not self._add_clause(clause):
+                    # below the current level if a backjump left its members full
+                    deepest = max((self.level[abs(lit)] for lit in clause), default=0)
+                    if deepest == 0:
                         return models
+                    self._backjump(deepest)
+                    self._learn(clause)
                     continue
 
             if len(self.trail) == self.num_vars:
@@ -342,6 +364,8 @@ class WilliamsonCallback:
         # per frequency, how many of the largest values it takes to exceed,
         # added left to right; the first frequency needing the fewest wins
         for s, column in enumerate(zip(*psds)):
+            if sum(column) <= bound:  # PSD values are nonnegative: no subset exceeds
+                continue
             total = 0.0
             for k, value in enumerate(sorted(column, reverse=True), start=1):
                 total += value

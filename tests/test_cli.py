@@ -183,6 +183,18 @@ class TestEnumerate:
             with pytest.raises(DomainError, match="written with version='0.2.0'"):
                 run_enumeration(RunConfig(n=9, out_dir=str(out_dir)))
 
+    def test_resume_rejects_version_0_3_0_checkpoint(self, tmp_path):
+        # a 0.3.0 header has today's fields, but its counters come from a
+        # search that stored callback clauses unanalysed
+        out_dir = tmp_path / "run"
+        run_enumeration(RunConfig(n=9, out_dir=str(out_dir)))
+        ckpt = out_dir / "checkpoint.jsonl"
+        header, rest = ckpt.read_text().split("\n", 1)
+        assert json.loads(header) == {"header": {"n": 9, "version": __version__}}
+        ckpt.write_text(json.dumps({"header": {"n": 9, "version": "0.3.0"}}) + "\n" + rest)
+        with pytest.raises(DomainError, match="written with version='0.3.0'"):
+            run_enumeration(RunConfig(n=9, out_dir=str(out_dir)))
+
     def test_resume_rejects_checkpoint_without_header(self, tmp_path):
         out_dir = str(tmp_path / "run")
         run_enumeration(RunConfig(n=9, out_dir=out_dir))
@@ -260,12 +272,13 @@ class TestEnumerate:
         assert hashlib.sha1(json.dumps([got, log]).encode()).hexdigest()[:16] == digest
 
     # run_enumeration totals under the fixed decision rule (lowest unassigned
-    # variable, saved phase, no restarts); a solver change that moves the
-    # search on purpose updates these and says so
+    # variable, saved phase, no restarts), each callback clause analysed to
+    # its 1UIP clause; a solver change that moves the search on purpose
+    # updates these and says so
     @pytest.mark.parametrize("n,totals", [
-        (9, (55, 30, 332, 12, 15)),
-        (12, (452, 235, 2007, 92, 128)),
-        (18, (3557, 1877, 15615, 1093, 584)),
+        (9, (44, 18, 305, 13, 15)),
+        (12, (361, 126, 1844, 110, 128)),
+        (18, (2480, 587, 12370, 1306, 584)),
     ])
     def test_search_counters_pinned(self, n, totals):
         report = run_enumeration(RunConfig(n=n))
@@ -378,6 +391,22 @@ class TestOtherCommands:
             monkeypatch.setattr(sys, "stdin", f)
             code, from_stdin, err = run_cli(capsys, "canonicalize")
         assert code == 0 and from_stdin == from_file
+
+    def test_canonicalize_into_closed_pipe(self, tmp_path):
+        # `williamson canonicalize big.txt | head -n 1`: the reader closes the
+        # pipe after one line, which ends the command quietly with status 0
+        text = "\n\n".join(format_block(q.members) for q in run_enumeration(RunConfig(n=10)).canonical)
+        path = tmp_path / "big.txt"
+        path.write_text("\n\n".join([text] * 3000) + "\n")
+        src = str(Path(williamson.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen([sys.executable, "-m", "williamson", "canonicalize", str(path)],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 0, err
+        assert err == b"" and len(first.strip()) == 10
 
     @pytest.mark.parametrize("command", ["verify", "canonicalize", "double", "extract8", "hadamard"])
     def test_missing_file_exit_code(self, tmp_path, capsys, command):

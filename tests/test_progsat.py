@@ -288,7 +288,7 @@ def _pipeline_instances(n):
     return tasks
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 6, 8, 9])
+@pytest.mark.parametrize("n", [2, 3, 4, 6, 8, 9, 10, 12, 14, 15, 16])
 def test_callback_equals_post_filter(n):
     # soundness: callback-enabled solving returns exactly the Williamson
     # solutions of callback-free solving
@@ -343,10 +343,66 @@ def test_decisions_take_lowest_unassigned_variable():
     assert decisions > 1000
 
 
+class AssertingAfterRejection(CdclSolver):
+    """Checks what follows each callback rejection: the next trail entry is
+    a literal asserted below the rejected assignment's deepest level by a
+    learned clause whose other literals are false, with no decision or
+    propagation in between.  A rejection at level 0 ends the search."""
+
+    def __init__(self, num_vars, clauses, callback):
+        self.pending = None  # the deepest level of an unanswered rejection
+        self.rejections = 0
+        self.final = False  # set by a rejection at level 0
+        super().__init__(num_vars, clauses, callback)
+
+        def rejecting(values, full_bits):
+            assert not self.final
+            clause = callback(values, full_bits)
+            if clause is not None:
+                deepest = max(self.level[abs(lit)] for lit in clause)
+                if deepest:
+                    self.pending = deepest
+                else:
+                    self.final = True
+            return clause
+        self.callback = rejecting
+
+    def _enqueue(self, lit, reason):
+        super()._enqueue(lit, reason)
+        if self.pending is not None:
+            assert reason is not None and reason[0] == lit
+            assert self.level[abs(lit)] < self.pending
+            assert all(self.values[other] == -1 for other in reason[1:])
+            assert len(reason) == 1 or any(reason is c for c in self.watches[reason[1]])
+            self.pending = None
+            self.rejections += 1
+
+    def _propagate(self):
+        assert self.pending is None
+        return super()._propagate()
+
+    def _decide(self):
+        assert self.pending is None
+        super()._decide()
+
+
+def test_callback_rejection_asserts_a_learned_clause():
+    n = 18
+    rejections = 0
+    for iid, rows in _pipeline_instances(n):
+        inst = build_instance(rows, n)
+        solver = AssertingAfterRejection(inst.num_vars, inst.clauses, WilliamsonCallback(inst.var_map, n))
+        solver.solve_all()
+        assert solver.pending is None
+        assert solver.rejections + solver.final == solver.stats.callback_clauses, iid
+        rejections += solver.rejections
+    assert rejections > 1000
+
+
 @pytest.mark.parametrize("n", [6, 9, 12])
 def test_watched_clauses_distinct_after_solve(n):
-    # the solver keeps no clause registry: no learned, callback or blocking
-    # clause may repeat the literal set of another clause it watches
+    # the solver keeps no clause registry: no learned or blocking clause may
+    # repeat the literal set of another clause it watches
     for iid, rows in _pipeline_instances(n):
         inst = build_instance(rows, n)
         solver = CdclSolver(inst.num_vars, inst.clauses, WilliamsonCallback(inst.var_map, n))
