@@ -85,7 +85,7 @@ def _instance_id(rows) -> str:
 def _solve_task(args):
     instance_id, rows, n = args
     inst = satgen.build_instance(rows, n)
-    solver = CdclSolver(inst.num_vars, inst.clauses, WilliamsonCallback(inst.var_map, n))
+    solver = CdclSolver(inst.num_vars, inst.clauses, WilliamsonCallback(inst.var_map))
     models = solver.solve_all()
     solutions = [[list(x.free) for x in inst.var_map.decode(model)] for model in models]
     stats = {k: len(models) if k == "solutions" else getattr(solver.stats, k) for k in COUNTERS}

@@ -2,26 +2,30 @@
 
 The solver enumerates every satisfying total assignment: each model found is
 blocked by a clause negating it and the search continues until the instance
-is exhausted.  A callback's ``blocks`` are variable ranges, one per sequence
-member.  At every unit-propagation fixpoint where the assignment shows a
-block newly full, the callback returns a clause falsified by the current
-partial assignment, or None; a backjump forgets the check of each block it
-leaves partly unassigned.  A callback clause is handled like a propagation
-conflict: after a backjump to its deepest level, ``_learn`` stores its 1UIP
-clause, backjumps to that clause's second deepest level and asserts its first
-literal there; the callback clause itself is not stored.  Only propagation
-conflicts count in ``conflicts``.  A blocking clause is not analysed:
-``_add_clause`` stores it and backjumps, when one literal has the deepest
-level, to the next deepest level, where it asserts that literal; otherwise
-to one level below the deepest, asserting nothing.
+is exhausted.  It knows nothing of sequence members: at every propagation
+fixpoint without a conflict it calls ``callback(values)``, which returns a
+clause falsified by the assignment, or None.  Calling the Williamson callback
+at every fixpoint, not only when a member turns full, moves no search step:
+a fixpoint with no newly full member shows a subset of the members, with the
+same values, that a passing check saw, and PSD values are nonnegative.
+A propagation conflict and a callback clause are handled alike: after a
+backjump to the clause's deepest level (the current one for a conflict),
+``_analyze`` derives its 1UIP clause and ``_assert`` stores it, backjumps to
+its second deepest level and asserts its first literal there; the callback
+clause itself is not stored.  Only propagation conflicts count in
+``conflicts``.  A blocking clause is not analysed: ``_add_clause`` stores it
+and, when one literal has the deepest level, asserts that literal at the
+next deepest level through ``_assert``; otherwise it backjumps to one level
+below the deepest, asserting nothing.
 Clauses are kept only in the watch lists; there is no registry of them.
 There is no restart and one fixed decision rule: the lowest unassigned
 variable, given its saved phase (the value it last held, false at first).
 `satgen.VariableMap` numbers variables role-major, so each member is one
 contiguous range of variables and the decisions complete one member after
-another.  The Williamson callback rejects a minimal subset of fully assigned
-members whose PSD values sum beyond `seqcore.psd_bound`; when all four
-members pass, the trail is total and the model is recorded like any other.
+another.  `WilliamsonCallback` reads which members are full from the zeros
+in ``values`` and rejects a minimal subset of them whose PSD values sum
+beyond `seqcore.psd_bound`; when all four members pass, the trail is total
+and the model is recorded like any other.
 
 Literals are nonzero ints (DIMACS convention); variables are 1-based.  The
 assignment and the watch lists are indexed by literal, a negative literal
@@ -47,8 +51,8 @@ class SolverStats:
 class CdclSolver:
     """CDCL with watched literals, a fixed decision order (the lowest
     unassigned variable, given its saved phase), no restart, all-solutions
-    enumeration and a programmatic callback, called as
-    ``callback(values, full_bits)`` with bit i set for each full block i."""
+    enumeration and a programmatic callback, called as ``callback(values)``
+    at every propagation fixpoint without a conflict."""
 
     def __init__(self, num_vars: int, clauses, callback=None):
         self.num_vars = num_vars
@@ -65,8 +69,6 @@ class CdclSolver:
         self.ok = True
 
         self.callback = callback
-        self.blocks = getattr(callback, "blocks", None) or []
-        self.checked_mask = 0
 
         for clause in clauses:
             if not self._add_input_clause(clause):
@@ -130,16 +132,6 @@ class CdclSolver:
         del self.trail[bound:]
         del self.trail_lim[target_level:]
         self.qhead = len(self.trail)
-        self.checked_mask &= self._full_bits()
-
-    def _full_bits(self) -> int:
-        """Bit i set when every variable of block i is assigned."""
-        values = self.values
-        bits = 0
-        for i, block in enumerate(self.blocks):
-            if 0 not in values[block.start:block.stop]:
-                bits |= 1 << i
-        return bits
 
     # -- search ------------------------------------------------------------
 
@@ -237,13 +229,13 @@ class CdclSolver:
             learned[1], learned[second] = learned[second], learned[1]
         return learned, back
 
-    def _learn(self, conflict) -> None:
-        """Store the 1UIP clause of `conflict`, backjump and assert it."""
-        learned, back = self._analyze(conflict)
-        self._backjump(back)
-        if len(learned) > 1:
-            self._watch(learned)
-        self._enqueue(learned[0], learned)
+    def _assert(self, clause: list, level: int) -> None:
+        """Backjump to `level`, watch `clause` unless it is a unit and assert
+        its first literal, the others being false there."""
+        self._backjump(level)
+        if len(clause) > 1:
+            self._watch(clause)
+        self._enqueue(clause[0], clause)
 
     def _decide(self) -> None:
         # the lowest unassigned variable: values[1..num_vars] are the positive literals
@@ -263,8 +255,7 @@ class CdclSolver:
             return False
         deepest = [i for i, lv in enumerate(levels) if lv == max_level]
         if len(clause) == 1:
-            self._backjump(0)
-            self._enqueue(clause[0], None)
+            self._assert(clause, 0)
             return True
         if len(deepest) == 1:
             wi = deepest[0]
@@ -272,9 +263,7 @@ class CdclSolver:
             # watch the first of the deepest remaining literals, at the backjump level
             si = max(range(1, len(clause)), key=lambda i: self.level[abs(clause[i])])
             clause[1], clause[si] = clause[si], clause[1]
-            self._backjump(self.level[abs(clause[1])])
-            self._watch(clause)
-            self._enqueue(clause[0], clause)
+            self._assert(clause, self.level[abs(clause[1])])
         else:
             # deepest ascends, so i1 > i0 and the first swap leaves clause[i1]
             i0, i1 = deepest[0], deepest[1]
@@ -296,27 +285,21 @@ class CdclSolver:
         callback = self.callback
 
         while True:
-            conflict = self._propagate()
-            if conflict is not None:
+            clause = self._propagate()
+            if clause is not None:
                 self.stats.conflicts += 1
-                if self.decision_level == 0:
-                    return models
-                self._learn(conflict)
-                continue
-
-            full_bits = self._full_bits()
-            if full_bits & ~self.checked_mask:
-                self.checked_mask = full_bits
-                clause = callback(self.values, full_bits)
+            elif callback is not None:
+                clause = callback(self.values)
                 if clause is not None:
                     self.stats.callback_clauses += 1
-                    # below the current level if a backjump left its members full
-                    deepest = max((self.level[abs(lit)] for lit in clause), default=0)
-                    if deepest == 0:
-                        return models
-                    self._backjump(deepest)
-                    self._learn(clause)
-                    continue
+            if clause is not None:
+                # falsified by the trail: a conflict's deepest level is the current one
+                deepest = max((self.level[abs(lit)] for lit in clause), default=0)
+                if deepest == 0:
+                    return models
+                self._backjump(deepest)
+                self._assert(*self._analyze(clause))
+                continue
 
             if len(self.trail) == self.num_vars:
                 # total model with no callback objection
@@ -333,32 +316,33 @@ class CdclSolver:
 
 
 class WilliamsonCallback:
-    """Checks fully assigned members against the PSD bound and returns a
-    conflict clause over a minimal violating subset of them, taking the
-    largest values first, or None when they pass.  PSD vectors are memoized
-    by a member's free entries, the slice of the assignment over its range,
-    as tuples of floats, so a call does no NumPy work once its members have
-    been seen."""
+    """Checks every member the assignment shows full (no zero over its range
+    of variables) against the PSD bound and returns a conflict clause over a
+    minimal violating subset of them, taking the largest values first, or
+    None when they pass.  The answer depends on `values` alone.  PSD vectors
+    are memoized by a member's free entries, the slice of the assignment over
+    its range, as tuples of floats, so a call does no NumPy work once its
+    members have been seen."""
 
-    def __init__(self, var_map, n: int):
-        self.bound = psd_bound(n)
-        self.blocks = var_map.blocks()
-        self._fold = np.array(fold_indices(n))
+    def __init__(self, var_map):
+        self.bound = psd_bound(var_map.n)
+        self._blocks = var_map.blocks()
+        self._fold = np.array(fold_indices(var_map.n))
         self._memo = {}
 
-    def _block_psd(self, values, block) -> tuple:
-        free = tuple(values[block.start:block.stop])
-        cached = self._memo.get(free)
-        if cached is None:
-            cached = tuple(psd_halfspectrum(np.array(free, dtype=float)[self._fold]).tolist())
-            self._memo[free] = cached
-        return cached
-
-    def __call__(self, values, full_bits: int):
-        full_blocks = [self.blocks[r] for r in range(4) if (full_bits >> r) & 1]
-        if not full_blocks:
-            return None
-        psds = [self._block_psd(values, block) for block in full_blocks]
+    def __call__(self, values):
+        full, psds = [], []
+        for block in self._blocks:
+            free = values[block.start:block.stop]
+            if 0 in free:
+                continue
+            free = tuple(free)
+            psd = self._memo.get(free)
+            if psd is None:
+                psd = tuple(psd_halfspectrum(np.array(free, dtype=float)[self._fold]).tolist())
+                self._memo[free] = psd
+            full.append(block)
+            psds.append(psd)
         bound = self.bound
         size, freq = len(psds) + 1, None
         # per frequency, how many of the largest values it takes to exceed,
@@ -376,4 +360,4 @@ class WilliamsonCallback:
         if freq is None:
             return None
         chosen = sorted(range(len(psds)), key=lambda i: -psds[i][freq])[:size]
-        return tuple(-v if values[v] > 0 else v for i in chosen for v in full_blocks[i])
+        return tuple(-v if values[v] > 0 else v for i in chosen for v in full[i])

@@ -223,7 +223,7 @@ def test_criterion_8_solver_validation():
             clauses = list(inst.clauses)
             if n % 2 == 1:
                 clauses.extend(encode_product_theorem(n))
-            with_cb = _solve_instance_models(inst, clauses, WilliamsonCallback(inst.var_map, n))
+            with_cb = _solve_instance_models(inst, clauses, WilliamsonCallback(inst.var_map))
             without = _solve_instance_models(inst, clauses, None)
             if with_cb != without:
                 set_mismatch.append((n, iid))

@@ -12,6 +12,7 @@ from williamson.seqcore import (
     EPSILON_DEFAULT,
     SymmetricSequence,
     compress,
+    psd_bound,
     psd_halfspectrum,
     verify_williamson,
 )
@@ -102,17 +103,20 @@ class TestAgainstTruthTable:
 
 class ForbiddenPatterns:
     """A callback over variable ranges that rejects a full block whose values
-    form one of its forbidden patterns, and checks that the solver reports
-    exactly the full blocks."""
+    form one of its forbidden patterns, and checks that it is called only at
+    propagation fixpoints: no clause of the CNF is falsified or unit."""
 
-    def __init__(self, blocks, forbidden):
+    def __init__(self, blocks, forbidden, clauses):
         self.blocks = blocks
         self.forbidden = forbidden  # per block, a set of value tuples
+        self.clauses = clauses
 
-    def __call__(self, values, full_bits):
+    def __call__(self, values):
+        for clause in self.clauses:
+            vals = [values[lit] for lit in clause]
+            assert 1 in vals or vals.count(0) > 1, clause
         for i, block in enumerate(self.blocks):
             pattern = tuple(values[block.start:block.stop])
-            assert ((full_bits >> i) & 1) == (0 not in pattern)
             if 0 not in pattern and pattern in self.forbidden[i]:
                 return tuple(-v if values[v] > 0 else v for v in block)
         return None
@@ -138,12 +142,26 @@ def test_callback_protocol_against_truth_table():
         for _ in range(int(rng.integers(0, 2 * num_vars))):
             vs = rng.choice(num_vars, size=3, replace=False) + 1
             clauses.append([int(v) * (1 if rng.integers(2) else -1) for v in vs])
-        models = CdclSolver(num_vars, clauses, ForbiddenPatterns(blocks, forbidden)).solve_all()
+        models = CdclSolver(num_vars, clauses, ForbiddenPatterns(blocks, forbidden, clauses)).solve_all()
         assert len(models) == len(set(models))
         expected = {m for m in truth_table_models(num_vars, clauses)
                     if not any(tuple(1 if m[v - 1] > 0 else -1 for v in b) in f
                                for b, f in zip(blocks, forbidden))}
         assert set(models) == expected
+
+
+def test_plain_function_callback():
+    # any function of the assignment is a callback: it is called at every
+    # fixpoint, and one rejecting (1, 2) leaves three of the four models
+    calls = []
+
+    def reject_both_true(values):
+        calls.append(values[1:3])
+        return (-1, -2) if values[1] == values[2] == 1 else None
+
+    models = CdclSolver(2, [], reject_both_true).solve_all()
+    assert sorted(models) == [(-1, -2), (-1, 2), (1, -2)]
+    assert [1, 1] in calls
 
 
 def assign(vm, frees):
@@ -164,14 +182,14 @@ class TestLearnMinimalPsdClause:
         # covers just that member, although it is listed second
         vm = VariableMap(6)
         values = assign(vm, ((1, 1, -1, -1), (1, 1, 1, 1), None, None))
-        assert WilliamsonCallback(vm, 6)(values, 0b0011) == (-5, -6, -7, -8)
+        assert WilliamsonCallback(vm)(values) == (-5, -6, -7, -8)
 
     def test_three_block_case_width_six(self):
         # PSD([1,1]) = [4, 0], PSD([1,-1]) = [0, 4]; at n=2 three constant
         # members exceed 8 jointly at s=0, and the fourth is left out
         vm = VariableMap(2)
         values = assign(vm, ((1, 1), (1, 1), (1, 1), (1, -1)))
-        assert WilliamsonCallback(vm, 2)(values, 0b1111) == (-1, -2, -3, -4, -5, -6)
+        assert WilliamsonCallback(vm)(values) == (-1, -2, -3, -4, -5, -6)
 
     def test_clause_falsified_by_current_literals(self):
         # the clause negates the current literals of the fewest full members,
@@ -185,7 +203,7 @@ class TestLearnMinimalPsdClause:
             frees = [[int(v) for v in rng.choice([-1, 1], size=vm.free_count)] for _ in range(4)]
             full = [r for r in range(4) if rng.integers(2)]
             values = assign(vm, [frees[r] if r in full else None for r in range(4)])
-            clause = WilliamsonCallback(vm, n)(values, sum(1 << r for r in full))
+            clause = WilliamsonCallback(vm)(values)
             psds = [psd_halfspectrum(np.array(SymmetricSequence.from_free(n, frees[r]).entries, dtype=float))
                     for r in full]
             best = None  # (size, members) of the first smallest violating subset
@@ -212,7 +230,7 @@ class TestLearnMinimalPsdClause:
         # the pure-Python selection against the NumPy formula it replaced, on
         # full and partial assignments of random and PSD-passing members
         vm = VariableMap(n)
-        cb = WilliamsonCallback(vm, n)
+        cb = WilliamsonCallback(vm)
         decs = decompose_four_squares(n)
         cands = generate_candidates(n, decs)
         passing = np.concatenate([cands.lists[r] for r in sorted(cands.lists)])
@@ -222,42 +240,42 @@ class TestLearnMinimalPsdClause:
             frees = [[int(v) for v in (passing[rng.integers(len(passing))] if rng.integers(2)
                                         else rng.choice([-1, 1], size=vm.free_count))]
                      for _ in range(4)]
-            full_bits = 0b1111 if trial % 2 else int(rng.integers(16))
-            values = assign(vm, [frees[r] if (full_bits >> r) & 1 else None for r in range(4)])
-            full_blocks = [vm.blocks()[r] for r in range(4) if (full_bits >> r) & 1]
+            mask = 0b1111 if trial % 2 else int(rng.integers(16))  # the members assigned
+            values = assign(vm, [frees[r] if (mask >> r) & 1 else None for r in range(4)])
+            full_blocks = [vm.blocks()[r] for r in range(4) if (mask >> r) & 1]
             expected = None
             if full_blocks:
                 arr = np.stack([psd_halfspectrum(np.array(
                     SymmetricSequence.from_free(n, frees[r]).entries, dtype=float))
-                    for r in range(4) if (full_bits >> r) & 1])
+                    for r in range(4) if (mask >> r) & 1])
                 exceeds = np.cumsum(-np.sort(-arr, axis=0), axis=0) > cb.bound
                 if exceeds.any():
                     sizes = np.where(exceeds.any(axis=0), exceeds.argmax(axis=0) + 1, arr.shape[0] + 1)
                     s = int(sizes.argmin())
                     chosen = np.argsort(-arr[:, s], kind="stable")[: sizes[s]]
                     expected = tuple(-v if values[v] > 0 else v for i in chosen for v in full_blocks[i])
-            clause = cb(values, full_bits)
+            clause = cb(values)
             assert clause == expected
-            outcomes.add((full_bits == 0b1111, clause is None))
+            outcomes.add((mask == 0b1111, clause is None))
         assert outcomes >= {(True, False), (False, True), (False, False)}
 
     def test_no_violation_is_no_clause(self):
         # A = B = [1,-1] sum to [0, 8] <= 8 + eps: full members within the bound
         vm = VariableMap(2)
         values = assign(vm, ((1, -1), (1, -1), None, None))
-        assert WilliamsonCallback(vm, 2)(values, 0b0011) is None
+        assert WilliamsonCallback(vm)(values) is None
 
 
 class TestWilliamsonCallback:
     def test_no_block_assigned_is_no_action(self):
         vm = VariableMap(2)
         values = [0] * (vm.num_vars + 1)
-        assert WilliamsonCallback(vm, 2)(values, 0) is None
+        assert WilliamsonCallback(vm)(values) is None
 
     def test_three_constant_blocks_learn_width_six(self):
         vm = VariableMap(2)
         values = assign(vm, ((1, 1), (1, 1), (1, 1), None))
-        clause = WilliamsonCallback(vm, 2)(values, 0b0111)
+        clause = WilliamsonCallback(vm)(values)
         assert isinstance(clause, tuple)
         assert set(clause) == {-1, -2, -3, -4, -5, -6}
 
@@ -265,20 +283,24 @@ class TestWilliamsonCallback:
         # a full Williamson assignment passes: the solver records it as a model
         vm = VariableMap(2)
         values = assign(vm, ((1, -1), (1, -1), (1, 1), (1, 1)))
-        assert WilliamsonCallback(vm, 2)(values, 0b1111) is None
+        assert WilliamsonCallback(vm)(values) is None
         model = tuple(v if values[v] > 0 else -v for v in range(1, vm.num_vars + 1))
         assert verify_williamson(vm.decode(model))
         inst = encode_uncompression([[0], [0], [2], [2]], 2)
-        assert model in solve(inst, WilliamsonCallback(inst.var_map, 2))
+        assert model in solve(inst, WilliamsonCallback(inst.var_map))
 
     def test_callback_memoizes_psd(self):
         vm = VariableMap(2)
-        cb = WilliamsonCallback(vm, 2)
-        values = [0] + [1] * 8
-        cb(values, 0b0001)
+        cb = WilliamsonCallback(vm)
+        assert cb(assign(vm, ((1, 1), None, None, None))) is None
         assert len(cb._memo) == 1
-        cb(values, 0b0011)
+        assert cb(assign(vm, ((1, 1), (1, 1), None, None))) is None
         assert len(cb._memo) == 1  # the same free entries reused
+
+    @pytest.mark.parametrize("n", [2, 9, 12, 13])
+    def test_bound_from_var_map(self, n):
+        vm = VariableMap(n)
+        assert WilliamsonCallback(vm).bound == psd_bound(vm.n)
 
 
 def _pipeline_instances(n):
@@ -301,7 +323,7 @@ def test_callback_equals_post_filter(n):
             clauses.extend(encode_product_theorem(n))
         plain = CdclSolver(inst.num_vars, clauses).solve_all()
         plain_quads = {q for q in map(inst.var_map.decode, plain) if verify_williamson(q)}
-        cb = WilliamsonCallback(inst.var_map, n)
+        cb = WilliamsonCallback(inst.var_map)
         prog_quads = set(map(inst.var_map.decode, CdclSolver(inst.num_vars, clauses, cb).solve_all()))
         assert all(map(verify_williamson, prog_quads))  # callback output is already Williamson
         assert prog_quads == plain_quads
@@ -312,7 +334,7 @@ def test_callback_agrees_with_uncompression_oracle():
     for q in brute_force_enumerate(n)[:5]:
         rows = [compress(x, 3) for x in q.members]
         inst = encode_uncompression(rows, n)
-        cb = WilliamsonCallback(inst.var_map, n)
+        cb = WilliamsonCallback(inst.var_map)
         found = set(map(inst.var_map.decode, solve(inst, cb)))
         assert found == set(brute_force_uncompress(rows, n))
 
@@ -336,7 +358,7 @@ def test_decisions_take_lowest_unassigned_variable():
     decisions = 0
     for iid, rows in _pipeline_instances(n):
         inst = build_instance(rows, n)
-        solver = LowestFirstSolver(inst.num_vars, inst.clauses, WilliamsonCallback(inst.var_map, n))
+        solver = LowestFirstSolver(inst.num_vars, inst.clauses, WilliamsonCallback(inst.var_map))
         solver.solve_all()
         assert solver.checked == solver.stats.decisions, iid
         decisions += solver.stats.decisions
@@ -355,9 +377,9 @@ class AssertingAfterRejection(CdclSolver):
         self.final = False  # set by a rejection at level 0
         super().__init__(num_vars, clauses, callback)
 
-        def rejecting(values, full_bits):
+        def rejecting(values):
             assert not self.final
-            clause = callback(values, full_bits)
+            clause = callback(values)
             if clause is not None:
                 deepest = max(self.level[abs(lit)] for lit in clause)
                 if deepest:
@@ -391,12 +413,60 @@ def test_callback_rejection_asserts_a_learned_clause():
     rejections = 0
     for iid, rows in _pipeline_instances(n):
         inst = build_instance(rows, n)
-        solver = AssertingAfterRejection(inst.num_vars, inst.clauses, WilliamsonCallback(inst.var_map, n))
+        solver = AssertingAfterRejection(inst.num_vars, inst.clauses, WilliamsonCallback(inst.var_map))
         solver.solve_all()
         assert solver.pending is None
         assert solver.rejections + solver.final == solver.stats.callback_clauses, iid
         rejections += solver.rejections
     assert rejections > 1000
+
+
+class MemberSchedule(CdclSolver):
+    """Replays a per-member call schedule over the same search: a member
+    counts as checked from the fixpoint that found it full until a backjump
+    leaves it partly unassigned, and the schedule calls the callback only at
+    a fixpoint showing an unchecked full member.  Asserts that the callback
+    returns None at every fixpoint the schedule skips, so calling it there
+    changes nothing."""
+
+    def __init__(self, num_vars, clauses, callback, blocks):
+        self.blocks = blocks
+        self.checked = 0  # bit i: block i full and checked
+        self.skipped = 0
+        super().__init__(num_vars, clauses, callback)
+
+        def replaying(values):
+            full = self._full()
+            clause = callback(values)
+            if full & ~self.checked:
+                self.checked = full
+            else:
+                assert clause is None
+                self.skipped += 1
+            return clause
+        self.callback = replaying
+
+    def _full(self):
+        return sum(1 << i for i, b in enumerate(self.blocks) if 0 not in self.values[b.start:b.stop])
+
+    def _backjump(self, target_level):
+        super()._backjump(target_level)
+        self.checked &= self._full()
+
+
+def test_skipped_fixpoints_pass():
+    # a fixpoint the per-member schedule skips shows only members that have
+    # stayed full, with the same values, since a check of a superset of them
+    # passed; PSD values are nonnegative, so they pass again
+    skipped = 0
+    for n in (9, 12, 15, 16, 18):
+        for _, rows in _pipeline_instances(n):
+            inst = build_instance(rows, n)
+            solver = MemberSchedule(inst.num_vars, inst.clauses, WilliamsonCallback(inst.var_map),
+                                    inst.var_map.blocks())
+            solver.solve_all()
+            skipped += solver.skipped
+    assert skipped >= 1000
 
 
 @pytest.mark.parametrize("n", [6, 9, 12])
@@ -405,7 +475,7 @@ def test_watched_clauses_distinct_after_solve(n):
     # repeat the literal set of another clause it watches
     for iid, rows in _pipeline_instances(n):
         inst = build_instance(rows, n)
-        solver = CdclSolver(inst.num_vars, inst.clauses, WilliamsonCallback(inst.var_map, n))
+        solver = CdclSolver(inst.num_vars, inst.clauses, WilliamsonCallback(inst.var_map))
         solver.solve_all()
         clauses = {id(c): c for wl in solver.watches for c in wl}.values()
         keys = [frozenset(c) for c in clauses]
