@@ -3,10 +3,11 @@
 The enumerate command runs the full pipeline for one order n divisible by 2
 or 3: rowsum decompositions, PSD-filtered candidates, compression lists,
 pair-sum matching, instance deduplication, and SAT uncompression, always with
-the programmatic PSD callback.  One SAT instance is one task in a worker pool;
-results are checkpointed per instance so a killed run can resume.  Every found
-quadruple is verified exactly before counting, and one that fails aborts the
-run.
+the programmatic PSD callback; for even n the solver searches one model per
+E3 orbit and returns each with its images.  One SAT instance is one task in a
+worker pool; results are checkpointed per instance so a killed run can resume.
+Every found quadruple is verified exactly before counting, and one that fails
+aborts the run.
 """
 from __future__ import annotations
 
@@ -86,7 +87,7 @@ def _solve_task(args):
     instance_id, rows, n = args
     inst = satgen.build_instance(rows, n)
     solver = CdclSolver(inst.num_vars, inst.clauses, WilliamsonCallback(inst.var_map))
-    models = solver.solve_all()
+    models = solver.solve_all(inst.images)
     solutions = [[list(x.free) for x in inst.var_map.decode(model)] for model in models]
     stats = {k: len(models) if k == "solutions" else getattr(solver.stats, k) for k in COUNTERS}
     return instance_id, solutions, stats

@@ -25,7 +25,9 @@ contiguous range of variables and the decisions complete one member after
 another.  `WilliamsonCallback` reads which members are full from the zeros
 in ``values`` and rejects a minimal subset of them whose PSD values sum
 beyond `seqcore.psd_bound`; when all four members pass, the trail is total
-and the model is recorded like any other.
+and the model is recorded like any other.  A caller whose clauses keep one
+model of each orbit of a symmetry passes ``images`` to `solve_all`, which
+returns every model found together with its images under that symmetry.
 
 Literals are nonzero ints (DIMACS convention); variables are 1-based.  The
 assignment and the watch lists are indexed by literal, a negative literal
@@ -277,8 +279,11 @@ class CdclSolver:
         values = self.values
         return tuple(v if values[v] == 1 else -v for v in range(1, self.num_vars + 1))
 
-    def solve_all(self) -> list:
-        """Every satisfying total assignment, as tuples of literals."""
+    def solve_all(self, images=None) -> list:
+        """Every satisfying total assignment, as tuples of literals.  With
+        `images`, each model found is returned as ``images(model)``, the
+        models it stands for, itself first; only the model found is blocked,
+        so the clauses must exclude the others (`satgen.SatInstance.images`)."""
         models = []
         if not self.ok:
             return models
@@ -304,7 +309,7 @@ class CdclSolver:
             if len(self.trail) == self.num_vars:
                 # total model with no callback objection
                 model = self._current_model()
-                models.append(model)
+                models.extend(images(model) if images else (model,))
                 if not self._add_clause([-lit for lit in model]):
                     return models
                 continue

@@ -8,6 +8,17 @@ one of seven clause patterns covering the values -m..m.  The numbering
 depends on n alone, so `encode_product_theorem(n)`, whose clauses force
 a_k b_k c_k d_k = -1 for odd n, builds its own `VariableMap(n)`.
 
+For even n the equivalence operation E3, a shift of one member by n/2, maps
+every instance onto itself: on free entries it is the reversal
+x[i] -> x[n//2 - i], which keeps a member symmetric and keeps its
+2-compression, PAF and PSD.  Compressed entry j (0 <= j <= d//2, d = n/2)
+sums free entries j and d - j, so a 0 there means the shift swaps two entries
+that differ.  `build_instance` adds, for each member whose row has such a
+zero, one unit clause fixing free entry j to +1 at the first of them; the
+instance then keeps exactly one model of each orbit, and
+`SatInstance.images` returns the models one model stands for.  A shift of an
+odd-order member by n/3 breaks its symmetry, so odd n takes no unit.
+
 Instances whose compressed quadruples are related by an equivalence
 transformation have equivalent solution sets; they are deduplicated before
 solving by the canonical form of the compressed quadruple.  That form comes
@@ -58,6 +69,19 @@ class SatInstance:
     num_vars: int
     clauses: list
     var_map: VariableMap = field(default=None, compare=False)
+    shifted: tuple = ()  # the members with an E3 unit clause, A to D as 0 to 3
+
+    def images(self, model) -> list:
+        """Every image of `model`, a tuple of one literal per variable, under
+        the half shifts of the `shifted` members, `model` itself first: each
+        shift reverses the member's literals over its range of variables."""
+        orbit = [model]
+        for role in self.shifted:
+            block = self.var_map.blocks()[role]
+            pairs = list(zip(block, reversed(block)))
+            lo, hi = block.start - 1, block.stop - 1
+            orbit += [m[:lo] + tuple(v if m[w - 1] > 0 else -v for v, w in pairs) + m[hi:] for m in orbit]
+        return orbit
 
 
 def _normalize_clause(lits):
@@ -134,10 +158,19 @@ def encode_product_theorem(n: int) -> list:
 
 def build_instance(rows, n: int) -> SatInstance:
     """The CNF solved for one matched compression: its uncompression clauses,
-    then the product clauses when n is odd."""
+    then the product clauses when n is odd, or the E3 unit clauses when n is
+    even: free entry j set to +1 for each member whose row is 0 at some
+    entry j <= d//2, at the first such j, recorded in `shifted`."""
     inst = encode_uncompression(rows, n)
     if n % 2 == 1:
         inst.clauses.extend(list(c) for c in encode_product_theorem(n))
+        return inst
+    half = len(rows[0]) // 2
+    for role, row in enumerate(rows):
+        j = next((j for j in range(half + 1) if row[j] == 0), None)
+        if j is not None:
+            inst.clauses.append([inst.var_map.var(role, j)])
+            inst.shifted += (role,)
     return inst
 
 

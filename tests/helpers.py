@@ -14,16 +14,17 @@ def class_key(q):
 
 
 def solve_without_callback(n):
-    """CNF-only solving of every instance the driver keeps at order n: the
-    solver counters summed over the instances (the driver's `COUNTERS` plus
-    ``verified``), and the models that pass the exact check."""
+    """CNF-only solving of every instance the driver keeps at order n, each
+    model returned with its E3 images as the driver does: the solver counters
+    summed over the instances (the driver's `COUNTERS` plus ``verified``),
+    and the models that pass the exact check."""
     totals = dict.fromkeys(COUNTERS + ("verified",), 0)
     verified = []
     tasks, _ = _generate_instances(RunConfig(n=n))
     for _, rows in tasks:
         inst = build_instance(rows, n)
         solver = CdclSolver(inst.num_vars, inst.clauses)
-        models = [inst.var_map.decode(model) for model in solver.solve_all()]
+        models = [inst.var_map.decode(model) for model in solver.solve_all(inst.images)]
         for k in COUNTERS:
             totals[k] += len(models) if k == "solutions" else getattr(solver.stats, k)
         verified.extend(q for q in models if verify_williamson(q))

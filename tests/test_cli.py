@@ -195,6 +195,18 @@ class TestEnumerate:
         with pytest.raises(DomainError, match="written with version='0.3.0'"):
             run_enumeration(RunConfig(n=9, out_dir=str(out_dir)))
 
+    def test_resume_rejects_version_0_4_0_checkpoint(self, tmp_path):
+        # a 0.4.0 checkpoint holds the same solutions, but its counters come
+        # from a search of every model, not one per E3 orbit
+        out_dir = tmp_path / "run"
+        run_enumeration(RunConfig(n=12, out_dir=str(out_dir)))
+        ckpt = out_dir / "checkpoint.jsonl"
+        header, rest = ckpt.read_text().split("\n", 1)
+        assert json.loads(header) == {"header": {"n": 12, "version": __version__}}
+        ckpt.write_text(json.dumps({"header": {"n": 12, "version": "0.4.0"}}) + "\n" + rest)
+        with pytest.raises(DomainError, match="written with version='0.4.0'"):
+            run_enumeration(RunConfig(n=12, out_dir=str(out_dir)))
+
     def test_resume_rejects_checkpoint_without_header(self, tmp_path):
         out_dir = str(tmp_path / "run")
         run_enumeration(RunConfig(n=9, out_dir=out_dir))
@@ -273,12 +285,12 @@ class TestEnumerate:
 
     # run_enumeration totals under the fixed decision rule (lowest unassigned
     # variable, saved phase, no restarts), each callback clause analysed to
-    # its 1UIP clause; a solver change that moves the search on purpose
-    # updates these and says so
+    # its 1UIP clause, and at even n one model searched per E3 orbit; a
+    # solver change that moves the search on purpose updates these and says so
     @pytest.mark.parametrize("n,totals", [
         (9, (44, 18, 305, 13, 15)),
-        (12, (361, 126, 1844, 110, 128)),
-        (18, (2480, 587, 12370, 1306, 584)),
+        (12, (36, 7, 204, 21, 128)),
+        (18, (454, 47, 2387, 360, 584)),
     ])
     def test_search_counters_pinned(self, n, totals):
         report = run_enumeration(RunConfig(n=n))
@@ -289,7 +301,7 @@ class TestEnumerate:
     # after the search, so solutions exceed verified
     @pytest.mark.parametrize("n,totals", [
         (9, (65, 35, 418, 0, 33, 15)),
-        (12, (1530, 765, 5343, 0, 768, 128)),
+        (12, (90, 45, 351, 0, 768, 128)),
     ])
     def test_search_counters_pinned_without_callback(self, n, totals):
         got, _ = solve_without_callback(n)

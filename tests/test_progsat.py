@@ -38,8 +38,8 @@ def truth_table_models(num_vars, clauses):
     return models
 
 
-def solve(inst, callback=None):
-    return CdclSolver(inst.num_vars, inst.clauses, callback).solve_all()
+def solve(inst, callback=None, images=None):
+    return CdclSolver(inst.num_vars, inst.clauses, callback).solve_all(images)
 
 
 def models_of(inst, callback=None):
@@ -148,6 +148,17 @@ def test_callback_protocol_against_truth_table():
                     if not any(tuple(1 if m[v - 1] > 0 else -1 for v in b) in f
                                for b, f in zip(blocks, forbidden))}
         assert set(models) == expected
+
+
+def test_images_returned_with_each_model():
+    # the unit keeps variable 1 true; each model found stands for itself and
+    # its image with variable 1 flipped, returned right after it, and only
+    # the model found is blocked
+    def flip_first(model):
+        return [model, (-model[0],) + model[1:]]
+
+    assert CdclSolver(2, [[1]]).solve_all() == [(1, -2), (1, 2)]
+    assert CdclSolver(2, [[1]]).solve_all(flip_first) == [(1, -2), (-1, -2), (1, 2), (-1, 2)]
 
 
 def test_plain_function_callback():
@@ -329,6 +340,19 @@ def test_callback_equals_post_filter(n):
         assert prog_quads == plain_quads
 
 
+@pytest.mark.parametrize("n", list(range(2, 25, 2)) + [28])
+def test_e3_reduced_search_finds_every_model(n):
+    # each instance solved with the callback twice: with the E3 units and
+    # their images, and as the bare uncompression; the model sets are equal,
+    # and no model is returned twice
+    for iid, rows in _pipeline_instances(n):
+        inst, bare = build_instance(rows, n), encode_uncompression(rows, n)
+        reduced = solve(inst, WilliamsonCallback(inst.var_map), inst.images)
+        full = solve(bare, WilliamsonCallback(bare.var_map))
+        assert len(reduced) == len(set(reduced)), iid
+        assert set(reduced) == set(full), iid
+
+
 def test_callback_agrees_with_uncompression_oracle():
     n = 6
     for q in brute_force_enumerate(n)[:5]:
@@ -353,15 +377,20 @@ class LowestFirstSolver(CdclSolver):
         self.checked += 1
 
 
+# orders whose instances the search tests below cover: 21 is odd, so no E3
+# unit shortens its search, and it carries most of the counts the floors need
+SEARCH_ORDERS = (18, 21)
+
+
 def test_decisions_take_lowest_unassigned_variable():
-    n = 18
     decisions = 0
-    for iid, rows in _pipeline_instances(n):
-        inst = build_instance(rows, n)
-        solver = LowestFirstSolver(inst.num_vars, inst.clauses, WilliamsonCallback(inst.var_map))
-        solver.solve_all()
-        assert solver.checked == solver.stats.decisions, iid
-        decisions += solver.stats.decisions
+    for n in SEARCH_ORDERS:
+        for iid, rows in _pipeline_instances(n):
+            inst = build_instance(rows, n)
+            solver = LowestFirstSolver(inst.num_vars, inst.clauses, WilliamsonCallback(inst.var_map))
+            solver.solve_all(inst.images)
+            assert solver.checked == solver.stats.decisions, iid
+            decisions += solver.stats.decisions
     assert decisions > 1000
 
 
@@ -409,15 +438,15 @@ class AssertingAfterRejection(CdclSolver):
 
 
 def test_callback_rejection_asserts_a_learned_clause():
-    n = 18
     rejections = 0
-    for iid, rows in _pipeline_instances(n):
-        inst = build_instance(rows, n)
-        solver = AssertingAfterRejection(inst.num_vars, inst.clauses, WilliamsonCallback(inst.var_map))
-        solver.solve_all()
-        assert solver.pending is None
-        assert solver.rejections + solver.final == solver.stats.callback_clauses, iid
-        rejections += solver.rejections
+    for n in SEARCH_ORDERS:
+        for iid, rows in _pipeline_instances(n):
+            inst = build_instance(rows, n)
+            solver = AssertingAfterRejection(inst.num_vars, inst.clauses, WilliamsonCallback(inst.var_map))
+            solver.solve_all(inst.images)
+            assert solver.pending is None
+            assert solver.rejections + solver.final == solver.stats.callback_clauses, iid
+            rejections += solver.rejections
     assert rejections > 1000
 
 
@@ -459,12 +488,12 @@ def test_skipped_fixpoints_pass():
     # stayed full, with the same values, since a check of a superset of them
     # passed; PSD values are nonnegative, so they pass again
     skipped = 0
-    for n in (9, 12, 15, 16, 18):
+    for n in (9, 12, 15, 16) + SEARCH_ORDERS:
         for _, rows in _pipeline_instances(n):
             inst = build_instance(rows, n)
             solver = MemberSchedule(inst.num_vars, inst.clauses, WilliamsonCallback(inst.var_map),
                                     inst.var_map.blocks())
-            solver.solve_all()
+            solver.solve_all(inst.images)
             skipped += solver.skipped
     assert skipped >= 1000
 

@@ -169,9 +169,38 @@ class TestProductTheorem:
 
 
 class TestBuildInstance:
-    def test_even_order_is_the_uncompression(self):
+    def test_even_order_appends_e3_units(self):
+        # one unit per member with a 0 among entries 0..d//2, at the first:
+        # A's entry 0 (variable 1), B's entry 1 (variable 6), D's entry 0
+        # (variable 13); C has no 0 and takes none
         rows = [[0, 2, 0], [-2, 0, 0], [2, 2, 2], [0, 0, -2]]
-        assert build_instance(rows, 6) == encode_uncompression(rows, 6)
+        inst = build_instance(rows, 6)
+        assert inst.clauses == encode_uncompression(rows, 6).clauses + [[1], [6], [13]]
+        assert inst.shifted == (0, 1, 3)
+
+    @pytest.mark.parametrize("n", [6, 12, 20])
+    def test_images_are_the_e3_shifts(self, n):
+        # the images of a model decode to the quadruples E3 gives, shifting
+        # every subset of the members that took a unit
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            q = random_quadruple(rng, n)
+            rows = [compress(x, n // 2) for x in q.members]
+            inst = build_instance(rows, n)
+            vm = inst.var_map
+            model = tuple(v if q.members[r].free[i] > 0 else -v
+                          for r, block in enumerate(vm.blocks()) for i, v in enumerate(block))
+            expected = []
+            for subset in product((False, True), repeat=len(inst.shifted)):
+                image = q
+                for role, shift in zip(inst.shifted, subset):
+                    if shift:
+                        image = apply_equivalence(image, "E3", member=role)
+                expected.append(image)
+            images = inst.images(model)
+            assert images[0] == model
+            assert set(map(vm.decode, images)) == set(expected)
+            assert len(set(images)) == len(images) == 2 ** len(inst.shifted)
 
     def test_odd_order_appends_product_clauses(self):
         rows = [[1, 1, 1], [-1, 1, 1], [3, -1, -1], [-3, 1, 1]]
