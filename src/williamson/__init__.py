@@ -21,8 +21,6 @@ from .seqcore import (
 from .diophantine import decompose_four_squares, sign_fix
 from .equivalence import apply_equivalence, canonical_form, dedupe, expand_class
 from .constructions import (
-    HadamardMatrix,
-    OctupleSequence,
     assemble_hadamard,
     double,
     extract_eight_williamson,
@@ -46,8 +44,6 @@ __all__ = [
     "canonical_form",
     "dedupe",
     "expand_class",
-    "HadamardMatrix",
-    "OctupleSequence",
     "assemble_hadamard",
     "double",
     "extract_eight_williamson",

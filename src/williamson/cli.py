@@ -350,16 +350,16 @@ def cmd_double(args) -> int:
 
 def cmd_extract8(args) -> int:
     octs = [constructions.extract_eight_williamson(q) for q in _read_quadruples(args.file)]
-    seqcore.write_blocks(sys.stdout, (o.members for o in octs))
+    seqcore.write_blocks(sys.stdout, octs)
     return 0
 
 
 def cmd_hadamard(args) -> int:
     for i, q in enumerate(_read_quadruples(args.file), start=1):
         h = constructions.assemble_hadamard(q)
-        print(f"block {i}\thadamard order {h.order}\tverified")
+        print(f"block {i}\thadamard order {len(h)}\tverified")
         if args.print_matrix:
-            for row in h.entries:
+            for row in h:
                 print("".join("+" if v == 1 else "-" for v in row))
     return 0
 

@@ -22,61 +22,6 @@ from .equivalence import distinct_forms
 from .seqcore import Quadruple, SymmetricSequence, _entries_of, verify_williamson
 
 
-class HadamardMatrix:
-    """±1 matrix with pairwise orthogonal rows; H Ht = order * I exactly."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        h = np.asarray(entries, dtype=np.int64)
-        if h.ndim != 2 or h.shape[0] != h.shape[1]:
-            raise ValueError("Hadamard matrix must be square")
-        if not np.all(np.abs(h) == 1):
-            raise ValueError("entries must be ±1")
-        n = h.shape[0]
-        if not np.array_equal(h @ h.T, n * np.eye(n, dtype=np.int64)):
-            raise ValueError("rows are not pairwise orthogonal")
-        self.entries = h
-
-    @property
-    def order(self) -> int:
-        return self.entries.shape[0]
-
-
-class OctupleSequence:
-    """Eight symmetric ±1 sequences of equal odd order."""
-
-    __slots__ = ("members",)
-
-    def __init__(self, members):
-        members = tuple(
-            x if isinstance(x, SymmetricSequence) else SymmetricSequence(x) for x in members
-        )
-        if len(members) != 8:
-            raise ValueError("an octuple has 8 members")
-        n = members[0].order
-        if any(x.order != n for x in members):
-            raise ValueError("members must have equal order")
-        if n % 2 == 0:
-            raise ValueError("octuple order must be odd")
-        self.members = members
-
-    @property
-    def order(self) -> int:
-        return self.members[0].order
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __eq__(self, other):
-        if not isinstance(other, OctupleSequence):
-            return NotImplemented
-        return self.members == other.members
-
-    def __hash__(self):
-        return hash(self.members)
-
-
 def interleave(a, b) -> tuple:
     """Perfect shuffle: [a0, b0, a1, b1, ...]."""
     ea, eb = _entries_of(a), _entries_of(b)
@@ -139,10 +84,10 @@ def double(q: Quadruple) -> Quadruple:
     )
 
 
-def extract_eight_williamson(q: Quadruple) -> OctupleSequence:
+def extract_eight_williamson(q: Quadruple) -> tuple:
     """Split a Williamson sequence of order 2n (n odd) into an 8-Williamson
-    sequence of order n by de-interleaving each member and un-rotating the
-    odd-position part."""
+    sequence of order n, a tuple of eight `SymmetricSequence`, by
+    de-interleaving each member and un-rotating the odd-position part."""
     order = q.order
     if order % 2 != 0 or (order // 2) % 2 == 0:
         raise ValueError("extraction requires order 2n with n odd")
@@ -153,25 +98,26 @@ def extract_eight_williamson(q: Quadruple) -> OctupleSequence:
         evens, odds = deinterleave(x.entries)
         members.append(SymmetricSequence(evens))
         members.append(SymmetricSequence(unshift_half(odds)))
-    octuple = OctupleSequence(members)
-    if not verify_williamson(octuple):
+    if not verify_williamson(members):
         raise AssertionError("extracted octuple fails the PAF identity")
-    return octuple
+    return tuple(members)
 
 
 def dedupe_octuples(octuples) -> list:
-    return [OctupleSequence(form.tolist()) for form in distinct_forms(octuples)]
+    """One octuple per equivalence class, each a tuple of eight `SymmetricSequence`."""
+    return [tuple(map(SymmetricSequence, form.tolist())) for form in distinct_forms(octuples)]
 
 
-def assemble_hadamard(q: Quadruple) -> HadamardMatrix:
-    """The 4n x 4n Hadamard matrix built from circulant blocks:
+def assemble_hadamard(q: Quadruple) -> np.ndarray:
+    """The 4n x 4n Hadamard matrix, an int64 array, built from circulant blocks:
 
         [  A  B  C  D ]
         [ -B  A -D  C ]
         [ -C  D  A -B ]
         [ -D -C  B  A ]
 
-    where block X has entry (i, j) = x[(j - i) mod n].
+    where block X has entry (i, j) = x[(j - i) mod n].  Raises ValueError
+    unless h @ h.T == 4n * I exactly.
     """
     if not verify_williamson(q):
         raise ValueError("input quadruple is not Williamson")
@@ -186,4 +132,6 @@ def assemble_hadamard(q: Quadruple) -> HadamardMatrix:
             [-d, -c, b, a],
         ]
     )
-    return HadamardMatrix(h)
+    if not np.array_equal(h @ h.T, 4 * n * np.eye(4 * n, dtype=np.int64)):
+        raise ValueError("rows are not pairwise orthogonal")
+    return h

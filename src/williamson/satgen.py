@@ -84,17 +84,6 @@ class SatInstance:
         return orbit
 
 
-def _normalize_clause(lits):
-    """Merge repeated literals; None for tautologies."""
-    seen = []
-    for lit in lits:
-        if -lit in seen:
-            return None
-        if lit not in seen:
-            seen.append(lit)
-    return tuple(seen)
-
-
 def _entry_clauses(value: int, variables: tuple, m: int) -> list:
     if m == 2:
         x, y = variables
@@ -131,10 +120,10 @@ def encode_uncompression(rows, n: int) -> SatInstance:
     for role, row in enumerate(rows):
         for j, value in enumerate(row):
             variables = tuple(vm.var(role, j + t * d) for t in range(m))
+            # a pattern's literals share one sign, so no clause is a tautology;
+            # two source entries folding to one variable repeat a literal
             for lits in _entry_clauses(int(value), variables, m):
-                norm = _normalize_clause(lits)
-                if norm is not None:
-                    clauses.setdefault(tuple(sorted(norm, key=abs)), None)
+                clauses.setdefault(tuple(sorted(dict.fromkeys(lits), key=abs)), None)
     return SatInstance(vm.num_vars, [list(c) for c in clauses], vm)
 
 

@@ -78,15 +78,6 @@ class SymmetricSequence:
     def negate(self) -> "SymmetricSequence":
         return SymmetricSequence.from_free(self.order, tuple(-v for v in self.free))
 
-    def __len__(self):
-        return self.order
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __getitem__(self, i):
-        return self.entries[i]
-
     def __eq__(self, other):
         if not isinstance(other, SymmetricSequence):
             return NotImplemented

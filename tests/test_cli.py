@@ -31,6 +31,11 @@ def test_smallest_prime_divisor():
     assert smallest_prime_divisor(35) == 5
 
 
+def test_order_one_has_no_prime_divisor(capsys):
+    code, out, err = run_cli(capsys, "enumerate", "-n", "1")
+    assert code == 1 and "no prime divisor" in err
+
+
 class TestRunConfig:
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -171,40 +176,23 @@ class TestEnumerate:
         with pytest.raises(DomainError, match="written with version="):
             run_enumeration(RunConfig(n=6, out_dir=out_dir))
 
-    def test_resume_rejects_version_0_2_0_checkpoint(self, tmp_path):
-        # the 0.2.0 header also held epsilon and the callback setting
-        out_dir = tmp_path / "run"
-        run_enumeration(RunConfig(n=9, out_dir=str(out_dir)))
-        ckpt = out_dir / "checkpoint.jsonl"
-        rest = ckpt.read_text().split("\n", 1)[1]
-        for callback in (True, False):
-            old = {"n": 9, "epsilon": 0.01, "callback": callback, "version": "0.2.0"}
-            ckpt.write_text(json.dumps({"header": old}) + "\n" + rest)
-            with pytest.raises(DomainError, match="written with version='0.2.0'"):
-                run_enumeration(RunConfig(n=9, out_dir=str(out_dir)))
-
-    def test_resume_rejects_version_0_3_0_checkpoint(self, tmp_path):
-        # a 0.3.0 header has today's fields, but its counters come from a
-        # search that stored callback clauses unanalysed
-        out_dir = tmp_path / "run"
-        run_enumeration(RunConfig(n=9, out_dir=str(out_dir)))
-        ckpt = out_dir / "checkpoint.jsonl"
-        header, rest = ckpt.read_text().split("\n", 1)
-        assert json.loads(header) == {"header": {"n": 9, "version": __version__}}
-        ckpt.write_text(json.dumps({"header": {"n": 9, "version": "0.3.0"}}) + "\n" + rest)
-        with pytest.raises(DomainError, match="written with version='0.3.0'"):
-            run_enumeration(RunConfig(n=9, out_dir=str(out_dir)))
-
-    def test_resume_rejects_version_0_4_0_checkpoint(self, tmp_path):
-        # a 0.4.0 checkpoint holds the same solutions, but its counters come
-        # from a search of every model, not one per E3 orbit
+    @pytest.mark.parametrize("old", [
+        # 0.2.0 headers also held epsilon and the callback setting
+        {"n": 12, "epsilon": 0.01, "callback": True, "version": "0.2.0"},
+        {"n": 12, "epsilon": 0.01, "callback": False, "version": "0.2.0"},
+        # 0.3.0 counters come from a search that stored callback clauses unanalysed
+        {"n": 12, "version": "0.3.0"},
+        # 0.4.0 counters come from a search of every model, not one per E3 orbit
+        {"n": 12, "version": "0.4.0"},
+    ], ids=["0.2.0-callback", "0.2.0-no-callback", "0.3.0", "0.4.0"])
+    def test_resume_rejects_old_version_checkpoint(self, tmp_path, old):
         out_dir = tmp_path / "run"
         run_enumeration(RunConfig(n=12, out_dir=str(out_dir)))
         ckpt = out_dir / "checkpoint.jsonl"
         header, rest = ckpt.read_text().split("\n", 1)
         assert json.loads(header) == {"header": {"n": 12, "version": __version__}}
-        ckpt.write_text(json.dumps({"header": {"n": 12, "version": "0.4.0"}}) + "\n" + rest)
-        with pytest.raises(DomainError, match="written with version='0.4.0'"):
+        ckpt.write_text(json.dumps({"header": old}) + "\n" + rest)
+        with pytest.raises(DomainError, match=f"written with version='{old['version']}'"):
             run_enumeration(RunConfig(n=12, out_dir=str(out_dir)))
 
     def test_resume_rejects_checkpoint_without_header(self, tmp_path):

@@ -26,6 +26,11 @@ def brute_force_decompositions(n):
     return normalized
 
 
+def test_rejects_order_zero():
+    with pytest.raises(ValueError, match="order must be positive"):
+        decompose_four_squares(0)
+
+
 def test_n2():
     assert decompose_four_squares(2) == [(0, 0, 2, 2)]
 

@@ -19,6 +19,16 @@ from helpers import class_key, random_op, random_quadruple
 
 
 class TestApplyEquivalence:
+    @pytest.mark.parametrize("op, kwargs, message", [
+        ("E1", {}, "E1 requires perm"),
+        ("E4", {}, "E4 requires multiplier k"),
+        ("E6", {}, "unknown operation"),
+    ])
+    def test_rejects_bad_arguments(self, op, kwargs, message):
+        q = Quadruple([1, 1, 1], [1, -1, -1], [1, -1, -1], [1, -1, -1])
+        with pytest.raises(ValueError, match=message):
+            apply_equivalence(q, op, **kwargs)
+
     def test_e2_involution(self):
         rng = np.random.default_rng(3)
         q = random_quadruple(rng, 6)

@@ -52,6 +52,11 @@ def test_uncompress_n2_example():
     assert all(compress(q.c, 1) == (2,) for q in qs)
 
 
+def test_uncompress_rejects_length_not_dividing_order():
+    with pytest.raises(ValueError, match="does not divide order 6"):
+        brute_force_uncompress([[2, 0, 0, 0]] * 4, 6)
+
+
 def test_uncompress_illegal_parity_entry():
     # an odd entry cannot come from a 2-compression
     assert brute_force_uncompress([[1], [0], [2], [2]], 2) == []

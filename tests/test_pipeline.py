@@ -201,6 +201,9 @@ class TestBuildCompressionLists:
         decs, cands = make_candidates(9)
         with pytest.raises(ValueError):
             build_compression_lists(cands, decs[0], 2)
+        decs, cands = make_candidates(10)
+        with pytest.raises(ValueError, match="compression factor must be 2 or 3"):
+            build_compression_lists(cands, decs[0], 5)
 
     def test_back_references_point_at_matching_candidates(self):
         # each list holds exactly the distinct compressions of its candidates

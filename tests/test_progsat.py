@@ -75,6 +75,16 @@ class TestSolveAllBasics:
         for model in models:
             assert verify_williamson(inst.var_map.decode(model))
 
+    @pytest.mark.parametrize("lit", [0, 3, -3])
+    def test_rejects_literal_out_of_range(self, lit):
+        with pytest.raises(ValueError, match="out of range"):
+            CdclSolver(2, [[1, lit]])
+
+    def test_tautological_input_clause_dropped(self):
+        solver = CdclSolver(2, [[1, -1], [2]])
+        assert not any(solver.watches)  # the tautology is never watched; [2] is a unit
+        assert solver.solve_all() == [(-1, 2), (1, 2)]
+
     def test_dimacs_cross_check(self):
         inst = SatInstance(3, [[1, -2], [2, 3]])
         assert models_of(inst) == truth_table_models(3, inst.clauses)

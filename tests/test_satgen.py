@@ -10,6 +10,7 @@ from williamson.pipeline import MatchedCompression
 from williamson.satgen import (
     SatInstance,
     VariableMap,
+    _entry_clauses,
     build_instance,
     dedupe_instances,
     encode_product_theorem,
@@ -66,6 +67,21 @@ class TestVariableMap:
 
 
 class TestEncodeUncompression:
+    @pytest.mark.parametrize("m, value", [(2, 2), (2, 0), (2, -2), (3, 3), (3, 1), (3, -1), (3, -3)])
+    def test_entry_clause_literals_share_a_sign(self, m, value):
+        # so no clause encode_uncompression emits can be a tautology
+        for lits in _entry_clauses(value, tuple(range(1, m + 1)), m):
+            assert all(l > 0 for l in lits) or all(l < 0 for l in lits)
+
+    @pytest.mark.parametrize("rows, n, message", [
+        ([[2, 0, 0, 0]] * 4, 6, "compressed length 4 does not divide n=6"),
+        ([[1, 1]] * 4, 6, "factor 3 inconsistent with order 6"),
+        ([[1, 1, 1]] * 4, 12, "factor 4 inconsistent with order 12"),
+    ])
+    def test_rejects_rows_not_fitting_the_order(self, rows, n, message):
+        with pytest.raises(ValueError, match=message):
+            encode_uncompression(rows, n)
+
     def test_case2_units(self):
         inst = encode_uncompression([[2], [0], [2], [-2]], 2)
         clauses = {tuple(c) for c in inst.clauses}

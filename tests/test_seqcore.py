@@ -45,6 +45,18 @@ def symmetric_of(rng, n):
     return SymmetricSequence.from_free(n, free)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: SymmetricSequence([]), "empty sequence"),
+    (lambda: SymmetricSequence.from_free(5, (1, 1)), "expected 3 free entries"),
+    (lambda: SymmetricSequence.from_free(5, (1, 0, 1)), r"entry 0 is not \+1 or -1"),
+    (lambda: paf([]), "empty sequence"),
+    (lambda: psd([]), "empty sequence"),
+], ids=["empty", "from_free-count", "from_free-entry", "paf-empty", "psd-empty"])
+def test_rejects_bad_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestSymmetricSequence:
     def test_rejects_non_pm1(self):
         with pytest.raises(ValueError):
