@@ -7,7 +7,7 @@ callback; plus the doubling and 8-Williamson constructions, Hadamard
 assembly, equivalence-class canonicalization, and a brute-force oracle.
 """
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .seqcore import (
     Quadruple,

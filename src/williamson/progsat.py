@@ -8,15 +8,16 @@ clause falsified by the assignment, or None.  Calling the Williamson callback
 at every fixpoint, not only when a member turns full, moves no search step:
 a fixpoint with no newly full member shows a subset of the members, with the
 same values, that a passing check saw, and PSD values are nonnegative.
-A propagation conflict and a callback clause are handled alike: after a
-backjump to the clause's deepest level (the current one for a conflict),
-``_analyze`` derives its 1UIP clause and ``_assert`` stores it, backjumps to
-its second deepest level and asserts its first literal there; the callback
-clause itself is not stored.  Only propagation conflicts count in
-``conflicts``.  A blocking clause is not analysed: ``_add_clause`` stores it
-and, when one literal has the deepest level, asserts that literal at the
-next deepest level through ``_assert``; otherwise it backjumps to one level
-below the deepest, asserting nothing.
+Every clause falsified by the trail is handled alike: a propagation
+conflict, a callback clause, and the blocking clause of a total model with
+no callback objection, which negates the model.  After a backjump to the
+clause's deepest level (the current one for a conflict or a blocking
+clause), ``_analyze`` derives its 1UIP clause; the search backjumps to
+that clause's second deepest level (0 for a unit), watches it unless it is a
+unit and asserts its first literal there.  The falsified clause itself is
+not stored, and one falsified at level 0 ends the search.  ``conflicts``
+counts propagation conflicts and blocking clauses; callback clauses have
+their own counter.
 Clauses are kept only in the watch lists; there is no registry of them.
 There is no restart and one fixed decision rule: the lowest unassigned
 variable, given its saved phase (the value it last held, false at first).
@@ -231,49 +232,12 @@ class CdclSolver:
             learned[1], learned[second] = learned[second], learned[1]
         return learned, back
 
-    def _assert(self, clause: list, level: int) -> None:
-        """Backjump to `level`, watch `clause` unless it is a unit and assert
-        its first literal, the others being false there."""
-        self._backjump(level)
-        if len(clause) > 1:
-            self._watch(clause)
-        self._enqueue(clause[0], clause)
-
     def _decide(self) -> None:
         # the lowest unassigned variable: values[1..num_vars] are the positive literals
         v = self.values.index(0, 1)
         self.stats.decisions += 1
         self.trail_lim.append(len(self.trail))
         self._enqueue(v if self.saved[v] else -v, None)
-
-    def _add_clause(self, lits) -> bool:
-        """Add a blocking clause, falsified by the current assignment, backtrack
-        so the search can continue, and return False when the instance is
-        exhausted (the clause is falsified at level 0)."""
-        clause = list(lits)
-        levels = [self.level[abs(l)] for l in clause]
-        max_level = max(levels, default=0)
-        if max_level == 0:  # also the empty clause, e.g. blocking a model of no variables
-            return False
-        deepest = [i for i, lv in enumerate(levels) if lv == max_level]
-        if len(clause) == 1:
-            self._assert(clause, 0)
-            return True
-        if len(deepest) == 1:
-            wi = deepest[0]
-            clause[0], clause[wi] = clause[wi], clause[0]
-            # watch the first of the deepest remaining literals, at the backjump level
-            si = max(range(1, len(clause)), key=lambda i: self.level[abs(clause[i])])
-            clause[1], clause[si] = clause[si], clause[1]
-            self._assert(clause, self.level[abs(clause[1])])
-        else:
-            # deepest ascends, so i1 > i0 and the first swap leaves clause[i1]
-            i0, i1 = deepest[0], deepest[1]
-            clause[0], clause[i0] = clause[i0], clause[0]
-            clause[1], clause[i1] = clause[i1], clause[1]
-            self._backjump(max_level - 1)
-            self._watch(clause)
-        return True
 
     def _current_model(self) -> tuple:
         values = self.values
@@ -297,24 +261,26 @@ class CdclSolver:
                 clause = callback(self.values)
                 if clause is not None:
                     self.stats.callback_clauses += 1
-            if clause is not None:
-                # falsified by the trail: a conflict's deepest level is the current one
-                deepest = max((self.level[abs(lit)] for lit in clause), default=0)
-                if deepest == 0:
-                    return models
-                self._backjump(deepest)
-                self._assert(*self._analyze(clause))
-                continue
-
-            if len(self.trail) == self.num_vars:
-                # total model with no callback objection
+            if clause is None:
+                if len(self.trail) < self.num_vars:
+                    self._decide()
+                    continue
+                # total model with no callback objection: block it
                 model = self._current_model()
                 models.extend(images(model) if images else (model,))
-                if not self._add_clause([-lit for lit in model]):
-                    return models
-                continue
-
-            self._decide()
+                clause = [-lit for lit in model]
+                self.stats.conflicts += 1
+            # falsified by the trail: a conflict's or a blocking clause's
+            # deepest level is the current one
+            deepest = max((self.level[abs(lit)] for lit in clause), default=0)
+            if deepest == 0:
+                return models
+            self._backjump(deepest)
+            learned, level = self._analyze(clause)
+            self._backjump(level)
+            if len(learned) > 1:
+                self._watch(learned)
+            self._enqueue(learned[0], learned)
 
 
 # -- programmatic Williamson callback ---------------------------------------

@@ -184,7 +184,9 @@ class TestEnumerate:
         {"n": 12, "version": "0.3.0"},
         # 0.4.0 counters come from a search of every model, not one per E3 orbit
         {"n": 12, "version": "0.4.0"},
-    ], ids=["0.2.0-callback", "0.2.0-no-callback", "0.3.0", "0.4.0"])
+        # 0.5.0 counters come from a search that stored blocking clauses unanalysed
+        {"n": 12, "version": "0.5.0"},
+    ], ids=["0.2.0-callback", "0.2.0-no-callback", "0.3.0", "0.4.0", "0.5.0"])
     def test_resume_rejects_old_version_checkpoint(self, tmp_path, old):
         out_dir = tmp_path / "run"
         run_enumeration(RunConfig(n=12, out_dir=str(out_dir)))
@@ -272,13 +274,14 @@ class TestEnumerate:
         assert hashlib.sha1(json.dumps([got, log]).encode()).hexdigest()[:16] == digest
 
     # run_enumeration totals under the fixed decision rule (lowest unassigned
-    # variable, saved phase, no restarts), each callback clause analysed to
-    # its 1UIP clause, and at even n one model searched per E3 orbit; a
-    # solver change that moves the search on purpose updates these and says so
+    # variable, saved phase, no restarts), each callback clause and each
+    # model's blocking clause analysed to its 1UIP clause, and at even n one
+    # model searched per E3 orbit; a solver change that moves the search on
+    # purpose updates these and says so
     @pytest.mark.parametrize("n,totals", [
-        (9, (44, 18, 305, 13, 15)),
-        (12, (36, 7, 204, 21, 128)),
-        (18, (454, 47, 2387, 360, 584)),
+        (9, (29, 18, 227, 13, 15)),
+        (12, (29, 8, 178, 21, 128)),
+        (18, (415, 48, 2284, 360, 584)),
     ])
     def test_search_counters_pinned(self, n, totals):
         report = run_enumeration(RunConfig(n=n))
@@ -288,8 +291,8 @@ class TestEnumerate:
     # through the library: models are then filtered by exact verification
     # after the search, so solutions exceed verified
     @pytest.mark.parametrize("n,totals", [
-        (9, (65, 35, 418, 0, 33, 15)),
-        (12, (90, 45, 351, 0, 768, 128)),
+        (9, (34, 37, 278, 0, 33, 15)),
+        (12, (45, 48, 240, 0, 768, 128)),
     ])
     def test_search_counters_pinned_without_callback(self, n, totals):
         got, _ = solve_without_callback(n)

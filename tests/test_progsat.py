@@ -64,8 +64,9 @@ class TestSolveAllBasics:
         assert len(models_of(SatInstance(3, []))) == 8
 
     def test_one_variable_unit_blocking_clauses(self):
-        # each model's blocking clause has one literal: the unit branch of
-        # the clause routine asserts it at level 0, then exhausts the instance
+        # each model's blocking clause has one literal: the first, falsified
+        # at level 1, is its own 1UIP clause, a unit asserted at level 0; the
+        # second is falsified at level 0, which exhausts the instance
         assert CdclSolver(1, []).solve_all() == [(-1,), (1,)]
 
     def test_pipeline_n2_instance_four_solutions(self):
@@ -405,28 +406,40 @@ def test_decisions_take_lowest_unassigned_variable():
 
 
 class AssertingAfterRejection(CdclSolver):
-    """Checks what follows each callback rejection: the next trail entry is
-    a literal asserted below the rejected assignment's deepest level by a
-    learned clause whose other literals are false, with no decision or
-    propagation in between.  A rejection at level 0 ends the search."""
+    """Checks what follows each callback rejection and each model found,
+    whose blocking clause rejects it: the next trail entry is a literal
+    asserted below the rejected assignment's deepest level by a learned
+    clause whose other literals are false, with no decision or propagation
+    in between.  A rejection at level 0 ends the search."""
 
     def __init__(self, num_vars, clauses, callback):
         self.pending = None  # the deepest level of an unanswered rejection
-        self.rejections = 0
+        self.rejections = 0  # callback clauses answered
+        self.blocked = 0  # models answered
         self.final = False  # set by a rejection at level 0
         super().__init__(num_vars, clauses, callback)
 
         def rejecting(values):
-            assert not self.final
             clause = callback(values)
-            if clause is not None:
-                deepest = max(self.level[abs(lit)] for lit in clause)
-                if deepest:
-                    self.pending = deepest
-                else:
-                    self.final = True
+            if clause is not None and self._reject(max(self.level[abs(lit)] for lit in clause)):
+                self.rejections += 1
             return clause
-        self.callback = rejecting
+        if callback is not None:
+            self.callback = rejecting
+
+    def _reject(self, deepest):
+        assert self.pending is None and not self.final
+        if deepest:
+            self.pending = deepest
+        else:
+            self.final = True
+        return bool(deepest)
+
+    def _current_model(self):
+        # the trail is total: the model's deepest level is the deepest of all
+        if self._reject(max(self.level)):
+            self.blocked += 1
+        return super()._current_model()
 
     def _enqueue(self, lit, reason):
         super()._enqueue(lit, reason)
@@ -436,7 +449,6 @@ class AssertingAfterRejection(CdclSolver):
             assert all(self.values[other] == -1 for other in reason[1:])
             assert len(reason) == 1 or any(reason is c for c in self.watches[reason[1]])
             self.pending = None
-            self.rejections += 1
 
     def _propagate(self):
         assert self.pending is None
@@ -448,16 +460,21 @@ class AssertingAfterRejection(CdclSolver):
 
 
 def test_callback_rejection_asserts_a_learned_clause():
-    rejections = 0
+    # the callback off too: it finds far more models, each blocked on a
+    # total trail
+    rejections = blocked = 0
     for n in SEARCH_ORDERS:
         for iid, rows in _pipeline_instances(n):
             inst = build_instance(rows, n)
-            solver = AssertingAfterRejection(inst.num_vars, inst.clauses, WilliamsonCallback(inst.var_map))
-            solver.solve_all(inst.images)
-            assert solver.pending is None
-            assert solver.rejections + solver.final == solver.stats.callback_clauses, iid
-            rejections += solver.rejections
-    assert rejections > 1000
+            for callback in (WilliamsonCallback(inst.var_map), None):
+                solver = AssertingAfterRejection(inst.num_vars, inst.clauses, callback)
+                models = solver.solve_all()
+                assert solver.pending is None
+                assert solver.rejections + solver.blocked + solver.final == (
+                    solver.stats.callback_clauses + len(models)), iid
+                rejections += solver.rejections
+                blocked += solver.blocked
+    assert rejections > 1000 and blocked > 10000
 
 
 class MemberSchedule(CdclSolver):
@@ -510,7 +527,7 @@ def test_skipped_fixpoints_pass():
 
 @pytest.mark.parametrize("n", [6, 9, 12])
 def test_watched_clauses_distinct_after_solve(n):
-    # the solver keeps no clause registry: no learned or blocking clause may
+    # the solver keeps no clause registry: no learned clause may
     # repeat the literal set of another clause it watches
     for iid, rows in _pipeline_instances(n):
         inst = build_instance(rows, n)

@@ -109,13 +109,13 @@ class TestEncodeUncompression:
             inst = encode_uncompression(rows, n)
             assert all(abs(l) <= inst.num_vars for c in inst.clauses for l in c)
 
-    def test_rejects_illegal_entries(self):
-        with pytest.raises(ValueError):
-            encode_uncompression([[1], [0], [2], [2]], 2)
-
-    def test_rejects_factor_mismatch(self):
-        with pytest.raises(ValueError):
-            encode_uncompression([[2], [2], [2], [2]], 3)
+    @pytest.mark.parametrize("rows, n, message", [
+        ([[1], [0], [2], [2]], 2, "compressed entry 1 illegal for factor 2"),
+        ([[2], [2], [2], [2]], 3, "compressed entry 2 illegal for factor 3"),
+    ], ids=["entry-1-factor-2", "entry-2-factor-3"])
+    def test_rejects_illegal_entries(self, rows, n, message):
+        with pytest.raises(ValueError, match=message):
+            encode_uncompression(rows, n)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 6, 8, 9])
     def test_model_correspondence(self, n):
