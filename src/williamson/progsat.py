@@ -10,14 +10,17 @@ a fixpoint with no newly full member shows a subset of the members, with the
 same values, that a passing check saw, and PSD values are nonnegative.
 Every clause falsified by the trail is handled alike: a propagation
 conflict, a callback clause, and the blocking clause of a total model with
-no callback objection, which negates the model.  After a backjump to the
-clause's deepest level (the current one for a conflict or a blocking
-clause), ``_analyze`` derives its 1UIP clause; the search backjumps to
-that clause's second deepest level (0 for a unit), watches it unless it is a
-unit and asserts its first literal there.  The falsified clause itself is
-not stored, and one falsified at level 0 ends the search.  ``conflicts``
-counts propagation conflicts and blocking clauses; callback clauses have
-their own counter.
+no callback objection, which negates the model.  The contract is that each
+such clause has a literal at the current level: a conflict by construction,
+a blocking clause through the current decision, and a callback clause when
+the callback passes again all it passed at the fixpoint that took the
+current decision (``_analyze`` raises ValueError otherwise).  ``_analyze``
+derives its 1UIP clause; the search backjumps to the 1UIP clause's
+second deepest level (0 for a unit), watches it unless it is a unit and
+asserts its first literal there.  The falsified clause itself is not stored,
+and one falsified at level 0 ends the search.  ``conflicts`` counts
+propagation conflicts and blocking clauses; callback clauses have their own
+counter.
 Clauses are kept only in the watch lists; there is no registry of them.
 There is no restart and one fixed decision rule: the lowest unassigned
 variable, given its saved phase (the value it last held, false at first).
@@ -123,15 +126,12 @@ class CdclSolver:
         self.trail.append(lit)
 
     def _backjump(self, target_level: int) -> None:
-        if self.decision_level <= target_level:
-            return
         bound = self.trail_lim[target_level]
         for i in range(len(self.trail) - 1, bound - 1, -1):
             lit = self.trail[i]
             v = lit if lit > 0 else -lit
             self.saved[v] = lit > 0
             self.values[lit] = self.values[-lit] = 0
-            self.reason[v] = None
         del self.trail[bound:]
         del self.trail_lim[target_level:]
         self.qhead = len(self.trail)
@@ -195,7 +195,8 @@ class CdclSolver:
     def _analyze(self, conflict) -> tuple:
         """The 1UIP clause of a clause falsified at the current level, with its
         asserting literal first and the first literal of the highest remaining
-        level second, and that level (0 for a unit clause)."""
+        level second, and that level (0 for a unit clause).  Raises
+        ValueError when the clause has no literal at the current level."""
         seen = [False] * (self.num_vars + 1)
         level = self.level
         learned = [0]  # the asserting literal goes first
@@ -216,6 +217,8 @@ class CdclSolver:
                         if level[v] > back:
                             back, second = level[v], len(learned)
                         learned.append(q)
+            if counter == 0:  # only the given clause can leave none
+                raise ValueError(f"clause {list(conflict)} has no literal at the current level")
             while not seen[abs(self.trail[index])]:
                 index -= 1
             lit = self.trail[index]
@@ -270,12 +273,9 @@ class CdclSolver:
                 models.extend(images(model) if images else (model,))
                 clause = [-lit for lit in model]
                 self.stats.conflicts += 1
-            # falsified by the trail: a conflict's or a blocking clause's
-            # deepest level is the current one
-            deepest = max((self.level[abs(lit)] for lit in clause), default=0)
-            if deepest == 0:
+            # falsified by the trail, with a literal at the current level
+            if not self.trail_lim:
                 return models
-            self._backjump(deepest)
             learned, level = self._analyze(clause)
             self._backjump(level)
             if len(learned) > 1:
@@ -290,10 +290,14 @@ class WilliamsonCallback:
     """Checks every member the assignment shows full (no zero over its range
     of variables) against the PSD bound and returns a conflict clause over a
     minimal violating subset of them, taking the largest values first, or
-    None when they pass.  The answer depends on `values` alone.  PSD vectors
-    are memoized by a member's free entries, the slice of the assignment over
-    its range, as tuples of floats, so a call does no NumPy work once its
-    members have been seen."""
+    None when they pass.  The answer depends on `values` alone, so its clauses
+    keep the solver's contract: the members full below the current level
+    were full, with the same values, at the fixpoint that took the current
+    decision, where they passed; PSD values are nonnegative, so every subset
+    of them passes again, and a rejected subset holds a literal of the
+    current level.  PSD vectors are memoized by a member's free entries, the
+    slice of the assignment over its range, as tuples of floats, so a call
+    does no NumPy work once its members have been seen."""
 
     def __init__(self, var_map):
         self.bound = psd_bound(var_map.n)

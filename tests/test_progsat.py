@@ -186,6 +186,17 @@ def test_plain_function_callback():
     assert [1, 1] in calls
 
 
+def test_callback_clause_below_current_level_is_refused():
+    # the unit sets variable 1 at level 0; once variable 2 is decided at
+    # level 1, the callback objects with a clause over variable 1 alone,
+    # which breaks the solver's contract
+    def late_objection(values):
+        return (-1,) if values[1] == 1 and values[2] != 0 else None
+
+    with pytest.raises(ValueError, match="current level"):
+        CdclSolver(2, [[1]], late_objection).solve_all()
+
+
 def assign(vm, frees):
     """Solver values array with member r's free entries set to frees[r]
     (None leaves the member unassigned)."""
@@ -407,10 +418,10 @@ def test_decisions_take_lowest_unassigned_variable():
 
 class AssertingAfterRejection(CdclSolver):
     """Checks what follows each callback rejection and each model found,
-    whose blocking clause rejects it: the next trail entry is a literal
-    asserted below the rejected assignment's deepest level by a learned
-    clause whose other literals are false, with no decision or propagation
-    in between.  A rejection at level 0 ends the search."""
+    whose blocking clause rejects it: its deepest level is the current one,
+    and the next trail entry is a literal asserted below the current level
+    by a learned clause whose other literals are false, with no decision or
+    propagation in between.  A rejection at level 0 ends the search."""
 
     def __init__(self, num_vars, clauses, callback):
         self.pending = None  # the deepest level of an unanswered rejection
@@ -429,6 +440,7 @@ class AssertingAfterRejection(CdclSolver):
 
     def _reject(self, deepest):
         assert self.pending is None and not self.final
+        assert deepest == self.decision_level
         if deepest:
             self.pending = deepest
         else:
