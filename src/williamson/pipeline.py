@@ -16,19 +16,21 @@ quadruples with
 
 as a sorted join.  The key of a PSD-passing A x B or C x D pair is the first
 d//2+1 entries of its side of the equation (PAF(s) = PAF(d-s) fixes the
-rest).  Each list row holds its part of the key packed into uint64 words, so
-a pair's packed key, which compares like the key, is the sum of its rows'
-parts.  A pair is held as an eight-byte record, a 32-bit hash of its packed
-key and its pair index, until a semi-join filter drops those whose hash
-bucket the other side lacks; only the survivors get their packed keys back.
-One stable sort of both sides' survivors puts equal keys together, and each
-key both sides hold yields its A x B by C x D cross product through array
-arithmetic.  Records over the memory budget are joined in partitions of hash
-buckets, each generating the pairs again.  The matches form one read-only
-S x 4 x d int8 stack; each `MatchedCompression` is a 4 x d view into it.
+rest).  Each list row holds a 64-bit hash of its part of the key, linear in
+it, so a pair's key hash is the sum of its rows' hashes.  A pair is held as
+an eight-byte record, a 32-bit mix of its key hash and its pair index, until
+a semi-join filter drops those whose hash bucket the other side lacks; only
+the survivors get their key hashes back.  One stable sort of both sides'
+survivors puts equal hashes together, and each hash both sides hold yields
+its A x B by C x D cross product through array arithmetic.  Records over the
+memory budget are joined in partitions of hash buckets, each generating the
+pairs again.  The matches are checked against the key itself, which drops
+hash collisions, and stably sorted by it.  They form one read-only S x 4 x d
+int8 stack; each `MatchedCompression` is a 4 x d view into it.
 """
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,40 +188,15 @@ class MatchedCompression:
     rows: np.ndarray
 
 
-def _packed_rows(lists: tuple, target: np.ndarray) -> tuple:
-    """The packed key parts of the four lists' rows: uint64 words, one column
-    per row, such that words_a[:, x] + words_b[:, y] is the packed key of an
-    A x B pair and words_c[:, x] + words_d[:, y] that of a C x D pair.  The
-    packed keys compare like the int32 keys (the first h PAF sums, or target
-    minus them).
-
-    Offsets and widths cover each column's key range on both sides, from the
-    column ranges of the four PAF lists.  Each side's offset is split over
-    its two lists so that both parts are nonnegative and their sum stays
-    inside the field.  Column 0 takes the high bits of word 0; a column that
-    does not fit in what a word has left starts the next."""
-    cols = [lx.paf[:, :target.size] for lx in lists]
-    lo_x, hi_x = [c.min(axis=0) for c in cols], [c.max(axis=0) for c in cols]
-    lo = np.minimum(lo_x[0] + lo_x[1], target - hi_x[2] - hi_x[3])
-    hi = np.maximum(hi_x[0] + hi_x[1], target - lo_x[2] - lo_x[3])
-    fields, word, used = [], 0, 0
-    for j, span in enumerate((hi - lo).tolist()):
-        width = span.bit_length()
-        if width == 0:  # the same value in every key
-            continue
-        if used + width > 64:
-            word, used = word + 1, 0
-        used += width
-        fields.append((j, word, np.uint64(64 - used)))
-    parts = (cols[0] - lo_x[0], cols[1] - (lo - lo_x[0]),
-             hi_x[2] - cols[2], (target - lo - hi_x[2]) - cols[3])
-    out = []
-    for part in parts:
-        words = np.zeros((word + 1, part.shape[0]), dtype=np.uint64)
-        for j, w, shift in fields:
-            words[w] |= part[:, j].astype(np.uint64) << shift
-        out.append(words)
-    return tuple(out)
+def _row_hashes(lists: tuple, target: np.ndarray) -> tuple:
+    """One uint64 per row of each list, linear in the row's part of the key:
+    ha[x] + hb[y] hashes the key of an A x B pair (its first h PAF sums) and
+    hc[x] + hd[y] that of a C x D pair (target minus them), mod 2^64, so
+    equal keys hash equal.  The column weights are fixed odd numbers."""
+    rng = random.Random(0)  # the stdlib generator: loading numpy.random costs 6 MiB of RSS
+    weights = np.array([rng.getrandbits(64) | 1 for _ in range(target.size)], dtype=np.uint64)
+    pa, pb, pc, pd = (lx.paf[:, :target.size] for lx in lists)
+    return tuple(part.astype(np.uint64) @ weights for part in (pa, pb, target - pc, -pd))
 
 
 def _pair_dtype(count_x: int, count_y: int):
@@ -227,11 +204,13 @@ def _pair_dtype(count_x: int, count_y: int):
     return np.int32 if count_x * count_y < 2**31 else np.int64
 
 
-def _pair_blocks(lx: CompressedList, ly: CompressedList, wx: np.ndarray, wy: np.ndarray,
+def _pair_blocks(lx: CompressedList, ly: CompressedList, hx: np.ndarray, hy: np.ndarray,
                  bound: float):
-    """Blocks (key hashes, pair indices x * len(ly) + y) of the pairs of lx x ly
-    that pass the PSD bound, in row-major order, one block or more; wx and wy
-    are the packed key parts of the two lists."""
+    """Blocks (32-bit key hashes, pair indices x * len(ly) + y) of the pairs of
+    lx x ly that pass the PSD bound, in row-major order, one block or more; hx
+    and hy are the row hashes of the two lists.  The xor-shift before the
+    multiply lets the high half of a pair's 64-bit hash reach the low bits of
+    its 32-bit one, which pick the partition."""
     count_y = len(ly)
     dtype = _pair_dtype(len(lx), count_y)
     block = max(1, (1 << 18) // count_y)
@@ -243,7 +222,9 @@ def _pair_blocks(lx: CompressedList, ly: CompressedList, wx: np.ndarray, wy: np.
             ok &= lx.psd_half[lo:hi, j:j + 1] + psd_y[j] <= bound
         xi, yi = np.nonzero(ok)
         xi += lo
-        yield _key_hash(wx[:, xi] + wy[:, yi]), (xi * count_y + yi).astype(dtype)
+        hashed = hx[xi] + hy[yi]
+        hashed = (hashed ^ (hashed >> np.uint64(32))) * _HASH_MULT
+        yield (hashed >> np.uint64(32)).astype(np.uint32), (xi * count_y + yi).astype(dtype)
 
 
 _HASH_MULT = np.uint64(0x9E3779B97F4A7C15)
@@ -253,27 +234,17 @@ _FILTER_BITS = 22      # semi-join filter: at most 4 Mi buckets, from the high b
 _PARTITION_BITS = 10   # over-budget runs: 1 Ki buckets, from the low bits
 
 
-def _key_hash(words: np.ndarray) -> np.ndarray:
-    """A 32-bit multiplicative hash of each packed key; the final xor-shift
-    makes its low bits depend on every key bit."""
-    hashed = np.zeros(words.shape[1], dtype=np.uint64)
-    for w in words:
-        hashed = (hashed ^ w) * _HASH_MULT
-    hashed = (hashed ^ (hashed >> np.uint64(32))) * _HASH_MULT
-    return (hashed >> np.uint64(32)).astype(np.uint32)
-
-
-def _join(blocks, packed) -> tuple:
-    """Every pair of an A x B record and a C x D record with equal keys.
+def _join(blocks, key_hash) -> tuple:
+    """Every pair of an A x B record and a C x D record with equal 64-bit key
+    hashes: the pairs with equal keys, and any whose hashes collide.
 
     ``blocks`` is a list of (side, key hashes, pair indices), at least one
     block, with side 0 (A x B) before side 1 (C x D); each block is popped
-    from it as its records are filtered.  ``packed(side, pairs)`` rebuilds
-    the packed keys of the records that pass the filter, so equal keys are
-    decided on the keys themselves.  Matches come in ascending key order,
-    A x B records outer and C x D records inner, each side in the order
-    given.  Returns the A x B and C x D pair indices and the packed key of
-    each match."""
+    from it as its records are filtered.  ``key_hash(side, pairs)`` gives the
+    64-bit key hashes of the records that pass the filter.  The matches of
+    one hash come together, A x B records outer and C x D records inner,
+    each side in the order given.  Returns the A x B and C x D pair indices
+    of each match."""
     # only records in a hash bucket that both sides use can match; 2-4 buckets a record
     bits = min(_FILTER_BITS, (2 * sum(p.size for _, _, p in blocks) + 1).bit_length())
     shift = np.uint32(32 - bits)
@@ -284,16 +255,16 @@ def _join(blocks, packed) -> tuple:
     while blocks:
         side, hashes, pairs = blocks.pop(0)
         pairs = pairs[sides[hashes >> shift] == 3]
-        kept.append((packed(side, pairs), pairs))
+        kept.append((key_hash(side, pairs), pairs))
         if side == 0:
             n_ab += pairs.size
-    words = np.concatenate([w for w, _ in kept], axis=1)
+    hashes = np.concatenate([h for h, _ in kept])
     pairs = np.concatenate([p for _, p in kept])
     del kept
-    order = np.lexsort(words[::-1])  # stable: of equal keys, A x B records come first
-    words = words[:, order]
+    order = np.argsort(hashes, kind="stable")  # of equal hashes, A x B records come first
+    hashes = hashes[order]
     new = np.ones(order.size, dtype=bool)
-    np.any(words[:, 1:] != words[:, :-1], axis=0, out=new[1:])
+    np.not_equal(hashes[1:], hashes[:-1], out=new[1:])
     starts = np.flatnonzero(new)
     group = np.cumsum(new) - 1
     is_ab = order < n_ab
@@ -304,10 +275,10 @@ def _join(blocks, packed) -> tuple:
     first_cd = np.repeat(starts[group[ab]] + count_ab[group[ab]], reps)
     inner = np.arange(first_cd.size) - np.repeat(np.cumsum(reps) - reps, reps)
     ab = np.repeat(ab, reps)
-    return pairs[order[ab]], pairs[order[first_cd + inner]], words[:, ab]
+    return pairs[order[ab]], pairs[order[first_cd + inner]]
 
 
-def _partitioned_join(blocks, packed, budget_bytes: int) -> tuple:
+def _partitioned_join(blocks, key_hash, budget_bytes: int) -> tuple:
     """_join of all the records of blocks(), in partitions of hash buckets
     that hold at most budget_bytes of records each.  Every partition calls
     blocks() again and keeps its own records."""
@@ -332,10 +303,8 @@ def _partitioned_join(blocks, packed, budget_bytes: int) -> tuple:
         for side, hashes, pairs in blocks():
             keep = part[hashes & mask] == p
             mine.append((side, hashes[keep], pairs[keep]))
-        joined.append(_join(mine, packed))
-    pair_ab, pair_cd, keys = (np.concatenate(arrays, axis=-1) for arrays in zip(*joined))
-    order = np.lexsort(keys[::-1])  # stable: the matches of one key keep their order
-    return pair_ab[order], pair_cd[order]
+        joined.append(_join(mine, key_hash))
+    return tuple(np.concatenate(arrays) for arrays in zip(*joined))
 
 
 def match_compressions(lists: tuple, n: int, mod4_filter: bool = True,
@@ -349,40 +318,42 @@ def match_compressions(lists: tuple, n: int, mod4_filter: bool = True,
     each a view into one read-only S x 4 x d int8 stack of rows.
     ``budget_bytes`` bounds the key records held for one join: a 32-bit key
     hash and a pair index (int32, or int64 when a side has 2^31 pairs or
-    more) per PSD-passing pair, both sides; the packed keys are rebuilt only
-    for the records the hash filter keeps.  Records over the budget are
+    more) per PSD-passing pair, both sides; a 64-bit key hash is rebuilt
+    only for the records the hash filter keeps.  Records over the budget are
     joined in partitions of hash buckets, each of which generates all pairs
     again and keeps its own; a hash bucket larger than the budget is a
-    ValueError."""
+    ValueError.  The matches of equal 64-bit hashes are checked against the
+    key itself after the mod-4 filter, so the output does not depend on the
+    hash."""
     la, lb, lc, ld = lists
     if not all(len(lx) for lx in lists):
         return []
     target = np.zeros(la.rows.shape[1] // 2 + 1, dtype=np.int32)  # PAF(s) = PAF(d - s)
     target[0] = 4 * n
-    wa, wb, wc, wd = _packed_rows(lists, target)
-    sides = ((la, lb, wa, wb), (lc, ld, wc, wd))
+    ha, hb, hc, hd = _row_hashes(lists, target)
+    sides = ((la, lb, ha, hb), (lc, ld, hc, hd))
     bound = psd_bound(n)
 
     def blocks():
-        for side, (lx, ly, wx, wy) in enumerate(sides):
-            for hashes, pairs in _pair_blocks(lx, ly, wx, wy, bound):
+        for side, (lx, ly, hx, hy) in enumerate(sides):
+            for hashes, pairs in _pair_blocks(lx, ly, hx, hy, bound):
                 yield side, hashes, pairs
 
-    def packed(side, pairs):
-        _, ly, wx, wy = sides[side]
+    def key_hash(side, pairs):
+        _, ly, hx, hy = sides[side]
         xi, yi = np.divmod(pairs, len(ly))
-        return wx[:, xi] + wy[:, yi]
+        return hx[xi] + hy[yi]
 
     held, held_bytes = [], 0
     for block in blocks():
         held_bytes += block[1].nbytes + block[2].nbytes
         if held_bytes > budget_bytes:
             held.clear()
-            pair_ab, pair_cd = _partitioned_join(blocks, packed, budget_bytes)
+            pair_ab, pair_cd = _partitioned_join(blocks, key_hash, budget_bytes)
             break
         held.append(block)
     else:
-        pair_ab, pair_cd, _ = _join(held, packed)
+        pair_ab, pair_cd = _join(held, key_hash)
 
     ia, ib = np.divmod(pair_ab, len(lb))
     ic, id_ = np.divmod(pair_cd, len(ld))
@@ -392,6 +363,13 @@ def match_compressions(lists: tuple, n: int, mod4_filter: bool = True,
         ma, mb, mc, md = (np.packbits(lx.rows != 0, axis=1) for lx in lists)
         keep = ~np.any(ma[ia] ^ mb[ib] ^ mc[ic] ^ md[id_], axis=1)
         ia, ib, ic, id_ = ia[keep], ib[keep], ic[keep], id_[keep]
+    # drop hash collisions, then sort by key: stable, so A x B pairs stay outer
+    keys = [la.paf[ia, j] + lb.paf[ib, j] for j in range(target.size)]
+    exact = np.ones(ia.size, dtype=bool)
+    for j, key in enumerate(keys):
+        exact &= key == target[j] - lc.paf[ic, j] - ld.paf[id_, j]
+    order = np.lexsort([key[exact] for key in reversed(keys)])
+    ia, ib, ic, id_ = (i[exact][order] for i in (ia, ib, ic, id_))
     stack = np.stack([la.rows[ia], lb.rows[ib], lc.rows[ic], ld.rows[id_]], axis=1)
     stack.setflags(write=False)
     return [MatchedCompression(r) for r in stack]

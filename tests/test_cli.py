@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import williamson
-from williamson import __version__, cli
+from williamson import __version__, cli, pipeline
 from williamson.cli import COUNTERS, DomainError, RunConfig, main, run_enumeration, smallest_prime_divisor
 from williamson.equivalence import dedupe
 from williamson.oracle import brute_force_enumerate
@@ -272,6 +272,37 @@ class TestEnumerate:
         got, log = cli._generate_instances(RunConfig(n=n))
         assert (len(got), len(log)) == (tasks, discarded)
         assert hashlib.sha1(json.dumps([got, log]).encode()).hexdigest()[:16] == digest
+
+    def test_budget_reaches_the_matcher(self, monkeypatch):
+        # a --budget-bytes below the records of the largest decomposition's join
+        # sends that join through the hash partitions, with the same instances
+        records = []
+
+        def spy_join(blocks, key_hash):
+            records.append(sum(hashes.nbytes + pairs.nbytes for _, hashes, pairs in blocks))
+            return join(blocks, key_hash)
+
+        def spy_partitioned(blocks, key_hash, budget_bytes):
+            partitioned.append(budget_bytes)
+            return partitioned_join(blocks, key_hash, budget_bytes)
+
+        join, partitioned_join, partitioned = pipeline._join, pipeline._partitioned_join, []
+        monkeypatch.setattr(pipeline, "_join", spy_join)
+        monkeypatch.setattr(pipeline, "_partitioned_join", spy_partitioned)
+        expected = cli._generate_instances(RunConfig(n=18))
+        assert not partitioned
+        budget = max(records) // 3
+        while True:  # no partition can be smaller than the records of one hash bucket
+            partitioned.clear()
+            try:
+                got = cli._generate_instances(RunConfig(n=18, matcher_budget_bytes=budget))
+                break
+            except ValueError as e:
+                assert "hash bucket" in str(e)
+                budget += budget // 4 + 1
+        assert budget < max(records)
+        assert partitioned and set(partitioned) == {budget}
+        assert got == expected
 
     # run_enumeration totals under the fixed decision rule (lowest unassigned
     # variable, saved phase, no restarts), each callback clause and each
