@@ -327,8 +327,10 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_canonicalize(args) -> int:
-    canon = [equivalence.canonical_form(q) for q in _read_quadruples(args.file)]
-    seqcore.write_blocks(sys.stdout, (q.members for q in canon))
+    qs = _read_quadruples(args.file)
+    forms = {o: iter(equivalence.canonical_forms([q for q in qs if q.order == o]))
+             for o in {q.order for q in qs}}  # one kernel call per order in the file
+    seqcore.write_blocks(sys.stdout, (next(forms[q.order]) for q in qs))
     return 0
 
 

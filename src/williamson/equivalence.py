@@ -19,7 +19,8 @@ trying every (automorphism, E5) choice, then minimizing each member over
 {id, E2, E3, E2*E3} and sorting (E1).  `canonical_rows` does this for a whole
 stack of k-tuples at once, of full rows or of compressed rows: it is the one
 implementation behind class counting, octuple counting and the dedupe of
-matched compressions before the SAT stage.  `expand_class` is its reference.
+matched compressions before the SAT stage; it does the image work once per
+distinct member row of a block of tuples.  `expand_class` is its reference.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ import numpy as np
 
 from .seqcore import Quadruple, SymmetricSequence, _entries_of
 
-_CHUNK_BYTES = 1 << 17  # images of one canonical_rows block; keeps its temporaries near 1 MiB
+_CHUNK_BYTES = 1 << 17  # images of one canonical_rows block's distinct rows; keeps its temporaries near 1 MiB
 
 
 def units(n: int) -> list:
@@ -119,6 +120,8 @@ def canonical_rows(rows, n: int) -> np.ndarray:
     entry first (+1 before -1) and tuples member by member; the canonical
     form is the least image.  E1-E3 act within the tuple, so each (E4, E5)
     image is minimized over {id, E2, E3, E2*E3} per member, then sorted.
+    Each block ranks those minima once per distinct row and compares a
+    tuple's choices on its members' ranks, consistent within the block.
     """
     rows = np.asarray(rows, dtype=np.int8)
     if len(rows) == 0:
@@ -127,18 +130,28 @@ def canonical_rows(rows, n: int) -> np.ndarray:
     maps, signs, shift = _group(n, length)
     top = n // length + 1  # entry v as byte top - v: never NUL, larger v first
     out = np.empty_like(rows)
-    step = max(1, _CHUNK_BYTES // (len(maps) * len(signs) * 4 * k * length))
+    # images: choices x 4 x L bytes per distinct row; a block is sized for k * step / 4 of them
+    step = max(1, _CHUNK_BYTES // (len(maps) * len(signs) * k * length))
     for lo in range(0, count, step):
-        x = rows[lo:lo + step]
-        g = (x[:, :, maps][:, :, :, None, :] * signs).reshape(len(x), k, -1, length)
+        x = (top - rows[lo:lo + step]).astype(np.uint8).reshape(-1, length)
+        distinct, which = np.unique(x.view(f"S{length}")[:, 0], return_inverse=True)
+        u = top - distinct.view(np.uint8).reshape(-1, length).astype(np.int8)
+        g = (u[:, None, maps] * signs[:, None, :]).reshape(len(u), -1, length)
         images = [g, -g]
         if shift:
             s = np.roll(g, -shift, axis=-1)
             images += [s, -s]
-        b = (top - np.stack(images, axis=3)).astype(np.uint8, order="C")
-        members = np.sort(b.view(f"S{length}")[..., 0], axis=-1)[..., 0]
-        tuples = np.sort(members, axis=1).transpose(0, 2, 1).copy()
-        best = np.sort(tuples.view(f"S{k * length}")[..., 0], axis=1)[:, 0].copy()
+        b = (top - np.stack(images, axis=2)).astype(np.uint8, order="C")
+        # each row's least {id, E2, E3, E2*E3} image per (E4, E5) choice, ranked
+        least, rank = np.unique(np.sort(b.view(f"S{length}")[..., 0], axis=-1)[..., 0], return_inverse=True)
+        rank = rank.astype(np.int32).reshape(len(u), -1)
+        t = np.sort(rank[which.reshape(-1, k)].transpose(0, 2, 1), axis=-1)
+        # E1 sorts each choice's ranks; the least choice is found member by member
+        alive = np.ones(t.shape[:2], dtype=bool)
+        for j in range(k):
+            col = np.where(alive, t[:, :, j], len(least))
+            alive &= col == col.min(axis=1, keepdims=True)
+        best = least[t[np.arange(len(t)), alive.argmax(axis=1)]]
         out[lo:lo + step] = top - best.view(np.uint8).reshape(-1, k, length).astype(np.int8)
     return out
 

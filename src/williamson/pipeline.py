@@ -31,6 +31,7 @@ int8 stack; each `MatchedCompression` is a 4 x d view into it.
 from __future__ import annotations
 
 import random
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -297,6 +298,8 @@ def _partitioned_join(blocks, key_hash, budget_bytes: int) -> tuple:
         hi = int(np.searchsorted(ends, (ends[lo - 1] if lo else 0) + budget_bytes, side="right"))
         part[lo:hi] = count
         lo, count = hi, count + 1
+    if count > 64:  # each partition generates every pair again
+        warnings.warn(f"matcher budget_bytes={budget_bytes}: {count} passes over all pairs", RuntimeWarning, 3)
     joined = []
     for p in range(count):
         mine = []

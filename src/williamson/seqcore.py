@@ -9,7 +9,6 @@ equality decisions.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import mul
 
 import numpy as np
 
@@ -180,15 +179,23 @@ def rowsum(seq) -> int:
 
 
 def verify_williamson(q: Quadruple) -> bool:
-    """Exact check that the four PAF values sum to zero at shifts 1..n//2
-    (PAF(s) = PAF(n - s) covers the other shifts).
-
-    Never uses floating point.
-    """
+    """Exact check that the PAF values of the k members (four, or eight for
+    an octuple) sum to zero at shifts 1..n//2 (PAF(s) = PAF(n - s) covers the
+    rest); an entry other than ±1 is a ValueError.  With b the n-bit integer
+    with a 1 for each -1 entry, PAF(s) = n - 2 popcount(b ^ rot_s(b)); one
+    integer holds each member as a 2n-bit field b << n | b, whose low n bits
+    shifted right by s are rot_s(b)."""
     members = q.members if isinstance(q, Quadruple) else tuple(q)
     rows = [_entries_of(x) for x in members]
-    n = len(rows[0])
-    return all(sum(sum(map(mul, a, a[s:] + a[:s])) for a in rows) == 0 for s in range(1, n // 2 + 1))
+    n, bit = len(rows[0]), {1: "0", -1: "1"}.__getitem__
+    if any(len(a) != n for a in rows):
+        raise ValueError("members must have equal length")
+    try:
+        bits = int("".join("".join(map(bit, a)) * 2 for a in rows), 2)
+    except KeyError as e:
+        raise ValueError(f"entry {e.args[0]!r} is not +1 or -1") from None
+    low = int(("0" * n + "1" * n) * len(rows), 2)
+    return all(2 * ((bits ^ bits >> s) & low).bit_count() == len(rows) * n for s in range(1, n // 2 + 1))
 
 
 # --- text format -----------------------------------------------------------

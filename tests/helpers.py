@@ -2,7 +2,7 @@
 import numpy as np
 
 from williamson.cli import COUNTERS, RunConfig, _generate_instances
-from williamson.equivalence import apply_equivalence, canonical_forms, units
+from williamson.equivalence import _group, apply_equivalence, canonical_forms, units
 from williamson.progsat import CdclSolver
 from williamson.satgen import build_instance
 from williamson.seqcore import Quadruple, SymmetricSequence, verify_williamson
@@ -61,3 +61,26 @@ def random_op(rng, q):
         ks = units(n)
         return apply_equivalence(q, "E4", k=ks[rng.integers(len(ks))])
     return apply_equivalence(q, "E5")
+
+
+def reference_canonical_rows(rows, n):
+    """Canonical forms by the per-image algorithm: every (E4, E5) image of
+    every member of every tuple, each minimized over {id, E2, E3, E2*E3},
+    sorted within its tuple (E1), and the least tuple over the choices.
+    `equivalence.canonical_rows` must agree with it."""
+    rows = np.asarray(rows, dtype=np.int8)
+    if len(rows) > 64:  # bounds the images held at once
+        return np.concatenate([reference_canonical_rows(rows[i:i + 64], n) for i in range(0, len(rows), 64)])
+    count, k, length = rows.shape
+    maps, signs, shift = _group(n, length)
+    top = n // length + 1  # entry v as byte top - v: never NUL, larger v first
+    g = (rows[:, :, maps][:, :, :, None, :] * signs).reshape(count, k, -1, length)
+    images = [g, -g]
+    if shift:
+        s = np.roll(g, -shift, axis=-1)
+        images += [s, -s]
+    b = (top - np.stack(images, axis=3)).astype(np.uint8, order="C")
+    members = np.sort(b.view(f"S{length}")[..., 0], axis=-1)[..., 0]
+    tuples = np.sort(members, axis=1).transpose(0, 2, 1).copy()
+    best = np.sort(tuples.view(f"S{k * length}")[..., 0], axis=1)[:, 0].copy()
+    return top - best.view(np.uint8).reshape(-1, k, length).astype(np.int8)

@@ -11,7 +11,7 @@ import pytest
 import williamson
 from williamson import __version__, cli, pipeline
 from williamson.cli import COUNTERS, DomainError, RunConfig, main, run_enumeration, smallest_prime_divisor
-from williamson.equivalence import dedupe
+from williamson.equivalence import canonical_form, dedupe
 from williamson.oracle import brute_force_enumerate
 from williamson.satgen import build_instance, encode_product_theorem, export_dimacs
 from williamson.seqcore import format_block, read_quadruples
@@ -415,6 +415,18 @@ class TestOtherCommands:
         path2.write_text(first)
         code, second, err = run_cli(capsys, "canonicalize", str(path2))
         assert second == first
+
+    def test_canonicalize_equals_canonical_form_per_block(self, tmp_path, capsys):
+        # one kernel call per order gives each block's own canonical form, in
+        # input order, also when the file mixes orders
+        rng = random.Random(5)
+        qs = brute_force_enumerate(4) + brute_force_enumerate(5) + brute_force_enumerate(6)[:60]
+        rng.shuffle(qs)
+        path = tmp_path / "qs.txt"
+        path.write_text("\n\n".join(format_block(q.members) for q in qs) + "\n")
+        code, out, err = run_cli(capsys, "canonicalize", str(path))
+        assert code == 0
+        assert out == "\n".join(format_block(canonical_form(q).members) + "\n" for q in qs)
 
     def test_canonicalize_reads_stdin(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "qs.txt"

@@ -1,21 +1,25 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from williamson.cli import RunConfig, run_enumeration
 from williamson.equivalence import (
+    _CHUNK_BYTES,
     _group,
     apply_equivalence,
     canonical_form,
+    canonical_rows,
     dedupe,
     expand_class,
     units,
 )
 from williamson.oracle import brute_force_enumerate
-from williamson.seqcore import Quadruple, SymmetricSequence
+from williamson.seqcore import Quadruple, SymmetricSequence, fold_indices
 
 
-from helpers import class_key, random_op, random_quadruple
+from helpers import class_key, random_op, random_quadruple, reference_canonical_rows
 
 
 class TestApplyEquivalence:
@@ -135,6 +139,55 @@ class TestCanonicalForm:
             canon = canonical_form(q)
             assert tuple(tuple(0 if v == 1 else 1 for v in x.entries) for x in canon.members) == lo
             assert all(class_key(p) == class_key(q) for p in orbit[:50])
+
+
+def pooled_stack(rng, n, m, k):
+    """At least three canonical_rows blocks of k-tuples of m-compressions of
+    symmetric ±1 sequences of order n, drawn from a pool of 8 rows and 16 of
+    their images under E4, E5 and E2, so that equal rows recur across block
+    boundaries and a tuple's choices often tie member by member."""
+    d = n // m
+    free = rng.choice(np.array([-1, 1], dtype=np.int8), size=(8, n // 2 + 1))
+    base = free[:, fold_indices(n)].reshape(8, m, d).sum(axis=1, dtype=np.int8)
+    maps, signs, _ = _group(n, d)
+    pool = [base]
+    for _ in range(2):
+        g, e = rng.integers(len(maps), size=8), rng.integers(len(signs), size=8)
+        negate = rng.choice(np.array([-1, 1], dtype=np.int8), size=(8, 1))
+        pool.append(np.take_along_axis(base, maps[g], axis=1) * signs[e] * negate)
+    pool = np.concatenate(pool)
+    step = _CHUNK_BYTES // (len(maps) * len(signs) * k * d)
+    return pool[rng.integers(len(pool), size=(3 * step + step // 2, k))]
+
+
+class TestCanonicalRows:
+    @pytest.mark.parametrize("n, m, k", [(28, 1, 4), (40, 2, 4), (27, 3, 4), (15, 1, 8), (21, 1, 8)],
+                             ids=["full-28", "2-compressions-40", "3-compressions-27",
+                                  "octuples-15", "octuples-21"])
+    def test_equals_per_image_reference(self, n, m, k):
+        rng = np.random.default_rng(n * 10 + m)
+        stack = pooled_stack(rng, n, m, k)
+        got = canonical_rows(stack, n)
+        assert got.dtype == np.int8 and got.shape == stack.shape
+        assert np.array_equal(got, reference_canonical_rows(stack, n))
+        # a tuple's form does not depend on the block it is canonicalized in
+        assert np.array_equal(canonical_rows(stack[::-1], n), got[::-1])
+
+    def test_n28_solutions_against_reference_and_memory(self):
+        # the 2,880 solutions of n=28: the kernel's temporaries stay below
+        # 1 MiB with its output; blocks sized by the input bytes peaked at 4.7 MiB
+        report = run_enumeration(RunConfig(n=28))
+        stack = np.array([[x.entries for x in q.members] for q in report.solutions], dtype=np.int8)
+        assert stack.shape == (2880, 4, 28)
+        tracemalloc.start()
+        try:
+            got = canonical_rows(stack, 28)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert np.array_equal(got, reference_canonical_rows(stack, 28))
+        assert len({form.tobytes() for form in got}) == 83
 
 
 class TestDedupe:

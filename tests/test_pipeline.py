@@ -1,5 +1,7 @@
 import hashlib
+import re
 import tracemalloc
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -364,6 +366,20 @@ class TestMatchCompressions:
         lists = build_compression_lists(cands, decs[0], 2)
         with pytest.raises(ValueError, match="hash bucket"):
             match_compressions(lists, 6, budget_bytes=1)
+
+    def test_many_partitions_warn(self):
+        # every partition generates and PSD-tests all pairs again: at n=36 a
+        # 2^14-byte budget splits the (6, 6, 6, 6) join into 95 partitions
+        decs, cands = make_candidates(36)
+        lists = build_compression_lists(cands, (6, 6, 6, 6), 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the default budget takes one join
+            expected = [rows_of(mc) for mc in match_compressions(lists, 36)]
+        with pytest.warns(RuntimeWarning, match="budget_bytes=16384: ") as caught:
+            matched = match_compressions(lists, 36, budget_bytes=2**14)
+        assert len(caught) == 1
+        assert int(re.search(r": (\d+) passes", str(caught[0].message)).group(1)) > 64
+        assert [rows_of(mc) for mc in matched] == expected
 
     def test_pair_index_dtype(self):
         # int32 while every index x * len(ly) + y fits; n=70 lists can pass 2^31 pairs

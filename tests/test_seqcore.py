@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from williamson.constructions import extract_eight_williamson
 from williamson.oracle import brute_force_enumerate
 from williamson.seqcore import (
     Quadruple,
@@ -215,6 +218,45 @@ class TestVerifyWilliamson:
                 expected = all(sum(paf(x)[s] for x in v.members) == 0 for s in range(1, n))
                 assert verify_williamson(v) == expected
             assert verify_williamson(q)
+
+    @pytest.mark.parametrize("k", [4, 8])
+    def test_agrees_with_paf_definition(self, k):
+        # random ±1 k-tuples, not symmetric: the popcount check against paf()
+        rng = np.random.default_rng(41 + k)
+        accepted = 0
+        for n in range(1, 31):
+            for _ in range(40):
+                rows = [random_pm1(rng, n) for _ in range(k)]
+                expected = all(sum(paf(a)[s] for a in rows) == 0 for s in range(1, n))
+                assert verify_williamson(rows) == expected, (k, n, rows)
+                accepted += expected
+        assert accepted > 0
+
+    @pytest.mark.parametrize("order", [6, 10])
+    def test_octuples(self, order):
+        # eight members of odd order n; flipping a symmetric pair x[i], x[n-i]
+        # of any member breaks the PAF identity
+        for q in brute_force_enumerate(order)[:5]:
+            octuple = [x.entries for x in extract_eight_williamson(q)]
+            assert verify_williamson(octuple)
+            n = len(octuple[0])
+            for j, i in itertools.product(range(8), range(1, n // 2 + 1)):
+                row = list(octuple[j])
+                row[i], row[n - i] = -row[i], -row[n - i]
+                assert not verify_williamson(octuple[:j] + [row] + octuple[j + 1:]), (j, i)
+
+    @pytest.mark.parametrize("rows, entry", [
+        ([(1, 2), (1, 1), (1, 1), (1, 1)], "2"),
+        ([(1, 1), (1, 1), (0, 1), (1, 1)], "0"),
+        ([(1, 1, 1)] * 7 + [(1, -3, -3)], "-3"),
+    ], ids=["two", "zero", "octuple-minus-three"])
+    def test_rejects_entries_other_than_pm1(self, rows, entry):
+        with pytest.raises(ValueError, match=rf"entry {entry} is not \+1 or -1"):
+            verify_williamson(rows)
+
+    def test_rejects_members_of_unequal_length(self):
+        with pytest.raises(ValueError, match="equal length"):
+            verify_williamson([(1, 1), (1, 1), (1, 1), (1, 1, 1)])
 
     def test_agrees_with_psd_characterization(self):
         # whenever the PAF condition holds the PSD values sum to 4n everywhere
