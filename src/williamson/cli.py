@@ -88,7 +88,7 @@ def _solve_task(args):
     inst = satgen.build_instance(rows, n)
     solver = CdclSolver(inst.num_vars, inst.clauses, WilliamsonCallback(inst.var_map))
     models = solver.solve_all(inst.images)
-    solutions = [[list(x.free) for x in inst.var_map.decode(model)] for model in models]
+    solutions = [inst.var_map.decode(model) for model in models]
     stats = {k: len(models) if k == "solutions" else getattr(solver.stats, k) for k in COUNTERS}
     return instance_id, solutions, stats
 
@@ -344,25 +344,32 @@ def cmd_oracle(args) -> int:
     return 0
 
 
+def _constructed(path, construction):
+    """construction(q) for each quadruple block of the file at path, in
+    order; a ValueError it raises names the block."""
+    for i, q in enumerate(_read_quadruples(path), start=1):
+        try:
+            built = construction(q)
+        except ValueError as e:
+            raise ValueError(f"block {i}: {e}") from None
+        yield built
+
+
 def cmd_double(args) -> int:
-    doubled = [constructions.double(q) for q in _read_quadruples(args.file)]
-    seqcore.write_blocks(sys.stdout, (q.members for q in doubled))
+    seqcore.write_blocks(sys.stdout, _constructed(args.file, constructions.double))
     return 0
 
 
 def cmd_extract8(args) -> int:
-    octs = [constructions.extract_eight_williamson(q) for q in _read_quadruples(args.file)]
-    seqcore.write_blocks(sys.stdout, octs)
+    seqcore.write_blocks(sys.stdout, _constructed(args.file, constructions.extract_eight_williamson))
     return 0
 
 
 def cmd_hadamard(args) -> int:
-    for i, q in enumerate(_read_quadruples(args.file), start=1):
-        h = constructions.assemble_hadamard(q)
+    for i, h in enumerate(_constructed(args.file, constructions.assemble_hadamard), start=1):
         print(f"block {i}\thadamard order {len(h)}\tverified")
         if args.print_matrix:
-            for row in h:
-                print("".join("+" if v == 1 else "-" for v in row))
+            print(seqcore.format_block(h))
     return 0
 
 

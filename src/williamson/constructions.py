@@ -76,12 +76,7 @@ def double(q: Quadruple) -> Quadruple:
     a, b, c, d = (x.entries for x in q.members)
     bs, ds = shift_half(b), shift_half(d)
     neg = lambda e: tuple(-v for v in e)
-    return Quadruple(
-        SymmetricSequence(interleave(a, bs)),
-        SymmetricSequence(interleave(neg(a), bs)),
-        SymmetricSequence(interleave(c, ds)),
-        SymmetricSequence(interleave(neg(c), ds)),
-    )
+    return Quadruple(interleave(a, bs), interleave(neg(a), bs), interleave(c, ds), interleave(neg(c), ds))
 
 
 def extract_eight_williamson(q: Quadruple) -> tuple:

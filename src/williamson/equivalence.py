@@ -29,7 +29,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .seqcore import Quadruple, SymmetricSequence, _entries_of
+from .seqcore import Quadruple, _entries_of
 
 _CHUNK_BYTES = 1 << 17  # images of one canonical_rows block's distinct rows; keeps its temporaries near 1 MiB
 
@@ -108,7 +108,7 @@ def apply_equivalence(q: Quadruple, op: str, *, perm=None, member=None, k=None) 
         members = _e5(members)
     else:
         raise ValueError(f"unknown operation {op!r}")
-    return Quadruple(*(SymmetricSequence(x) for x in members))
+    return Quadruple(*members)
 
 
 def canonical_rows(rows, n: int) -> np.ndarray:
@@ -202,4 +202,4 @@ def expand_class(q: Quadruple) -> list:
                     seen.add(nb)
                     nxt.append(nb)
         frontier = nxt
-    return [Quadruple(*(SymmetricSequence(e) for e in state)) for state in seen]
+    return [Quadruple(*state) for state in seen]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .seqcore import Quadruple, SymmetricSequence
+from .seqcore import Quadruple
 
 MAX_ORDER = 12
 
@@ -42,17 +42,8 @@ def _paf_matrix(rows: np.ndarray) -> np.ndarray:
 
 def brute_force_enumerate(n: int) -> list:
     """Every Williamson quadruple of order n, as ordered quadruples."""
-    qs = []
-    for ia, ib, ic, idd, rows in _enumerate_index_tuples(n):
-        qs.append(
-            Quadruple(
-                SymmetricSequence(rows[ia]),
-                SymmetricSequence(rows[ib]),
-                SymmetricSequence(rows[ic]),
-                SymmetricSequence(rows[idd]),
-            )
-        )
-    return qs
+    return [Quadruple(rows[ia], rows[ib], rows[ic], rows[idd])
+            for ia, ib, ic, idd, rows in _enumerate_index_tuples(n)]
 
 
 def _enumerate_index_tuples(n: int):

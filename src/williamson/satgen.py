@@ -2,9 +2,10 @@
 
 Boolean variables stand for the free entries of the four sequences (true is
 +1, false is -1), numbered role-major: A's entries, then B, C, D.  Symmetry
-keeps only the entries x[0..n//2]; any index beyond n/2 folds to n-i.  Each
-compressed entry constrains its two (m=2) or three (m=3) source entries with
-one of seven clause patterns covering the values -m..m.  The numbering
+keeps only the entries x[0..n//2]; any index beyond n/2 folds to n-i.  A
+compressed entry v sums its m = 2 or 3 source entries, so exactly
+k = (m + v)/2 of them are +1: every m - k + 1 of them hold a +1 and every
+k + 1 of them a -1, one clause per subset.  The numbering
 depends on n alone, so `encode_product_theorem(n)`, whose clauses force
 a_k b_k c_k d_k = -1 for odd n, builds its own `VariableMap(n)`.
 
@@ -31,11 +32,12 @@ alternating negation when n and the compressed length are both even (for
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
 from .equivalence import canonical_rows
-from .seqcore import Quadruple, SymmetricSequence, fold_indices
+from .seqcore import fold_indices
 
 
 class VariableMap:
@@ -55,13 +57,11 @@ class VariableMap:
         f = self.free_count
         return [range(role * f + 1, role * f + f + 1) for role in range(4)]
 
-    def decode(self, model) -> Quadruple:
-        """The quadruple of a model as `progsat.CdclSolver.solve_all` returns
-        it: one literal per variable, in variable order."""
-        return Quadruple(*(
-            SymmetricSequence.from_free(self.n, [1 if model[v - 1] > 0 else -1 for v in block])
-            for block in self.blocks()
-        ))
+    def decode(self, model) -> tuple:
+        """The free rows of a model as `progsat.CdclSolver.solve_all` returns
+        it (one literal per variable, in variable order): for A to D, the
+        tuple of ±1 free entries x[0..n//2]."""
+        return tuple(tuple(1 if model[v - 1] > 0 else -1 for v in block) for block in self.blocks())
 
 
 @dataclass
@@ -85,25 +85,15 @@ class SatInstance:
 
 
 def _entry_clauses(value: int, variables: tuple, m: int) -> list:
-    if m == 2:
-        x, y = variables
-        if value == 2:
-            return [(x,), (y,)]
-        if value == 0:
-            return [(x, y), (-x, -y)]
-        if value == -2:
-            return [(-x,), (-y,)]
-    else:
-        x, y, z = variables
-        if value == 3:
-            return [(x,), (y,), (z,)]
-        if value == 1:
-            return [(-x, -y, -z), (x, y), (x, z), (y, z)]
-        if value == -1:
-            return [(x, y, z), (-x, -y), (-x, -z), (-y, -z)]
-        if value == -3:
-            return [(-x,), (-y,), (-z,)]
-    raise ValueError(f"compressed entry {value} illegal for factor {m}")
+    """Clauses true exactly when k = (m + value)/2 of the m variables are true:
+    each m - k + 1 of them as positive literals, each k + 1 as negative ones,
+    longest first."""
+    if abs(value) > m or (m + value) % 2:
+        raise ValueError(f"compressed entry {value} illegal for factor {m}")
+    k = (m + value) // 2
+    clauses = list(combinations(variables, m - k + 1))
+    clauses += [tuple(-v for v in c) for c in combinations(variables, k + 1)]
+    return sorted(clauses, key=len, reverse=True)
 
 
 def encode_uncompression(rows, n: int) -> SatInstance:
@@ -120,7 +110,7 @@ def encode_uncompression(rows, n: int) -> SatInstance:
     for role, row in enumerate(rows):
         for j, value in enumerate(row):
             variables = tuple(vm.var(role, j + t * d) for t in range(m))
-            # a pattern's literals share one sign, so no clause is a tautology;
+            # a clause's literals share one sign, so no clause is a tautology;
             # two source entries folding to one variable repeat a literal
             for lits in _entry_clauses(int(value), variables, m):
                 clauses.setdefault(tuple(sorted(dict.fromkeys(lits), key=abs)), None)

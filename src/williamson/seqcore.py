@@ -29,13 +29,10 @@ def fold_indices(n: int) -> tuple:
 
 
 class SymmetricSequence:
-    """A ±1 sequence of order n with x[i] == x[n-i] for 1 <= i < n.
+    """A ±1 sequence of order n with x[i] == x[n-i] for 1 <= i < n: its
+    `entries`, and its floor(n/2)+1 free entries x[0..n//2] as `free`."""
 
-    Only the floor(n/2)+1 free entries x[0..n//2] are stored; the full
-    sequence is expanded on demand.
-    """
-
-    __slots__ = ("order", "free", "_full")
+    __slots__ = ("order", "free", "entries")
 
     def __init__(self, entries):
         entries = tuple(int(v) for v in entries)
@@ -50,32 +47,18 @@ class SymmetricSequence:
                 raise ValueError(f"not symmetric at index {i}")
         self.order = n
         self.free = entries[: n // 2 + 1]
-        self._full = entries
+        self.entries = entries
 
     @classmethod
     def from_free(cls, order: int, free) -> "SymmetricSequence":
         """Build from the free entries x[0..order//2]."""
-        free = tuple(int(v) for v in free)
+        free = tuple(free)
         if len(free) != order // 2 + 1:
             raise ValueError(f"expected {order // 2 + 1} free entries, got {len(free)}")
-        self = object.__new__(cls)
-        for v in free:
-            if v not in (-1, 1):
-                raise ValueError(f"entry {v} is not +1 or -1")
-        self.order = order
-        self.free = free
-        self._full = None
-        return self
-
-    @property
-    def entries(self) -> tuple:
-        if self._full is None:
-            free = self.free
-            self._full = tuple(free[i] for i in fold_indices(self.order))
-        return self._full
+        return cls(free[i] for i in fold_indices(order))
 
     def negate(self) -> "SymmetricSequence":
-        return SymmetricSequence.from_free(self.order, tuple(-v for v in self.free))
+        return SymmetricSequence(-v for v in self.entries)
 
     def __eq__(self, other):
         if not isinstance(other, SymmetricSequence):
@@ -185,8 +168,7 @@ def verify_williamson(q: Quadruple) -> bool:
     with a 1 for each -1 entry, PAF(s) = n - 2 popcount(b ^ rot_s(b)); one
     integer holds each member as a 2n-bit field b << n | b, whose low n bits
     shifted right by s are rot_s(b)."""
-    members = q.members if isinstance(q, Quadruple) else tuple(q)
-    rows = [_entries_of(x) for x in members]
+    rows = [_entries_of(x) for x in q]
     n, bit = len(rows[0]), {1: "0", -1: "1"}.__getitem__
     if any(len(a) != n for a in rows):
         raise ValueError("members must have equal length")

@@ -22,7 +22,7 @@ from williamson.progsat import CdclSolver, WilliamsonCallback
 from williamson.satgen import SatInstance, encode_product_theorem, encode_uncompression
 from williamson.seqcore import read_quadruples, verify_williamson
 
-from helpers import class_key, solve_without_callback
+from helpers import class_key, quadruple_of, solve_without_callback
 
 WORKERS = min(4, os.cpu_count() or 1)
 BUDGET_SCALE = 4 / WORKERS
@@ -189,7 +189,7 @@ def _truth_table_models(num_vars, clauses):
 def _solve_instance_models(inst, clauses, callback):
     solver = CdclSolver(inst.num_vars, clauses, callback)
     quads = set()
-    for q in map(inst.var_map.decode, solver.solve_all()):
+    for q in (quadruple_of(inst.var_map, model) for model in solver.solve_all()):
         if verify_williamson(q):
             quads.add(quadruple_key(q))
     return quads

@@ -499,6 +499,20 @@ class TestOtherCommands:
         rows = [l for l in out.splitlines() if set(l) <= {"+", "-"} and l]
         assert len(rows) == 8
 
+    @pytest.mark.parametrize("command, n", [("double", 3), ("extract8", 6), ("hadamard", 3)])
+    def test_construction_error_names_the_block(self, tmp_path, capsys, command, n):
+        # block 1 is Williamson, block 2 (all ones) is not: block 1's output
+        # is written before the error names block 2
+        first = format_block(dedupe(brute_force_enumerate(n))[0].members) + "\n"
+        path = tmp_path / "blocks.txt"
+        path.write_text(first)
+        code, expected, err = run_cli(capsys, command, str(path))
+        assert code == 0 and expected
+        path.write_text(first + "\n" + ("+" * n + "\n") * 4)
+        code, out, err = run_cli(capsys, command, str(path))
+        assert code == 1 and out == expected
+        assert err == "error: block 2: input quadruple is not Williamson\n"
+
     def test_stats_command(self, tmp_path, capsys):
         out_dir = str(tmp_path / "run")
         report = run_enumeration(RunConfig(n=9, out_dir=out_dir))

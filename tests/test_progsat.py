@@ -17,6 +17,8 @@ from williamson.seqcore import (
     verify_williamson,
 )
 
+from helpers import quadruple_of
+
 
 def truth_table_models(num_vars, clauses):
     """Independent oracle: evaluate every assignment with bitset arithmetic.
@@ -74,7 +76,7 @@ class TestSolveAllBasics:
         models = solve(inst)
         assert len(models) == 4
         for model in models:
-            assert verify_williamson(inst.var_map.decode(model))
+            assert verify_williamson(quadruple_of(inst.var_map, model))
 
     @pytest.mark.parametrize("lit", [0, 3, -3])
     def test_rejects_literal_out_of_range(self, lit):
@@ -318,7 +320,7 @@ class TestWilliamsonCallback:
         values = assign(vm, ((1, -1), (1, -1), (1, 1), (1, 1)))
         assert WilliamsonCallback(vm)(values) is None
         model = tuple(v if values[v] > 0 else -v for v in range(1, vm.num_vars + 1))
-        assert verify_williamson(vm.decode(model))
+        assert verify_williamson(quadruple_of(vm, model))
         inst = encode_uncompression([[0], [0], [2], [2]], 2)
         assert model in solve(inst, WilliamsonCallback(inst.var_map))
 
@@ -355,9 +357,9 @@ def test_callback_equals_post_filter(n):
         if n % 2 == 1:
             clauses.extend(encode_product_theorem(n))
         plain = CdclSolver(inst.num_vars, clauses).solve_all()
-        plain_quads = {q for q in map(inst.var_map.decode, plain) if verify_williamson(q)}
+        plain_quads = {q for q in (quadruple_of(inst.var_map, model) for model in plain) if verify_williamson(q)}
         cb = WilliamsonCallback(inst.var_map)
-        prog_quads = set(map(inst.var_map.decode, CdclSolver(inst.num_vars, clauses, cb).solve_all()))
+        prog_quads = {quadruple_of(inst.var_map, model) for model in CdclSolver(inst.num_vars, clauses, cb).solve_all()}
         assert all(map(verify_williamson, prog_quads))  # callback output is already Williamson
         assert prog_quads == plain_quads
 
@@ -381,7 +383,7 @@ def test_callback_agrees_with_uncompression_oracle():
         rows = [compress(x, 3) for x in q.members]
         inst = encode_uncompression(rows, n)
         cb = WilliamsonCallback(inst.var_map)
-        found = set(map(inst.var_map.decode, solve(inst, cb)))
+        found = {quadruple_of(inst.var_map, model) for model in solve(inst, cb)}
         assert found == set(brute_force_uncompress(rows, n))
 
 

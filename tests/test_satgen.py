@@ -1,9 +1,11 @@
+import hashlib
 import math
 from itertools import product
 
 import numpy as np
 import pytest
 
+from williamson.cli import RunConfig, _generate_instances
 from williamson.equivalence import _group, apply_equivalence, canonical_rows, expand_class
 from williamson.oracle import brute_force_enumerate
 from williamson.pipeline import MatchedCompression
@@ -19,7 +21,7 @@ from williamson.satgen import (
 )
 from williamson.seqcore import compress
 
-from helpers import random_op, random_quadruple
+from helpers import quadruple_of, random_op, random_quadruple
 
 
 def instance_key(rows, n):
@@ -61,7 +63,7 @@ class TestVariableMap:
     def test_decode(self):
         vm = VariableMap(2)
         model = tuple(-v if v == vm.var(3, 1) else v for v in range(1, vm.num_vars + 1))
-        q = vm.decode(model)
+        q = quadruple_of(vm, model)
         assert q.d.entries == (1, -1)
         assert q.a.entries == (1, 1)
 
@@ -72,6 +74,35 @@ class TestEncodeUncompression:
         # so no clause encode_uncompression emits can be a tautology
         for lits in _entry_clauses(value, tuple(range(1, m + 1)), m):
             assert all(l > 0 for l in lits) or all(l < 0 for l in lits)
+
+    @pytest.mark.parametrize("m, value, clauses", [
+        (2, 2, [(1,), (2,)]),
+        (2, 0, [(1, 2), (-1, -2)]),
+        (2, -2, [(-1,), (-2,)]),
+        (3, 3, [(1,), (2,), (3,)]),
+        (3, 1, [(-1, -2, -3), (1, 2), (1, 3), (2, 3)]),
+        (3, -1, [(1, 2, 3), (-1, -2), (-1, -3), (-2, -3)]),
+        (3, -3, [(-1,), (-2,), (-3,)]),
+    ])
+    def test_entry_clauses_pinned(self, m, value, clauses):
+        # the literals and their order reach the CNF as they are
+        assert _entry_clauses(value, tuple(range(1, m + 1)), m) == clauses
+
+    @pytest.mark.parametrize("variables", [(1, 2), (1, 2, 3), (1, 2, 2)], ids=["m2", "m3", "m3-folded"])
+    def test_entry_clauses_count_the_sources(self, variables):
+        # the clauses hold exactly when (m + value)/2 sources are +1, that is
+        # when the sources sum to value; any other value is illegal
+        m, names = len(variables), sorted(set(variables))
+        for value in range(-m - 1, m + 2):
+            if abs(value) > m or (m + value) % 2:
+                with pytest.raises(ValueError, match=f"compressed entry {value} illegal for factor {m}"):
+                    _entry_clauses(value, variables, m)
+                continue
+            clauses = _entry_clauses(value, variables, m)
+            for signs in product((1, -1), repeat=len(names)):
+                x = dict(zip(names, signs))
+                holds = all(any(x[abs(l)] * l > 0 for l in c) for c in clauses)
+                assert holds == (sum(x[v] for v in variables) == value)
 
     @pytest.mark.parametrize("rows, n, message", [
         ([[2, 0, 0, 0]] * 4, 6, "compressed length 4 does not divide n=6"),
@@ -145,7 +176,7 @@ class TestEncodeUncompression:
                 continue
             seen_mcs.add(rows)
             inst = encode_uncompression(rows, n)
-            decoded = set(map(inst.var_map.decode, CdclSolver(inst.num_vars, inst.clauses).solve_all()))
+            decoded = {quadruple_of(inst.var_map, model) for model in CdclSolver(inst.num_vars, inst.clauses).solve_all()}
             expected = {
                 Quadruple(a, b, c, dd)
                 for a in uncompressions(rows[0])
@@ -215,7 +246,7 @@ class TestBuildInstance:
                 expected.append(image)
             images = inst.images(model)
             assert images[0] == model
-            assert set(map(vm.decode, images)) == set(expected)
+            assert {quadruple_of(vm, model) for model in images} == set(expected)
             assert len(set(images)) == len(images) == 2 ** len(inst.shifted)
 
     def test_odd_order_appends_product_clauses(self):
@@ -232,6 +263,18 @@ class TestDimacs:
 
     def test_unit_negative(self):
         assert "-1 0" in export_dimacs(SatInstance(1, [[-1]]))
+
+    # sha256 of the DIMACS text of every instance the driver keeps, in task
+    # order: a change to any clause, or to the order of clauses or literals,
+    # moves it
+    @pytest.mark.parametrize("n, digest", [
+        (27, "f25a2d328d465ef6b908627a1b0338d4f666661c38ccea8e45d018e570d64bb2"),
+        (28, "3acca59c70a1c5abb2e6c72a46dd6b3844b593fcfe0bc18dd06a1b3d37105d01"),
+    ], ids=["27", "28"])
+    def test_kept_instances_pinned(self, n, digest):
+        tasks, _ = _generate_instances(RunConfig(n=n))
+        text = "".join(export_dimacs(build_instance(rows, n)) for _, rows in tasks)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestInstanceDedup:

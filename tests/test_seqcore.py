@@ -81,6 +81,16 @@ class TestSymmetricSequence:
         s = SymmetricSequence.from_free(6, (1, -1, -1, 1))
         assert s.entries == tuple(s.free[i] for i in fold_indices(6))
 
+    def test_from_free_equals_constructor(self):
+        rng = np.random.default_rng(16)
+        for n in range(1, 17):
+            for _ in range(4):
+                free = [int(v) for v in rng.choice([-1, 1], size=n // 2 + 1)]
+                expanded = free + free[1:(n + 1) // 2][::-1]
+                s, t = SymmetricSequence.from_free(n, free), SymmetricSequence(expanded)
+                assert s.entries == t.entries == tuple(expanded) and s.free == t.free
+                assert s == t and hash(s) == hash(t)
+
     def test_quadruple_requires_equal_orders(self):
         with pytest.raises(ValueError):
             Quadruple([1], [1], [1], [1, 1])
