@@ -223,14 +223,14 @@ def run_enumeration(cfg: RunConfig) -> EnumerationReport:
     # within 2 eps of its target; as eps = EPSILON_DEFAULT < 1/2 these integers
     # hit it exactly and a model that fails the exact check is a defect, not a
     # filter hit.
-    solutions = []
-    instance_stats = []
+    solutions, instance_stats, members = [], [], {}  # members: one SymmetricSequence per free row
     for iid, rows in tasks:
         sols, stats = done[iid]
         stats = dict(stats)
         stats["id"] = iid
         for free_rows in sols:
-            q = Quadruple(*(SymmetricSequence.from_free(n, fr) for fr in free_rows))
+            q = Quadruple(*(members.get(fr) or members.setdefault(fr, SymmetricSequence.from_free(n, fr))
+                            for fr in map(tuple, free_rows)))  # resumed rows come back as JSON lists
             if not verify_williamson(q):
                 raise RuntimeError(f"instance {iid}: the solver returned a model "
                                    "that is not a Williamson quadruple")

@@ -20,7 +20,7 @@ trying every (automorphism, E5) choice, then minimizing each member over
 stack of k-tuples at once, of full rows or of compressed rows: it is the one
 implementation behind class counting, octuple counting and the dedupe of
 matched compressions before the SAT stage; it does the image work once per
-distinct member row of a block of tuples.  `expand_class` is its reference.
+distinct member row of the whole stack.  `expand_class` is its reference.
 """
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ import numpy as np
 
 from .seqcore import Quadruple, _entries_of
 
-_CHUNK_BYTES = 1 << 17  # images of one canonical_rows block's distinct rows; keeps its temporaries near 1 MiB
+_CHUNK_BYTES = 1 << 17  # canonical_rows codes a block of tuples in about this many bytes
 
 
 def units(n: int) -> list:
@@ -115,60 +115,72 @@ def canonical_rows(rows, n: int) -> np.ndarray:
     """Canonical form of each k-tuple in an S x k x L stack of integer rows.
 
     k is 4 for quadruples and 8 for octuples; L = n for full ±1 rows and
-    L = n/m for m-compressions, on which the group of order n acts as
-    `_group` describes.  Rows are ordered lexicographically with the larger
-    entry first (+1 before -1) and tuples member by member; the canonical
-    form is the least image.  E1-E3 act within the tuple, so each (E4, E5)
-    image is minimized over {id, E2, E3, E2*E3} per member, then sorted.
-    Each block ranks those minima once per distinct row and compares a
-    tuple's choices on its members' ranks, consistent within the block.
+    L = n/m for m-compressions (sums of m entries ±1), on which the group of
+    order n acts as `_group` describes.  Rows are ordered lexicographically
+    with the larger entry first (+1 before -1) and tuples member by member;
+    the canonical form is the least image.  E1-E3 act within the tuple, so
+    each (E4, E5) image is minimized over {id, E2, E3, E2*E3} per member,
+    then sorted: once for each distinct row of the stack, on integer codes.
     """
     rows = np.asarray(rows, dtype=np.int8)
     if len(rows) == 0:
         return rows
     count, k, length = rows.shape
     maps, signs, shift = _group(n, length)
-    top = n // length + 1  # entry v as byte top - v: never NUL, larger v first
+    m, bits = n // length, (n // length).bit_length()
+    # a row's code sums (m - v)/2 * 2^(bits * place) over its entries v, so codes order
+    # as rows do; a float64 holds it exactly below 2^53, or else a complex number holds
+    # the first h entries in its real part, which NumPy compares first
+    parts = 1 if bits * length <= 53 else 2
+    h, kind = -(-length // parts), float if parts == 1 else complex
+    if bits * h > 53:
+        raise ValueError(f"rows of length {length} are too long to code")
+    place = h - 1 - np.arange(parts * h) % h  # of each entry within its part
+    halves = np.eye(parts)[np.arange(length) // h] * 2.0 ** (bits * place[:length, None] - 1)
+    base = m * halves.sum(axis=0)  # the code of a row of zeros; halves are half the weights
+
+    def code(x, weights=halves):  # the codes of rows x, or of their images under `images`
+        return (base - np.tensordot(x, weights, axes=1)).view(kind)[..., 0]
+
+    def decode(c):
+        d = c[..., None].view(float).astype(np.int64).repeat(h, axis=-1) >> bits * place & (1 << bits) - 1
+        return (m - 2 * d.astype(np.int8))[..., :length]
+
+    step, distinct, new = max(1, _CHUNK_BYTES // (8 * k * length)), np.empty(0, kind), []
+    for lo in range(0, count, step):  # a block codes 8 bytes an entry
+        new.append(code(rows[lo:lo + step]).ravel())
+        if lo + step >= count or len(new) * step * k > len(distinct):  # merges sort < 2 codes a row
+            distinct, new = np.unique(np.concatenate([distinct, *new])), []
+    # codes are linear in the entries: `images` holds each entry's weights in the
+    # (E4, E5) images and their E3 images; E2 maps a code c to 2 * base - c
+    cols = np.array([np.arange(length), np.roll(np.arange(length), -shift)][:1 + bool(shift)])
+    images = (np.eye(length, dtype=np.int8)[:, None, maps[:, cols]] * signs[:, None, cols]) @ halves
+    least = code(decode(distinct), images)
+    least = np.minimum(least, (2 * base).view(kind)[0] - least).min(axis=-1).reshape(len(distinct), -1)
     out = np.empty_like(rows)
-    # images: choices x 4 x L bytes per distinct row; a block is sized for k * step / 4 of them
-    step = max(1, _CHUNK_BYTES // (len(maps) * len(signs) * k * length))
     for lo in range(0, count, step):
-        x = (top - rows[lo:lo + step]).astype(np.uint8).reshape(-1, length)
-        distinct, which = np.unique(x.view(f"S{length}")[:, 0], return_inverse=True)
-        u = top - distinct.view(np.uint8).reshape(-1, length).astype(np.int8)
-        g = (u[:, None, maps] * signs[:, None, :]).reshape(len(u), -1, length)
-        images = [g, -g]
-        if shift:
-            s = np.roll(g, -shift, axis=-1)
-            images += [s, -s]
-        b = (top - np.stack(images, axis=2)).astype(np.uint8, order="C")
-        # each row's least {id, E2, E3, E2*E3} image per (E4, E5) choice, ranked
-        least, rank = np.unique(np.sort(b.view(f"S{length}")[..., 0], axis=-1)[..., 0], return_inverse=True)
-        rank = rank.astype(np.int32).reshape(len(u), -1)
-        t = np.sort(rank[which.reshape(-1, k)].transpose(0, 2, 1), axis=-1)
-        # E1 sorts each choice's ranks; the least choice is found member by member
-        alive = np.ones(t.shape[:2], dtype=bool)
-        for j in range(k):
-            col = np.where(alive, t[:, :, j], len(least))
-            alive &= col == col.min(axis=1, keepdims=True)
-        best = least[t[np.arange(len(t)), alive.argmax(axis=1)]]
-        out[lo:lo + step] = top - best.view(np.uint8).reshape(-1, k, length).astype(np.int8)
+        t, alive = least[np.searchsorted(distinct, code(rows[lo:lo + step]))], True
+        t.sort(axis=1)  # E1 sorts each choice's codes; the least choice is found member by member
+        for j, x in enumerate(t.transpose(1, 0, 2)):
+            col = np.where(alive, x, np.inf)
+            best = col.min(axis=1)
+            alive = col == best[:, None]
+            out[lo:lo + step, j] = decode(best)
     return out
 
 
 def canonical_forms(tuples) -> np.ndarray:
     """Canonical forms of same-order tuples of ±1 sequences (quadruples,
     octuples or plain tuples of members), as an S x k x n array."""
-    rows = np.array([[_entries_of(x) for x in t] for t in tuples], dtype=np.int8)
-    return canonical_rows(rows, rows.shape[-1])
+    index = {}  # entries -> row of the stack: each distinct member is converted once
+    slots = [[index.setdefault(_entries_of(x), len(index)) for x in t] for t in tuples]
+    rows = np.array(list(index), dtype=np.int8)
+    return canonical_rows(rows[slots], rows.shape[-1])
 
 
 def distinct_forms(tuples) -> list:
     """Canonical forms of the classes among same-order tuples, first-seen order."""
-    seen = {}
-    for form in canonical_forms(tuples):
-        seen.setdefault(form.tobytes(), form)
-    return list(seen.values())
+    return list({form.tobytes(): form for form in canonical_forms(tuples)}.values())
 
 
 def canonical_form(q: Quadruple) -> Quadruple:

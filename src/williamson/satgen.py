@@ -84,13 +84,13 @@ class SatInstance:
         return orbit
 
 
-def _entry_clauses(value: int, variables: tuple, m: int) -> list:
+def _entry_clauses(value: int, variables: tuple) -> list:
     """Clauses true exactly when k = (m + value)/2 of the m variables are true:
     each m - k + 1 of them as positive literals, each k + 1 as negative ones,
     longest first."""
+    m, k = len(variables), (len(variables) + value) // 2
     if abs(value) > m or (m + value) % 2:
         raise ValueError(f"compressed entry {value} illegal for factor {m}")
-    k = (m + value) // 2
     clauses = list(combinations(variables, m - k + 1))
     clauses += [tuple(-v for v in c) for c in combinations(variables, k + 1)]
     return sorted(clauses, key=len, reverse=True)
@@ -112,7 +112,7 @@ def encode_uncompression(rows, n: int) -> SatInstance:
             variables = tuple(vm.var(role, j + t * d) for t in range(m))
             # a clause's literals share one sign, so no clause is a tautology;
             # two source entries folding to one variable repeat a literal
-            for lits in _entry_clauses(int(value), variables, m):
+            for lits in _entry_clauses(int(value), variables):
                 clauses.setdefault(tuple(sorted(dict.fromkeys(lits), key=abs)), None)
     return SatInstance(vm.num_vars, [list(c) for c in clauses], vm)
 

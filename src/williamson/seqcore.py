@@ -57,9 +57,6 @@ class SymmetricSequence:
             raise ValueError(f"expected {order // 2 + 1} free entries, got {len(free)}")
         return cls(free[i] for i in fold_indices(order))
 
-    def negate(self) -> "SymmetricSequence":
-        return SymmetricSequence(-v for v in self.entries)
-
     def __eq__(self, other):
         if not isinstance(other, SymmetricSequence):
             return NotImplemented

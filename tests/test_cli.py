@@ -169,6 +169,31 @@ class TestEnumerate:
             ids = [json.loads(line)["id"] for line in records]
             assert sorted(ids) == sorted(s["id"] for s in first.instance_stats)
 
+    def test_members_shared_fresh_and_resumed(self, tmp_path):
+        # the 2,880 n=28 solutions fill 11,520 member slots with 272 distinct
+        # free rows: each becomes one SymmetricSequence, also when half the
+        # rows come back from a checkpoint as JSON lists
+        out_dir = str(tmp_path / "run")
+        compared = ("solutions.txt", "canonical.txt", "stats.tsv")  # summary.tsv holds the run time
+
+        def files():
+            return {name: Path(out_dir, name).read_bytes() for name in compared}
+
+        first = run_enumeration(RunConfig(n=28, out_dir=out_dir))
+        fresh = files()
+        ckpt = Path(out_dir, "checkpoint.jsonl")
+        lines = ckpt.read_bytes().splitlines(keepends=True)
+        ckpt.write_bytes(b"".join(lines[:len(lines) // 2]) + lines[len(lines) // 2][:40])  # cut mid-record
+        for name in compared + ("summary.tsv",):
+            os.unlink(os.path.join(out_dir, name))
+        second = run_enumeration(RunConfig(n=28, out_dir=out_dir))
+        assert 0 < second.solved_this_run < second.instance_count
+        for report in (first, second):
+            slots = [x for q in report.solutions for x in q.members]
+            assert len(slots) == 11520 and len({id(x) for x in slots}) == 272
+        assert second.solutions == first.solutions and second.canonical == first.canonical
+        assert files() == fresh
+
     def test_resume_rejects_another_version(self, tmp_path, monkeypatch):
         out_dir = str(tmp_path / "run")
         run_enumeration(RunConfig(n=6, out_dir=out_dir))

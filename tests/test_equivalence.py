@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import tracemalloc
 
@@ -5,21 +6,24 @@ import numpy as np
 import pytest
 
 from williamson.cli import RunConfig, run_enumeration
+from williamson.diophantine import decompose_four_squares
 from williamson.equivalence import (
     _CHUNK_BYTES,
     _group,
     apply_equivalence,
     canonical_form,
+    canonical_forms,
     canonical_rows,
     dedupe,
     expand_class,
     units,
 )
 from williamson.oracle import brute_force_enumerate
+from williamson.pipeline import build_compression_lists, generate_candidates, match_compressions
 from williamson.seqcore import Quadruple, SymmetricSequence, fold_indices
 
 
-from helpers import class_key, random_op, random_quadruple, reference_canonical_rows
+from helpers import class_key, random_op, random_quadruple, random_symmetric, reference_canonical_rows
 
 
 class TestApplyEquivalence:
@@ -142,10 +146,11 @@ class TestCanonicalForm:
 
 
 def pooled_stack(rng, n, m, k):
-    """At least three canonical_rows blocks of k-tuples of m-compressions of
-    symmetric ±1 sequences of order n, drawn from a pool of 8 rows and 16 of
-    their images under E4, E5 and E2, so that equal rows recur across block
-    boundaries and a tuple's choices often tie member by member."""
+    """At least three canonical_rows blocks of k-tuples (a block codes 8 bytes
+    an entry in _CHUNK_BYTES) of m-compressions of symmetric ±1 sequences of
+    order n, drawn from a pool of 8 rows and 16 of their images under E4, E5
+    and E2, so that equal rows recur across block boundaries and a tuple's
+    choices often tie member by member."""
     d = n // m
     free = rng.choice(np.array([-1, 1], dtype=np.int8), size=(8, n // 2 + 1))
     base = free[:, fold_indices(n)].reshape(8, m, d).sum(axis=1, dtype=np.int8)
@@ -156,14 +161,17 @@ def pooled_stack(rng, n, m, k):
         negate = rng.choice(np.array([-1, 1], dtype=np.int8), size=(8, 1))
         pool.append(np.take_along_axis(base, maps[g], axis=1) * signs[e] * negate)
     pool = np.concatenate(pool)
-    step = _CHUNK_BYTES // (len(maps) * len(signs) * k * d)
+    step = _CHUNK_BYTES // (8 * k * d)
     return pool[rng.integers(len(pool), size=(3 * step + step // 2, k))]
 
 
 class TestCanonicalRows:
-    @pytest.mark.parametrize("n, m, k", [(28, 1, 4), (40, 2, 4), (27, 3, 4), (15, 1, 8), (21, 1, 8)],
+    # rows of n=70 are too long for one float64 code: 70 bits for full rows,
+    # 35 entries of 2 bits for 2-compressions
+    @pytest.mark.parametrize("n, m, k", [(28, 1, 4), (40, 2, 4), (27, 3, 4), (15, 1, 8), (21, 1, 8),
+                                         (70, 1, 4), (70, 2, 4)],
                              ids=["full-28", "2-compressions-40", "3-compressions-27",
-                                  "octuples-15", "octuples-21"])
+                                  "octuples-15", "octuples-21", "full-70", "2-compressions-70"])
     def test_equals_per_image_reference(self, n, m, k):
         rng = np.random.default_rng(n * 10 + m)
         stack = pooled_stack(rng, n, m, k)
@@ -188,6 +196,44 @@ class TestCanonicalRows:
         assert peak < 2**20
         assert np.array_equal(got, reference_canonical_rows(stack, 28))
         assert len({form.tobytes() for form in got}) == 83
+
+    def test_n40_matches_pinned_and_memory(self):
+        # the 50,050 n=40 matches, stacked in match order, hold 7,380 distinct
+        # rows; the forms are pinned, and the peak, with the 3.8 MiB output,
+        # stays within 8 MiB
+        decs = decompose_four_squares(40)
+        candidates = generate_candidates(40, decs)
+        stack = np.stack([mc.rows for dec in decs
+                          for mc in match_compressions(build_compression_lists(candidates, dec, 2), 40)])
+        assert stack.shape == (50050, 4, 20)
+        tracemalloc.start()
+        try:
+            got = canonical_rows(stack, 40)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
+        digest = "e8cea18e95936c498a34ee05a1eef8719ba63b4fbf05fd99845c911a6eff41e3"
+        assert hashlib.sha256(got.tobytes()).hexdigest() == digest
+
+    def test_rows_too_long_to_code(self):
+        with pytest.raises(ValueError, match="too long to code"):
+            canonical_rows(np.ones((1, 4, 107), dtype=np.int8), 107)
+
+
+class TestCanonicalForms:
+    def test_shared_members_equal_fresh_copies(self):
+        # the driver hands over quadruples that share member objects; the
+        # forms equal those of equal fresh objects and of plain entry lists
+        rng = np.random.default_rng(29)
+        pool = [random_symmetric(rng, 12) for _ in range(5)]
+        shared = [tuple(pool[i] for i in rng.integers(5, size=4)) for _ in range(60)]
+        got = canonical_forms(shared)
+        fresh = [tuple(SymmetricSequence(x.entries) for x in t) for t in shared]
+        assert np.array_equal(canonical_forms(fresh), got)
+        assert np.array_equal(canonical_forms([[list(x.entries) for x in t] for t in shared]), got)
+        stack = np.array([[x.entries for x in t] for t in shared], dtype=np.int8)
+        assert np.array_equal(got, reference_canonical_rows(stack, 12))
 
 
 class TestDedupe:

@@ -54,9 +54,9 @@ def normalize_to_decomposition(q):
     for x in q.members:
         r = rowsum(x)
         if n % 2 == 0:
-            members.append(x if r >= 0 else x.negate())
+            members.append(x if r >= 0 else SymmetricSequence(-v for v in x.entries))
         else:
-            members.append(x if sign_fix(r, n) == r else x.negate())
+            members.append(x if sign_fix(r, n) == r else SymmetricSequence(-v for v in x.entries))
     members.sort(key=lambda x: abs(rowsum(x)))
     return members
 

@@ -72,7 +72,7 @@ class TestEncodeUncompression:
     @pytest.mark.parametrize("m, value", [(2, 2), (2, 0), (2, -2), (3, 3), (3, 1), (3, -1), (3, -3)])
     def test_entry_clause_literals_share_a_sign(self, m, value):
         # so no clause encode_uncompression emits can be a tautology
-        for lits in _entry_clauses(value, tuple(range(1, m + 1)), m):
+        for lits in _entry_clauses(value, tuple(range(1, m + 1))):
             assert all(l > 0 for l in lits) or all(l < 0 for l in lits)
 
     @pytest.mark.parametrize("m, value, clauses", [
@@ -86,7 +86,7 @@ class TestEncodeUncompression:
     ])
     def test_entry_clauses_pinned(self, m, value, clauses):
         # the literals and their order reach the CNF as they are
-        assert _entry_clauses(value, tuple(range(1, m + 1)), m) == clauses
+        assert _entry_clauses(value, tuple(range(1, m + 1))) == clauses
 
     @pytest.mark.parametrize("variables", [(1, 2), (1, 2, 3), (1, 2, 2)], ids=["m2", "m3", "m3-folded"])
     def test_entry_clauses_count_the_sources(self, variables):
@@ -96,9 +96,9 @@ class TestEncodeUncompression:
         for value in range(-m - 1, m + 2):
             if abs(value) > m or (m + value) % 2:
                 with pytest.raises(ValueError, match=f"compressed entry {value} illegal for factor {m}"):
-                    _entry_clauses(value, variables, m)
+                    _entry_clauses(value, variables)
                 continue
-            clauses = _entry_clauses(value, variables, m)
+            clauses = _entry_clauses(value, variables)
             for signs in product((1, -1), repeat=len(names)):
                 x = dict(zip(names, signs))
                 holds = all(any(x[abs(l)] * l > 0 for l in c) for c in clauses)
