@@ -410,8 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", "-j", type=int, default=1)
     p.add_argument("--out", "-o", default=None, help="run directory (enables checkpointing)")
     p.add_argument("--budget-bytes", type=int, default=DEFAULT_BUDGET_BYTES,
-                   help="bytes of key records the matcher holds for one join; more are joined "
-                        "in hash partitions, each generating the pairs again")
+                   help="bytes of key records the matcher holds for one join, and at most of its "
+                        "hash filter; past it the pairs are generated twice more instead of held")
     p.add_argument("--dump-cnf", action="store_true", help="write instances/*.cnf DIMACS dumps")
     p.set_defaults(func=cmd_enumerate)
 

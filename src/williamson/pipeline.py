@@ -18,20 +18,20 @@ as a sorted join.  The key of a PSD-passing A x B or C x D pair is the first
 d//2+1 entries of its side of the equation (PAF(s) = PAF(d-s) fixes the
 rest).  Each list row holds a 64-bit hash of its part of the key, linear in
 it, so a pair's key hash is the sum of its rows' hashes.  A pair is held as
-an eight-byte record, a 32-bit mix of its key hash and its pair index, until
-a semi-join filter drops those whose hash bucket the other side lacks; only
-the survivors get their key hashes back.  One stable sort of both sides'
-survivors puts equal hashes together, and each hash both sides hold yields
-its A x B by C x D cross product through array arithmetic.  Records over the
-memory budget are joined in partitions of hash buckets, each generating the
-pairs again.  The matches are checked against the key itself, which drops
-hash collisions, and stably sorted by it.  They form one read-only S x 4 x d
-int8 stack; each `MatchedCompression` is a 4 x d view into it.
+an eight-byte record, the top 32 bits of its key hash and its pair index,
+until a semi-join filter drops those whose hash bucket the other side lacks;
+only the survivors get their key hashes back.  One stable sort of both
+sides' survivors puts equal hashes together, and each hash both sides hold
+yields its A x B by C x D cross product through array arithmetic.  When the
+records outgrow the memory budget, the pairs are generated twice more, once
+to mark the filter and once to keep its survivors.  The matches are checked
+against the key itself, which drops hash collisions, and stably sorted by
+it.  They form one read-only S x 4 x d int8 stack; each `MatchedCompression`
+is a 4 x d view into it.
 """
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,7 +130,7 @@ class CompressedList:
     """Deduplicated m-compressions of one candidate list."""
 
     rows: np.ndarray        # V x d int8
-    paf: np.ndarray         # V x d int32
+    paf: np.ndarray         # V x (d//2+1) int32: PAF(s) = PAF(d-s) fixes the rest
     psd_half: np.ndarray    # V x (d//2+1) float64
 
     def __len__(self):
@@ -140,8 +140,8 @@ class CompressedList:
 def _paf_rows(rows: np.ndarray) -> np.ndarray:
     d = rows.shape[1]
     r32 = rows.astype(np.int32)
-    out = np.empty((rows.shape[0], d), dtype=np.int32)
-    for s in range(d):
+    out = np.empty((rows.shape[0], d // 2 + 1), dtype=np.int32)
+    for s in range(d // 2 + 1):
         out[:, s] = (r32 * np.roll(r32, -s, axis=1)).sum(axis=1)
     return out
 
@@ -196,7 +196,7 @@ def _row_hashes(lists: tuple, target: np.ndarray) -> tuple:
     equal keys hash equal.  The column weights are fixed odd numbers."""
     rng = random.Random(0)  # the stdlib generator: loading numpy.random costs 6 MiB of RSS
     weights = np.array([rng.getrandbits(64) | 1 for _ in range(target.size)], dtype=np.uint64)
-    pa, pb, pc, pd = (lx.paf[:, :target.size] for lx in lists)
+    pa, pb, pc, pd = (lx.paf for lx in lists)
     return tuple(part.astype(np.uint64) @ weights for part in (pa, pb, target - pc, -pd))
 
 
@@ -209,56 +209,53 @@ def _pair_blocks(lx: CompressedList, ly: CompressedList, hx: np.ndarray, hy: np.
                  bound: float):
     """Blocks (32-bit key hashes, pair indices x * len(ly) + y) of the pairs of
     lx x ly that pass the PSD bound, in row-major order, one block or more; hx
-    and hy are the row hashes of the two lists.  The xor-shift before the
-    multiply lets the high half of a pair's 64-bit hash reach the low bits of
-    its 32-bit one, which pick the partition."""
+    and hy are the row hashes of the two lists, and a pair's 32-bit hash is
+    the top half of its 64-bit one."""
     count_y = len(ly)
     dtype = _pair_dtype(len(lx), count_y)
     block = max(1, (1 << 18) // count_y)
     psd_y = ly.psd_half.T.copy()
     for lo in range(0, len(lx), block):
         hi = min(lo + block, len(lx))
-        ok = lx.psd_half[lo:hi, :1] + psd_y[0] <= bound
+        ok = np.ones((hi - lo, count_y), dtype=bool)
+        # column 0 is ra^2 + rb^2 <= 4n < bound for every pair, so it is skipped
         for j in range(1, psd_y.shape[0]):  # column by column: no block x |ly| x h array
             ok &= lx.psd_half[lo:hi, j:j + 1] + psd_y[j] <= bound
         xi, yi = np.nonzero(ok)
         xi += lo
         hashed = hx[xi] + hy[yi]
-        hashed = (hashed ^ (hashed >> np.uint64(32))) * _HASH_MULT
         yield (hashed >> np.uint64(32)).astype(np.uint32), (xi * count_y + yi).astype(dtype)
 
 
-_HASH_MULT = np.uint64(0x9E3779B97F4A7C15)
-# The filter and the partitions take disjoint bits of the 32-bit key hash, so
-# the records of one partition still spread over every filter bucket.
-_FILTER_BITS = 22      # semi-join filter: at most 4 Mi buckets, from the high bits
-_PARTITION_BITS = 10   # over-budget runs: 1 Ki buckets, from the low bits
+def _drain(blocks: list):
+    """The blocks in order, each popped from the list as it is yielded."""
+    while blocks:
+        yield blocks.pop(0)
 
 
-def _join(blocks, key_hash) -> tuple:
+def _join(mark, keep, key_hash, bits: int) -> tuple:
     """Every pair of an A x B record and a C x D record with equal 64-bit key
     hashes: the pairs with equal keys, and any whose hashes collide.
 
-    ``blocks`` is a list of (side, key hashes, pair indices), at least one
-    block, with side 0 (A x B) before side 1 (C x D); each block is popped
-    from it as its records are filtered.  ``key_hash(side, pairs)`` gives the
-    64-bit key hashes of the records that pass the filter.  The matches of
-    one hash come together, A x B records outer and C x D records inner,
-    each side in the order given.  Returns the A x B and C x D pair indices
-    of each match."""
-    # only records in a hash bucket that both sides use can match; 2-4 buckets a record
-    bits = min(_FILTER_BITS, (2 * sum(p.size for _, _, p in blocks) + 1).bit_length())
+    ``mark`` and ``keep`` each give the same records as (side, key hashes,
+    pair indices) blocks, at least one block, with side 0 (A x B) before
+    side 1 (C x D).  ``mark`` sets a filter of 2^bits hash buckets, indexed
+    by a hash's top bits, to the sides that use each; ``keep`` is then read
+    for the records whose bucket both sides use, and ``key_hash(side,
+    pairs)`` gives their 64-bit key hashes.  The matches of one hash come
+    together, A x B records outer and C x D records inner, each side in the
+    order given.  Returns the A x B and C x D pair indices of each match."""
     shift = np.uint32(32 - bits)
     sides = np.zeros(1 << bits, dtype=np.uint8)
-    for side, hashes, _ in blocks:
+    for side, hashes, _ in mark:
         sides[hashes >> shift] |= 1 << side
     kept, n_ab = [], 0
-    while blocks:
-        side, hashes, pairs = blocks.pop(0)
+    for side, hashes, pairs in keep:
         pairs = pairs[sides[hashes >> shift] == 3]
         kept.append((key_hash(side, pairs), pairs))
         if side == 0:
             n_ab += pairs.size
+    del sides
     hashes = np.concatenate([h for h, _ in kept])
     pairs = np.concatenate([p for _, p in kept])
     del kept
@@ -279,37 +276,6 @@ def _join(blocks, key_hash) -> tuple:
     return pairs[order[ab]], pairs[order[first_cd + inner]]
 
 
-def _partitioned_join(blocks, key_hash, budget_bytes: int) -> tuple:
-    """_join of all the records of blocks(), in partitions of hash buckets
-    that hold at most budget_bytes of records each.  Every partition calls
-    blocks() again and keeps its own records."""
-    mask = np.uint32((1 << _PARTITION_BITS) - 1)
-    bucket_bytes = sum(
-        np.bincount(hashes & mask, minlength=1 << _PARTITION_BITS) * (hashes.itemsize + pairs.itemsize)
-        for _, hashes, pairs in blocks())
-    if bucket_bytes.max() > budget_bytes:
-        raise ValueError(f"matcher budget of {budget_bytes} bytes is below the {bucket_bytes.max()} "
-                         "bytes of key records in one hash bucket")
-    # greedy: each partition takes consecutive buckets while they fit
-    ends = np.cumsum(bucket_bytes)
-    part = np.empty(ends.size, dtype=np.intp)
-    lo = count = 0
-    while lo < ends.size:
-        hi = int(np.searchsorted(ends, (ends[lo - 1] if lo else 0) + budget_bytes, side="right"))
-        part[lo:hi] = count
-        lo, count = hi, count + 1
-    if count > 64:  # each partition generates every pair again
-        warnings.warn(f"matcher budget_bytes={budget_bytes}: {count} passes over all pairs", RuntimeWarning, 3)
-    joined = []
-    for p in range(count):
-        mine = []
-        for side, hashes, pairs in blocks():
-            keep = part[hashes & mask] == p
-            mine.append((side, hashes[keep], pairs[keep]))
-        joined.append(_join(mine, key_hash))
-    return tuple(np.concatenate(arrays) for arrays in zip(*joined))
-
-
 def match_compressions(lists: tuple, n: int, mod4_filter: bool = True,
                        budget_bytes: int = DEFAULT_BUDGET_BYTES) -> list:
     """All compressed quadruples (A', B', C', D') from the four lists whose
@@ -321,13 +287,14 @@ def match_compressions(lists: tuple, n: int, mod4_filter: bool = True,
     each a view into one read-only S x 4 x d int8 stack of rows.
     ``budget_bytes`` bounds the key records held for one join: a 32-bit key
     hash and a pair index (int32, or int64 when a side has 2^31 pairs or
-    more) per PSD-passing pair, both sides; a 64-bit key hash is rebuilt
-    only for the records the hash filter keeps.  Records over the budget are
-    joined in partitions of hash buckets, each of which generates all pairs
-    again and keeps its own; a hash bucket larger than the budget is a
-    ValueError.  The matches of equal 64-bit hashes are checked against the
-    key itself after the mod-4 filter, so the output does not depend on the
-    hash."""
+    more) per PSD-passing pair, both sides.  Records that fit are held from
+    the first generation of pairs; otherwise it only counts them, and two
+    fresh generations mark the hash filter and keep its survivors.  The
+    filter has 2^bits one-byte buckets, bits = records.bit_length() (1 to
+    32), and no more bytes than the budget; a 64-bit key hash is rebuilt
+    only for the records it keeps, which the budget does not bound.  The
+    matches of equal 64-bit hashes are checked against the key itself after
+    the mod-4 filter, so the output does not depend on the hash."""
     la, lb, lc, ld = lists
     if not all(len(lx) for lx in lists):
         return []
@@ -347,16 +314,19 @@ def match_compressions(lists: tuple, n: int, mod4_filter: bool = True,
         xi, yi = np.divmod(pairs, len(ly))
         return hx[xi] + hy[yi]
 
-    held, held_bytes = [], 0
+    held, held_bytes, records = [], 0, 0
     for block in blocks():
         held_bytes += block[1].nbytes + block[2].nbytes
-        if held_bytes > budget_bytes:
+        records += block[2].size
+        if held_bytes <= budget_bytes:
+            held.append(block)
+        else:
             held.clear()
-            pair_ab, pair_cd = _partitioned_join(blocks, key_hash, budget_bytes)
-            break
-        held.append(block)
+    bits = max(1, min(records.bit_length(), budget_bytes.bit_length() - 1, 32))
+    if held_bytes <= budget_bytes:
+        pair_ab, pair_cd = _join(held, _drain(held), key_hash, bits)
     else:
-        pair_ab, pair_cd = _join(held, key_hash)
+        pair_ab, pair_cd = _join(blocks(), blocks(), key_hash, bits)
 
     ia, ib = np.divmod(pair_ab, len(lb))
     ic, id_ = np.divmod(pair_cd, len(ld))

@@ -299,35 +299,21 @@ class TestEnumerate:
         assert hashlib.sha1(json.dumps([got, log]).encode()).hexdigest()[:16] == digest
 
     def test_budget_reaches_the_matcher(self, monkeypatch):
-        # a --budget-bytes below the records of the largest decomposition's join
-        # sends that join through the hash partitions, with the same instances
-        records = []
+        # --budget-bytes reaches every match_compressions call; a 1-byte budget
+        # is below every join's records, and the instances stay the same
+        budgets = []
 
-        def spy_join(blocks, key_hash):
-            records.append(sum(hashes.nbytes + pairs.nbytes for _, hashes, pairs in blocks))
-            return join(blocks, key_hash)
+        def spy(lists, n, budget_bytes):
+            budgets.append(budget_bytes)
+            return match_compressions(lists, n, budget_bytes=budget_bytes)
 
-        def spy_partitioned(blocks, key_hash, budget_bytes):
-            partitioned.append(budget_bytes)
-            return partitioned_join(blocks, key_hash, budget_bytes)
-
-        join, partitioned_join, partitioned = pipeline._join, pipeline._partitioned_join, []
-        monkeypatch.setattr(pipeline, "_join", spy_join)
-        monkeypatch.setattr(pipeline, "_partitioned_join", spy_partitioned)
+        match_compressions = cli.match_compressions
+        monkeypatch.setattr(cli, "match_compressions", spy)
         expected = cli._generate_instances(RunConfig(n=18))
-        assert not partitioned
-        budget = max(records) // 3
-        while True:  # no partition can be smaller than the records of one hash bucket
-            partitioned.clear()
-            try:
-                got = cli._generate_instances(RunConfig(n=18, matcher_budget_bytes=budget))
-                break
-            except ValueError as e:
-                assert "hash bucket" in str(e)
-                budget += budget // 4 + 1
-        assert budget < max(records)
-        assert partitioned and set(partitioned) == {budget}
-        assert got == expected
+        assert budgets and set(budgets) == {pipeline.DEFAULT_BUDGET_BYTES}
+        budgets.clear()
+        assert cli._generate_instances(RunConfig(n=18, matcher_budget_bytes=1)) == expected
+        assert budgets and set(budgets) == {1}
 
     # run_enumeration totals under the fixed decision rule (lowest unassigned
     # variable, saved phase, no restarts), each callback clause and each

@@ -1,7 +1,6 @@
 import hashlib
-import re
 import tracemalloc
-import warnings
+from collections import Counter
 from dataclasses import fields
 
 import numpy as np
@@ -64,17 +63,19 @@ def normalize_to_decomposition(q):
 def reference_join(lists, n):
     """Plain-Python step 4: every PSD-passing pair in a dict keyed by its full
     PAF sum (C x D keys subtracted from the target), shared keys in ascending
-    order, each expanded with A x B pairs outer; then the mod-4 filter."""
+    order, each expanded with A x B pairs outer; then the mod-4 filter.  Each
+    row's full PAF comes from seqcore.paf."""
     la, lb, lc, ld = lists
     bound = psd_bound(n)
     target = [4 * n] + [0] * (la.rows.shape[1] - 1)
 
     def groups(lx, ly, negate):
+        px, py = ([paf(row) for row in lz.rows.tolist()] for lz in (lx, ly))
         out = {}
         for x in range(len(lx)):
             for y in range(len(ly)):
                 if max(lx.psd_half[x] + ly.psd_half[y]) <= bound:
-                    key = [int(v) for v in lx.paf[x] + ly.paf[y]]
+                    key = [a + b for a, b in zip(px[x], py[y])]
                     if negate:
                         key = [t - k for t, k in zip(target, key)]
                     out.setdefault(tuple(key), []).append((x, y))
@@ -307,38 +308,69 @@ class TestMatchCompressions:
     @pytest.mark.parametrize("n", [6, 9, 12, 18, 21, 27, 28])
     def test_ordered_output_equals_reference_join(self, n, monkeypatch):
         # the order fixes which instance dedupe keeps, hence task ids and
-        # solver counters; at a budget below the records the join runs in
-        # hash partitions and must give the same list
-        joins = []
+        # solver counters; at budgets below the records the join reads two
+        # fresh generations of pairs and must give the same list
+        blocks, filter_bits = [], []
 
-        def spy(blocks, packed):
-            # a record is a uint32 key hash and an int32 pair index at these orders
-            assert all(h.dtype == np.uint32 and p.dtype == np.int32 for _, h, p in blocks)
-            joins.append(sum(hashes.nbytes + pairs.nbytes for _, hashes, pairs in blocks))
-            return join(blocks, packed)
+        def spy_blocks(*args):
+            for hashes, pairs in pair_blocks(*args):
+                # a record is a uint32 key hash and an int32 pair index at these orders
+                assert hashes.dtype == np.uint32 and pairs.dtype == np.int32
+                blocks.append(hashes.nbytes + pairs.nbytes)
+                yield hashes, pairs
 
-        join = pipeline._join
-        monkeypatch.setattr(pipeline, "_join", spy)
+        def spy_join(mark, keep, key_hash, bits):
+            filter_bits.append(bits)
+            return join(mark, keep, key_hash, bits)
+
+        pair_blocks, join = pipeline._pair_blocks, pipeline._join
+        monkeypatch.setattr(pipeline, "_pair_blocks", spy_blocks)
+        monkeypatch.setattr(pipeline, "_join", spy_join)
         decs, cands = make_candidates(n)
         for dec in decs:
             lists = build_compression_lists(cands, dec, smallest_prime_divisor(n))
             expected = reference_join(lists, n)
-            joins.clear()
+            blocks.clear()
             assert [rows_of(mc) for mc in match_compressions(lists, n)] == expected, dec
-            assert len(joins) == 1
-            records = joins[0]
-            budget = records // 3
-            while True:  # no partition can be smaller than the records of one hash bucket
-                joins.clear()
-                try:
-                    matched = match_compressions(lists, n, budget_bytes=budget)
-                    break
-                except ValueError as e:
-                    assert "hash bucket" in str(e)
-                    budget += budget // 4 + 1
-            assert [rows_of(mc) for mc in matched] == expected, (dec, budget)
-            assert len(joins) >= 2 and budget < records
-            assert max(joins) <= budget
+            records = sum(blocks)
+            for budget in (1, records // 3, records - 1):
+                filter_bits.clear()
+                matched = match_compressions(lists, n, budget_bytes=budget)
+                assert [rows_of(mc) for mc in matched] == expected, (dec, budget)
+                # the filter table never outgrows the budget, but has 2 buckets or more
+                assert len(filter_bits) == 1 and 2 ** filter_bits[0] <= max(2, budget)
+
+    def test_pair_generations_per_side(self, monkeypatch):
+        # within the budget each side's pairs are generated once; over it, once
+        # to count, once to mark the filter and once to keep its survivors,
+        # however small the budget: 1 byte, or 2^14 of the 1.5 MB of records
+        # of (6, 6, 6, 6) at n=36
+        calls, record_bytes = Counter(), []
+
+        def spy(lx, ly, *args):
+            side = 0 if lx is lists[0] else 1
+            assert ly is lists[2 * side + 1]
+            calls[side] += 1
+            for hashes, pairs in pair_blocks(lx, ly, *args):
+                record_bytes.append(hashes.nbytes + pairs.nbytes)
+                yield hashes, pairs
+
+        pair_blocks = pipeline._pair_blocks
+        monkeypatch.setattr(pipeline, "_pair_blocks", spy)
+        for n, dec in [(18, (0, 0, 6, 6)), (28, (4, 4, 4, 8)), (36, (6, 6, 6, 6))]:
+            _, cands = make_candidates(n)
+            lists = build_compression_lists(cands, dec, smallest_prime_divisor(n))
+            calls.clear()
+            record_bytes.clear()
+            expected = [rows_of(mc) for mc in match_compressions(lists, n)]
+            assert calls == {0: 1, 1: 1}, n
+            records = sum(record_bytes)
+            for budget in (1, 2**10, 2**14, records - 1, records):
+                calls.clear()
+                matched = [rows_of(mc) for mc in match_compressions(lists, n, budget_bytes=budget)]
+                generations = 1 if budget >= records else 3
+                assert calls == {0: generations, 1: generations}, (n, budget)
+                assert matched == expected, (n, budget)
 
     @pytest.mark.parametrize("n", [6, 9, 12])
     def test_hash_collisions_are_dropped(self, n, monkeypatch):
@@ -360,26 +392,6 @@ class TestMatchCompressions:
             assert not mc.rows.flags.writeable
         with pytest.raises(ValueError):
             mcs[0].rows[0, 0] = 0
-
-    def test_budget_below_one_hash_bucket_is_an_error(self):
-        decs, cands = make_candidates(6)
-        lists = build_compression_lists(cands, decs[0], 2)
-        with pytest.raises(ValueError, match="hash bucket"):
-            match_compressions(lists, 6, budget_bytes=1)
-
-    def test_many_partitions_warn(self):
-        # every partition generates and PSD-tests all pairs again: at n=36 a
-        # 2^14-byte budget splits the (6, 6, 6, 6) join into 95 partitions
-        decs, cands = make_candidates(36)
-        lists = build_compression_lists(cands, (6, 6, 6, 6), 2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # the default budget takes one join
-            expected = [rows_of(mc) for mc in match_compressions(lists, 36)]
-        with pytest.warns(RuntimeWarning, match="budget_bytes=16384: ") as caught:
-            matched = match_compressions(lists, 36, budget_bytes=2**14)
-        assert len(caught) == 1
-        assert int(re.search(r": (\d+) passes", str(caught[0].message)).group(1)) > 64
-        assert [rows_of(mc) for mc in matched] == expected
 
     def test_pair_index_dtype(self):
         # int32 while every index x * len(ly) + y fits; n=70 lists can pass 2^31 pairs
