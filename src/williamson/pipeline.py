@@ -2,19 +2,23 @@
 
 All three steps pass int8 rows.  Step 2 enumerates every symmetric ±1
 sequence of order n, keeping the free entries of those whose rowsum occurs in
-some rowsum decomposition and whose PSD never exceeds `seqcore.psd_bound`.  It
-scans the codes in blocks, computes each row's rowsum from its free entries
-and expands and PSD-tests only the rows of a wanted rowsum, so it holds one
-block and the survivors, never all 2^(n//2+1) sequences.  Its
+some rowsum decomposition and whose PSD never exceeds `seqcore.psd_bound`.
+The DFT of a symmetric sequence is real and linear in its free entries, so
+in a block of codes that share their high free entries each code's spectrum
+and rowsum are the block's part plus a row of one table of the low entries'
+parts.  Only rows of a wanted rowsum are squared and tested; the scan holds
+one block and the survivors, never all 2^(n//2+1) sequences.  Its
 `CandidateSet` holds them as `lists`, a plain dict from rowsum to rows; the
 A role alone takes an orbit-pruned view (`a_role`).  Step 3 compresses the
 survivors by the smallest prime factor m, per rowsum, and keeps the distinct
-compressions in ascending order.  Step 4 finds all compressed
-quadruples with
+compressions in ascending order.  Step 4 finds all compressed quadruples
+with
 
     PAF(A') + PAF(B') = [4n, 0, ..., 0] - (PAF(C') + PAF(D'))
 
-as a sorted join.  The key of a PSD-passing A x B or C x D pair is the first
+as a sorted join.  An x row's limits are the bound minus its PSD, and a pair
+passes the PSD filter when the y row's PSD is within them at every
+frequency.  The key of a PSD-passing A x B or C x D pair is the first
 d//2+1 entries of its side of the equation (PAF(s) = PAF(d-s) fixes the
 rest).  Each list row holds a 64-bit hash of its part of the key, linear in
 it, so a pair's key hash is the sum of its rows' hashes.  A pair is held as
@@ -39,18 +43,17 @@ import numpy as np
 from .equivalence import units
 from .seqcore import fold_indices, psd_bound, psd_halfspectrum
 
-_PSD_CHUNK_ROWS = 1 << 15
+_SCAN_BITS = 14  # step 2 scans the codes in blocks of 2^_SCAN_BITS
 DEFAULT_BUDGET_BYTES = 256 * 1024 * 1024
 
 
-def enumerate_symmetric_free(n: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
-    """Free entries of the symmetric sequences with codes lo..hi-1, one int8
-    row each; hi defaults to 2^(n//2+1), all of them.  Bit n//2 - j of a
-    code is set when free entry j is -1."""
-    f = n // 2 + 1
-    codes = np.arange(lo, (1 << f) if hi is None else hi, dtype=np.int64)
-    bits = ((codes[:, None] >> np.arange(f - 1, -1, -1, dtype=np.int64)) & 1).astype(np.int8)
-    return 1 - 2 * bits
+def _sign_rows(width: int) -> np.ndarray:
+    """Rows of width ±1 entries for the codes 0..2^width-1, in order: bit
+    width-1-j of a code is set when entry j is -1."""
+    rows = np.ones((1 << width, width), dtype=np.int8)
+    for j in range(width):  # entry j alternates in runs of 2^(width-1-j) codes
+        rows.reshape(1 << j, 2, -1, width)[:, 1, :, j] = -1
+    return rows
 
 
 def _expand(free_rows: np.ndarray, n: int) -> np.ndarray:
@@ -103,26 +106,42 @@ def generate_candidates(n: int, decompositions) -> CandidateSet:
     """Map rowsum -> free-entry rows of its PSD-passing sequences, in
     ascending code order, over every rowsum appearing in the decompositions.
 
-    All 2^(n//2+1) codes are examined, _PSD_CHUNK_ROWS at a time; only rows
-    of a wanted rowsum are expanded and PSD-tested, and only the survivors
-    are kept."""
+    A symmetric sequence's DFT is real and linear in its free entries x_j:
+    A(k) = sum_j w_j x_j cos(2 pi j k / n), w_j the multiplicity of entry j.
+    All 2^(n//2+1) codes are examined in blocks of 2^_SCAN_BITS that share
+    their high free entries, so a code's spectrum and rowsum are its block's
+    part plus a row of one low-entry table.  Only rows of a wanted rowsum
+    are squared and tested, and only survivors get free-entry rows."""
     if not decompositions:
         return CandidateSet(n, {}, 0)
     wanted = sorted({r for dec in decompositions for r in dec})
-    weights = np.bincount(fold_indices(n)).astype(np.int32)  # multiplicity of each free entry
+    f = n // 2 + 1
+    b = min(_SCAN_BITS, f)
+    weights = np.bincount(fold_indices(n))  # multiplicity of each free entry
+    jk = np.arange(f)[:, None] * np.arange(f) % n  # f == n//2+1 frequencies too
+    cosines = weights[:, None] * np.cos(2 * np.pi / n * jk)
+    high, low = _sign_rows(f - b), _sign_rows(b)
+    # einsum, not @: no BLAS buffers and no int64 copy of the table, both of
+    # which leave glibc holding freed memory and raise the peak RSS
+    high_spec = np.einsum("ij,jk->ik", high, cosines[:f - b])
+    high_sum = np.einsum("ij,j->i", high, weights[:f - b])
+    low_sum = np.einsum("ij,j->i", low, weights[f - b:])
+    order = np.argsort(low_sum, kind="stable")  # low rows grouped by rowsum, codes ascending
+    low_spec = np.einsum("ij,jk->ik", low[order], cosines[f - b:])
+    sums, starts, counts = np.unique(low_sum[order], return_index=True, return_counts=True)
+    groups = {s: slice(a, a + c) for s, a, c in zip(sums.tolist(), starts, counts)}
     bound = psd_bound(n)
-    count = 1 << (n // 2 + 1)
-    parts = {r: [] for r in wanted}
-    for lo in range(0, count, _PSD_CHUNK_ROWS):
-        free = enumerate_symmetric_free(n, lo, min(lo + _PSD_CHUNK_ROWS, count))
-        rowsums = free @ weights
-        used = np.isin(rowsums, wanted)
-        free, rowsums = free[used], rowsums[used]
-        keep = psd_halfspectrum(_expand(free, n).astype(np.float64)).max(axis=1) <= bound
+    parts = {r: [np.empty((0, f), dtype=np.int8)] for r in wanted}
+    for h, rest in enumerate(high_sum.tolist()):
         for r in wanted:
-            parts[r].append(free[keep & (rowsums == r)])
+            group = groups.get(r - rest)
+            if group is None:
+                continue
+            power = np.square(low_spec[group] + high_spec[h])
+            keep = order[group][power.max(axis=1) <= bound]
+            parts[r].append(np.hstack((np.broadcast_to(high[h], (keep.size, f - b)), low[keep])))
     lists = {r: np.concatenate(rows) for r, rows in parts.items()}
-    return CandidateSet(n, lists, count)
+    return CandidateSet(n, lists, 1 << f)
 
 
 @dataclass
@@ -214,13 +233,16 @@ def _pair_blocks(lx: CompressedList, ly: CompressedList, hx: np.ndarray, hy: np.
     count_y = len(ly)
     dtype = _pair_dtype(len(lx), count_y)
     block = max(1, (1 << 18) // count_y)
-    psd_y = ly.psd_half.T.copy()
+    # column 0 is ra^2 + rb^2 <= 4n < bound for every pair, so it is skipped.
+    # Each pair a match needs sums to <= 4n at every column, and float32
+    # rounding (~1e-5 at 4n = 160) is far below the bound's 0.01 of slack
+    limit = (bound - lx.psd_half[:, 1:]).astype(np.float32)
+    psd_y = np.ascontiguousarray(ly.psd_half[:, 1:].T, dtype=np.float32)
     for lo in range(0, len(lx), block):
         hi = min(lo + block, len(lx))
         ok = np.ones((hi - lo, count_y), dtype=bool)
-        # column 0 is ra^2 + rb^2 <= 4n < bound for every pair, so it is skipped
-        for j in range(1, psd_y.shape[0]):  # column by column: no block x |ly| x h array
-            ok &= lx.psd_half[lo:hi, j:j + 1] + psd_y[j] <= bound
+        for j in range(psd_y.shape[0]):  # column by column: no block x |ly| x h array
+            ok &= psd_y[j] <= limit[lo:hi, j:j + 1]
         xi, yi = np.nonzero(ok)
         xi += lo
         hashed = hx[xi] + hy[yi]
@@ -280,7 +302,7 @@ def match_compressions(lists: tuple, n: int, mod4_filter: bool = True,
                        budget_bytes: int = DEFAULT_BUDGET_BYTES) -> list:
     """All compressed quadruples (A', B', C', D') from the four lists whose
     PAF vectors sum exactly to [4n, 0, ..., 0]; pairs are pre-filtered by the
-    PSD bound and, for even n, matches of 2-compressions are post-filtered by
+    PSD bound and matches of 2-compressions (d = n/2) are post-filtered by
     the mod-4 rowsum invariant.
 
     Matches come in ascending key order, then A x B pair, then C x D pair,
@@ -330,7 +352,7 @@ def match_compressions(lists: tuple, n: int, mod4_filter: bool = True,
 
     ia, ib = np.divmod(pair_ab, len(lb))
     ic, id_ = np.divmod(pair_cd, len(ld))
-    if mod4_filter and n % 2 == 0:
+    if mod4_filter and 2 * la.rows.shape[1] == n:
         # entries of 2-compressions are -2, 0 or 2, so four of them sum to 0 mod 4
         # exactly when an even number are nonzero: xor the packed nonzero masks
         ma, mb, mc, md = (np.packbits(lx.rows != 0, axis=1) for lx in lists)

@@ -14,7 +14,6 @@ from williamson.oracle import brute_force_enumerate
 from williamson.pipeline import (
     MatchedCompression,
     build_compression_lists,
-    enumerate_symmetric_free,
     generate_candidates,
     match_compressions,
 )
@@ -60,11 +59,11 @@ def normalize_to_decomposition(q):
     return members
 
 
-def reference_join(lists, n):
+def reference_join(lists, n, mod4=True):
     """Plain-Python step 4: every PSD-passing pair in a dict keyed by its full
     PAF sum (C x D keys subtracted from the target), shared keys in ascending
-    order, each expanded with A x B pairs outer; then the mod-4 filter.  Each
-    row's full PAF comes from seqcore.paf."""
+    order, each expanded with A x B pairs outer; then, when mod4 and n is
+    even, the mod-4 filter.  Each row's full PAF comes from seqcore.paf."""
     la, lb, lc, ld = lists
     bound = psd_bound(n)
     target = [4 * n] + [0] * (la.rows.shape[1] - 1)
@@ -87,7 +86,7 @@ def reference_join(lists, n):
         for a, b in ab[key]:
             for c, d in cd[key]:
                 rows = tuple(tuple(int(v) for v in lx.rows[i]) for lx, i in zip(lists, (a, b, c, d)))
-                if n % 2 == 0 and any(sum(col) % 4 for col in zip(*rows)):
+                if mod4 and n % 2 == 0 and any(sum(col) % 4 for col in zip(*rows)):
                     continue
                 matches.append(rows)
     return matches
@@ -109,27 +108,37 @@ class TestGenerateCandidates:
             decs = decompose_four_squares(n)
             cands = generate_candidates(n, decs)
             assert cands.examined == 2 ** (n // 2 + 1)
-            assert enumerate_symmetric_free(n).shape == (2 ** (n // 2 + 1), n // 2 + 1)
+            assert pipeline._sign_rows(n // 2 + 1).shape == (2 ** (n // 2 + 1), n // 2 + 1)
 
-    @pytest.mark.parametrize("n", [9, 12, 17])
+    @pytest.mark.parametrize("n", range(1, 33))
     def test_blocked_scan_equals_one_shot(self, n, monkeypatch):
-        # every code at once, expanded, then PSD-filtered: the lists in blocks
-        # of 5 codes (the last one short) must equal it row for row
+        # every code at once, expanded, then PSD-tested by rfft: the split
+        # tables in blocks of 2^bits codes must give the same lists row for
+        # row (20 bits is one block at every n here)
         decs = decompose_four_squares(n)
-        free = enumerate_symmetric_free(n)
+        free = pipeline._sign_rows(n // 2 + 1)
         full = free[:, [i if i <= n // 2 else n - i for i in range(n)]]
         keep = psd_halfspectrum(full.astype(float)).max(axis=1) <= psd_bound(n)
         rowsums = full.sum(axis=1)
         expected = {r: free[keep & (rowsums == r)] for dec in decs for r in dec}
-        monkeypatch.setattr(pipeline, "_PSD_CHUNK_ROWS", 5)
-        cands = generate_candidates(n, decs)
-        assert cands.examined == free.shape[0]
-        assert cands.lists.keys() == expected.keys()
-        for r, rows in expected.items():
-            got = cands.lists[r]
-            assert got.dtype == rows.dtype == np.int8
-            assert got.shape == rows.shape
-            assert np.array_equal(got, rows)
+        for bits in (0, 1, 2, 20):
+            monkeypatch.setattr(pipeline, "_SCAN_BITS", bits)
+            cands = generate_candidates(n, decs)
+            assert cands.examined == free.shape[0]
+            assert cands.lists.keys() == expected.keys(), bits
+            for r, rows in expected.items():
+                got = cands.lists[r]
+                assert got.dtype == rows.dtype == np.int8
+                assert got.shape == rows.shape, (bits, r)
+                assert np.array_equal(got, rows), (bits, r)
+
+    @pytest.mark.parametrize("n, survivors", [
+        (36, {0: 17784, 2: 13410, 4: 13242, 6: 12790, 8: 13104, 10: 9300, 12: 8754}),
+        (40, {0: 45172, 4: 47032, 8: 37692, 12: 31564}),
+    ])
+    def test_survivors_per_rowsum(self, n, survivors):
+        _, cands = make_candidates(n)
+        assert {r: len(rows) for r, rows in cands.lists.items()} == survivors
 
     def test_scan_holds_one_block(self):
         # 2^19 codes at n=36: holding them all expanded peaked at 114 MiB
@@ -305,7 +314,7 @@ class TestMatchCompressions:
             rows = tuple(compress(x, n // m) for x in members)
             assert rows in outputs[key], (n, rows)
 
-    @pytest.mark.parametrize("n", [6, 9, 12, 18, 21, 27, 28])
+    @pytest.mark.parametrize("n", [6, 9, 12, 18, 20, 21, 24, 27, 28])
     def test_ordered_output_equals_reference_join(self, n, monkeypatch):
         # the order fixes which instance dedupe keeps, hence task ids and
         # solver counters; at budgets below the records the join reads two
@@ -339,6 +348,40 @@ class TestMatchCompressions:
                 assert [rows_of(mc) for mc in matched] == expected, (dec, budget)
                 # the filter table never outgrows the budget, but has 2 buckets or more
                 assert len(filter_bits) == 1 and 2 ** filter_bits[0] <= max(2, budget)
+
+    def test_pair_filter_equals_float64_reference(self):
+        # the float32 per-row limits keep exactly the pairs whose float64 PSD
+        # sums stay within the bound at every column, on both sides
+        for n in range(6, 31):
+            m = smallest_prime_divisor(n)
+            if m not in (2, 3):
+                continue
+            decs, cands = make_candidates(n)
+            bound = psd_bound(n)
+            for dec in decs:
+                lists = build_compression_lists(cands, dec, m)
+                if not all(len(lx) for lx in lists):
+                    continue
+                for lx, ly in (lists[:2], lists[2:]):
+                    hx, hy = (np.zeros(len(lz), dtype=np.uint64) for lz in (lx, ly))
+                    pairs = [p for _, p in pipeline._pair_blocks(lx, ly, hx, hy, bound)]
+                    ok = np.ones((len(lx), len(ly)), dtype=bool)
+                    for j in range(lx.psd_half.shape[1]):
+                        ok &= lx.psd_half[:, j, None] + ly.psd_half[:, j] <= bound
+                    assert np.array_equal(np.concatenate(pairs), np.flatnonzero(ok)), (n, dec)
+
+    @pytest.mark.parametrize("n", [12, 18, 24])
+    def test_no_mod4_filter_on_3_compressions(self, n):
+        # the mod-4 filter is for 2-compressions; four 3-compressed entries
+        # can sum to 2 mod 4 in a column of a match the join must keep
+        decs, cands = make_candidates(n)
+        dropped_by_mod4 = 0
+        for dec in decs:
+            lists = build_compression_lists(cands, dec, 3)
+            expected = reference_join(lists, n, mod4=False)
+            assert [rows_of(mc) for mc in match_compressions(lists, n)] == expected, dec
+            dropped_by_mod4 += len(expected) - len(reference_join(lists, n))
+        assert dropped_by_mod4 > 0
 
     def test_pair_generations_per_side(self, monkeypatch):
         # within the budget each side's pairs are generated once; over it, once
@@ -421,3 +464,14 @@ class TestMatchCompressions:
             assert peak < 45 * 2**20, dec
             stacked = np.stack([mc.rows for mc in mcs])
             assert (len(mcs), hashlib.sha256(stacked.tobytes()).hexdigest()) == pinned[dec]
+
+    def test_steps_1_to_4_at_n44(self):
+        # rows of 22 compressed columns: the candidate count and the sha256 of
+        # the match stacks, concatenated in decomposition order, are pinned
+        decs, cands = make_candidates(44)
+        assert sum(len(rows) for rows in cands.lists.values()) == 680010
+        digest = hashlib.sha256()
+        for dec in decs:
+            for mc in match_compressions(build_compression_lists(cands, dec, 2), 44):
+                digest.update(mc.rows.tobytes())
+        assert digest.hexdigest() == "79035db829616df865e5b9e3627feec378c4dd81a555bfc479416cb5cd2d3f39"
