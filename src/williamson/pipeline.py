@@ -21,17 +21,16 @@ passes the PSD filter when the y row's PSD is within them at every
 frequency.  The key of a PSD-passing A x B or C x D pair is the first
 d//2+1 entries of its side of the equation (PAF(s) = PAF(d-s) fixes the
 rest).  Each list row holds a 64-bit hash of its part of the key, linear in
-it, so a pair's key hash is the sum of its rows' hashes.  A pair is held as
-an eight-byte record, the top 32 bits of its key hash and its pair index,
-until a semi-join filter drops those whose hash bucket the other side lacks;
-only the survivors get their key hashes back.  One stable sort of both
-sides' survivors puts equal hashes together, and each hash both sides hold
-yields its A x B by C x D cross product through array arithmetic.  When the
-records outgrow the memory budget, the pairs are generated twice more, once
-to mark the filter and once to keep its survivors.  The matches are checked
-against the key itself, which drops hash collisions, and stably sorted by
-it.  They form one read-only S x 4 x d int8 stack; each `MatchedCompression`
-is a 4 x d view into it.
+it, so a pair's key hash is the sum of its rows' hashes; so is the low
+half, the pair's 32-bit filter hash.  A pair is held as an eight-byte
+record, its filter hash and its pair index, until a semi-join filter drops
+those whose hash bucket the other side lacks.  Only the survivors get key
+hashes; for 2-compressions these add the xor of the two rows' nonzero masks
+times an odd constant, so only pairs that can pass the mod-4 test meet in
+one sort of both sides.  The matches are checked against the masks and the
+key, which drops hash collisions, and sorted by key, then A x B and C x D
+pair index.  They form one read-only S x 4 x d int8 stack; each
+`MatchedCompression` is a 4 x d view into it.
 """
 from __future__ import annotations
 
@@ -45,6 +44,7 @@ from .seqcore import fold_indices, psd_bound, psd_halfspectrum
 
 _SCAN_BITS = 14  # step 2 scans the codes in blocks of 2^_SCAN_BITS
 DEFAULT_BUDGET_BYTES = 256 * 1024 * 1024
+_MASK_MULT = 0x9E3779B97F4A7C15  # odd: word w of a pair's nonzero xor-mask weighs (2w + 1) times it
 
 
 def _sign_rows(width: int) -> np.ndarray:
@@ -60,11 +60,13 @@ def _expand(free_rows: np.ndarray, n: int) -> np.ndarray:
     return free_rows[:, np.array(fold_indices(n))]
 
 
-def _free_codes(free_rows: np.ndarray) -> np.ndarray:
-    f = free_rows.shape[1]
-    bits = (free_rows < 0).astype(np.uint64)
-    weights = (np.uint64(1) << np.arange(f - 1, -1, -1, dtype=np.uint64))
-    return bits @ weights
+def _bit_codes(bits: np.ndarray, columns) -> np.ndarray:
+    """Per column of a bool table, its given rows (64 at most) as bits, the first highest."""
+    codes = np.zeros(bits.shape[1], dtype=np.uint64)
+    for j in columns:
+        codes <<= np.uint64(1)
+        codes |= bits[j]
+    return codes
 
 
 class CandidateSet:
@@ -86,11 +88,11 @@ class CandidateSet:
         free = self.lists[rowsum]
         n = self.n
         fold = np.array(fold_indices(n))
-        codes = _free_codes(free)
+        negative = np.ascontiguousarray((free < 0).T)
+        codes = _bit_codes(negative, range(n // 2 + 1))
         best = codes.copy()
-        for k in units(n)[1:]:  # units(n)[0] == 1, the identity
-            perm = fold[(k * np.arange(n // 2 + 1)) % n]
-            np.minimum(best, _free_codes(free[:, perm]), out=best)
+        for k in (k for k in units(n)[1:] if 2 * k < n):  # 1 is the identity; n - k acts as k
+            np.minimum(best, _bit_codes(negative, fold[(k * np.arange(n // 2 + 1)) % n]), out=best)
         return free[codes == best]
 
     def compressed(self, rowsum: int, m: int, prune: bool = False) -> CompressedList:
@@ -226,10 +228,10 @@ def _pair_dtype(count_x: int, count_y: int):
 
 def _pair_blocks(lx: CompressedList, ly: CompressedList, hx: np.ndarray, hy: np.ndarray,
                  bound: float):
-    """Blocks (32-bit key hashes, pair indices x * len(ly) + y) of the pairs of
-    lx x ly that pass the PSD bound, in row-major order, one block or more; hx
-    and hy are the row hashes of the two lists, and a pair's 32-bit hash is
-    the top half of its 64-bit one."""
+    """Blocks (filter hashes hx[x] + hy[y], pair indices x * len(ly) + y) of the
+    pairs of lx x ly that pass the PSD bound, in ascending pair index, one
+    block or more; hx and hy are the lists' uint32 row hashes, so a pair's
+    hash wraps mod 2^32."""
     count_y = len(ly)
     dtype = _pair_dtype(len(lx), count_y)
     block = max(1, (1 << 18) // count_y)
@@ -243,34 +245,31 @@ def _pair_blocks(lx: CompressedList, ly: CompressedList, hx: np.ndarray, hy: np.
         ok = np.ones((hi - lo, count_y), dtype=bool)
         for j in range(psd_y.shape[0]):  # column by column: no block x |ly| x h array
             ok &= psd_y[j] <= limit[lo:hi, j:j + 1]
-        xi, yi = np.nonzero(ok)
-        xi += lo
-        hashed = hx[xi] + hy[yi]
-        yield (hashed >> np.uint64(32)).astype(np.uint32), (xi * count_y + yi).astype(dtype)
-
-
-def _drain(blocks: list):
-    """The blocks in order, each popped from the list as it is yielded."""
-    while blocks:
-        yield blocks.pop(0)
+        pairs = np.flatnonzero(ok) + lo * count_y
+        xi, yi = np.divmod(pairs, count_y)
+        yield hx[xi] + hy[yi], pairs.astype(dtype)
 
 
 def _join(mark, keep, key_hash, bits: int) -> tuple:
     """Every pair of an A x B record and a C x D record with equal 64-bit key
     hashes: the pairs with equal keys, and any whose hashes collide.
 
-    ``mark`` and ``keep`` each give the same records as (side, key hashes,
-    pair indices) blocks, at least one block, with side 0 (A x B) before
-    side 1 (C x D).  ``mark`` sets a filter of 2^bits hash buckets, indexed
-    by a hash's top bits, to the sides that use each; ``keep`` is then read
-    for the records whose bucket both sides use, and ``key_hash(side,
-    pairs)`` gives their 64-bit key hashes.  The matches of one hash come
-    together, A x B records outer and C x D records inner, each side in the
-    order given.  Returns the A x B and C x D pair indices of each match."""
+    ``mark`` and ``keep`` each give the same records as (side, uint32 filter
+    hashes, pair indices) blocks, at least one block, with side 0 (A x B)
+    before side 1 (C x D).  ``mark`` sets a filter of 2^bits hash buckets,
+    indexed by a hash's top bits, to the sides that use each; ``keep`` is
+    then read for the records whose bucket both sides use, and
+    ``key_hash(side, pairs)`` gives their 64-bit key hashes.  The matches of
+    one hash come together, A x B records outer and C x D records inner,
+    each side in the order given.  Returns the A x B and C x D pair indices
+    of each match."""
     shift = np.uint32(32 - bits)
     sides = np.zeros(1 << bits, dtype=np.uint8)
     for side, hashes, _ in mark:
-        sides[hashes >> shift] |= 1 << side
+        if side == 0:  # its blocks all come first: plain stores
+            sides[hashes >> shift] = 1
+        else:
+            sides[hashes >> shift] |= 2
     kept, n_ab = [], 0
     for side, hashes, pairs in keep:
         pairs = pairs[sides[hashes >> shift] == 3]
@@ -302,39 +301,50 @@ def match_compressions(lists: tuple, n: int, mod4_filter: bool = True,
                        budget_bytes: int = DEFAULT_BUDGET_BYTES) -> list:
     """All compressed quadruples (A', B', C', D') from the four lists whose
     PAF vectors sum exactly to [4n, 0, ..., 0]; pairs are pre-filtered by the
-    PSD bound and matches of 2-compressions (d = n/2) are post-filtered by
-    the mod-4 rowsum invariant.
+    PSD bound and matches of 2-compressions (d = n/2) must pass the mod-4
+    rowsum invariant.
 
-    Matches come in ascending key order, then A x B pair, then C x D pair,
-    each a view into one read-only S x 4 x d int8 stack of rows.
-    ``budget_bytes`` bounds the key records held for one join: a 32-bit key
-    hash and a pair index (int32, or int64 when a side has 2^31 pairs or
-    more) per PSD-passing pair, both sides.  Records that fit are held from
-    the first generation of pairs; otherwise it only counts them, and two
-    fresh generations mark the hash filter and keep its survivors.  The
-    filter has 2^bits one-byte buckets, bits = records.bit_length() (1 to
-    32), and no more bytes than the budget; a 64-bit key hash is rebuilt
-    only for the records it keeps, which the budget does not bound.  The
-    matches of equal 64-bit hashes are checked against the key itself after
-    the mod-4 filter, so the output does not depend on the hash."""
+    Matches come in ascending key order, then A x B pair index, then C x D
+    pair index, each a view into one read-only S x 4 x d int8 stack of rows.
+    ``budget_bytes`` bounds the key records held for one join: a uint32
+    filter hash (the low half of the 64-bit key hash, without the mask term)
+    and a pair index (int32, or int64 when a side has 2^31 pairs or more) per
+    PSD-passing pair, both sides.  Records that fit are held from the first
+    generation of pairs; otherwise it only counts them, and two fresh
+    generations mark the hash filter and keep its survivors.  The filter has
+    2^bits one-byte buckets, bits = records.bit_length() (1 to 32), and no
+    more bytes than the budget; a 64-bit key hash, with the mod-4 mask term,
+    is built only for the records it keeps, which the budget does not bound.
+    Matches are checked against the masks and the key itself, so the output
+    does not depend on the hash."""
     la, lb, lc, ld = lists
     if not all(len(lx) for lx in lists):
         return []
-    target = np.zeros(la.rows.shape[1] // 2 + 1, dtype=np.int32)  # PAF(s) = PAF(d - s)
+    d = la.rows.shape[1]
+    target = np.zeros(d // 2 + 1, dtype=np.int32)  # PAF(s) = PAF(d - s)
     target[0] = 4 * n
-    ha, hb, hc, hd = _row_hashes(lists, target)
-    sides = ((la, lb, ha, hb), (lc, ld, hc, hd))
+    hashes = _row_hashes(lists, target)
+    low = [h.astype(np.uint32) for h in hashes]
+    # entries of 2-compressions are -2, 0 or 2, so four of them sum to 0 mod 4
+    # exactly when an even number are nonzero: the rows' nonzero masks xor to 0
+    words = range(0, d, 64) if mod4_filter and 2 * d == n else ()  # 64 columns a word
+    masks = [[_bit_codes(lx.rows.T != 0, range(w, min(w + 64, d))) for w in words] for lx in lists]
+    weights = np.uint64(_MASK_MULT) * np.arange(1, 2 * len(words), 2, dtype=np.uint64)
+    sides = ((la, lb, 0), (lc, ld, 2))
     bound = psd_bound(n)
 
     def blocks():
-        for side, (lx, ly, hx, hy) in enumerate(sides):
-            for hashes, pairs in _pair_blocks(lx, ly, hx, hy, bound):
-                yield side, hashes, pairs
+        for side, (lx, ly, i) in enumerate(sides):
+            for filter_hashes, pairs in _pair_blocks(lx, ly, low[i], low[i + 1], bound):
+                yield side, filter_hashes, pairs
 
     def key_hash(side, pairs):
-        _, ly, hx, hy = sides[side]
+        _, ly, i = sides[side]
         xi, yi = np.divmod(pairs, len(ly))
-        return hx[xi] + hy[yi]
+        hashed = hashes[i][xi] + hashes[i + 1][yi]
+        for wx, wy, weight in zip(masks[i], masks[i + 1], weights):
+            hashed += (wx[xi] ^ wy[yi]) * weight
+        return hashed
 
     held, held_bytes, records = [], 0, 0
     for block in blocks():
@@ -345,25 +355,21 @@ def match_compressions(lists: tuple, n: int, mod4_filter: bool = True,
         else:
             held.clear()
     bits = max(1, min(records.bit_length(), budget_bytes.bit_length() - 1, 32))
-    if held_bytes <= budget_bytes:
-        pair_ab, pair_cd = _join(held, _drain(held), key_hash, bits)
+    if held_bytes <= budget_bytes:  # each held block is popped as it is kept
+        pair_ab, pair_cd = _join(held, (held.pop(0) for _ in range(len(held))), key_hash, bits)
     else:
         pair_ab, pair_cd = _join(blocks(), blocks(), key_hash, bits)
 
     ia, ib = np.divmod(pair_ab, len(lb))
     ic, id_ = np.divmod(pair_cd, len(ld))
-    if mod4_filter and 2 * la.rows.shape[1] == n:
-        # entries of 2-compressions are -2, 0 or 2, so four of them sum to 0 mod 4
-        # exactly when an even number are nonzero: xor the packed nonzero masks
-        ma, mb, mc, md = (np.packbits(lx.rows != 0, axis=1) for lx in lists)
-        keep = ~np.any(ma[ia] ^ mb[ib] ^ mc[ic] ^ md[id_], axis=1)
-        ia, ib, ic, id_ = ia[keep], ib[keep], ic[keep], id_[keep]
-    # drop hash collisions, then sort by key: stable, so A x B pairs stay outer
-    keys = [la.paf[ia, j] + lb.paf[ib, j] for j in range(target.size)]
+    # drop the pairs whose masks or keys differ: hash collisions
     exact = np.ones(ia.size, dtype=bool)
+    for wa, wb, wc, wd in zip(*masks):
+        exact &= (wa[ia] ^ wb[ib]) == (wc[ic] ^ wd[id_])
+    keys = [la.paf[ia, j] + lb.paf[ib, j] for j in range(target.size)]
     for j, key in enumerate(keys):
         exact &= key == target[j] - lc.paf[ic, j] - ld.paf[id_, j]
-    order = np.lexsort([key[exact] for key in reversed(keys)])
+    order = np.lexsort([pair_cd[exact], pair_ab[exact]] + [key[exact] for key in reversed(keys)])
     ia, ib, ic, id_ = (i[exact][order] for i in (ia, ib, ic, id_))
     stack = np.stack([la.rows[ia], lb.rows[ib], lc.rows[ic], ld.rows[id_]], axis=1)
     stack.setflags(write=False)

@@ -92,6 +92,19 @@ def reference_join(lists, n, mod4=True):
     return matches
 
 
+def join_sizes(monkeypatch):
+    """A list that gets the number of pairs of each pipeline._join call."""
+    sizes, join = [], pipeline._join
+
+    def spy(*args):
+        pair_ab, pair_cd = join(*args)
+        sizes.append(pair_ab.size)
+        return pair_ab, pair_cd
+
+    monkeypatch.setattr(pipeline, "_join", spy)
+    return sizes
+
+
 class TestGenerateCandidates:
     def test_n2_classes(self):
         decs, cands = make_candidates(2)
@@ -190,6 +203,20 @@ class TestGenerateCandidates:
             for k in units(n):
                 images.add(tuple(entries[(k * i) % n] for i in range(n // 2 + 1)))
             assert images & pruned
+
+    @pytest.mark.parametrize("n", range(6, 31))
+    def test_a_role_is_the_orbit_minimum(self, n):
+        # a row is kept when no unit k, k > n/2 included, maps it to a smaller
+        # code (bit f-1-i set when free entry i is -1)
+        _, cands = make_candidates(n)
+        f = n // 2 + 1
+        fold = np.array([i if i <= n // 2 else n - i for i in range(n)])
+        powers = 1 << np.arange(f - 1, -1, -1, dtype=np.int64)
+        for r, free in cands.lists.items():
+            full = free[:, fold]
+            codes = [(full[:, k * np.arange(f) % n] < 0) @ powers for k in units(n)]
+            expected = free[codes[0] == np.min(codes, axis=0)]
+            assert np.array_equal(cands.a_role(r), expected), (n, r)
 
 
 class TestBuildCompressionLists:
@@ -414,6 +441,35 @@ class TestMatchCompressions:
                 generations = 1 if budget >= records else 3
                 assert calls == {0: generations, 1: generations}, (n, budget)
                 assert matched == expected, (n, budget)
+
+    @pytest.mark.parametrize("n, joined", [
+        (28, [369, 465, 0]),
+        (40, [24856, 25194]),  # 247,152 and 266,568 before the mask term
+    ])
+    def test_join_pairs_only_mod4_compatible_records(self, n, joined, monkeypatch):
+        # the key hash of a 2-compression pair carries the xor of its rows'
+        # nonzero masks, so the join returns the matches and no more
+        counts = join_sizes(monkeypatch)
+        decs, cands = make_candidates(n)
+        matches = [len(match_compressions(build_compression_lists(cands, dec, 2), n))
+                   for dec in decs]
+        assert counts == matches == joined
+
+    @pytest.mark.parametrize("n", [12, 14, 16, 18, 20, 22, 24, 26, 28])
+    def test_mask_check_without_mask_hash(self, n, monkeypatch):
+        # with no mask term in the key hash the join returns the pairs of
+        # equal keys whatever their masks; the exact mask check must drop
+        # those that fail the mod-4 test (at n=20 and 24 some do)
+        joined = join_sizes(monkeypatch)
+        monkeypatch.setattr(pipeline, "_MASK_MULT", 0)
+        decs, cands = make_candidates(n)
+        matched = 0
+        for dec in decs:
+            lists = build_compression_lists(cands, dec, 2)
+            expected = reference_join(lists, n)
+            assert [rows_of(mc) for mc in match_compressions(lists, n)] == expected, dec
+            matched += len(expected)
+        assert (sum(joined) > matched) == (n in (20, 24))
 
     @pytest.mark.parametrize("n", [6, 9, 12])
     def test_hash_collisions_are_dropped(self, n, monkeypatch):
