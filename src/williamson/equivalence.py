@@ -20,7 +20,9 @@ trying every (automorphism, E5) choice, then minimizing each member over
 stack of k-tuples at once, of full rows or of compressed rows: it is the one
 implementation behind class counting, octuple counting and the dedupe of
 matched compressions before the SAT stage; it does the image work once per
-distinct member row of the whole stack.  `expand_class` is its reference.
+distinct member row of the whole stack, and the rest on int32 ranks of the
+images' codes (`canonical_ranks`, on which the dedupe keys).  `expand_class`
+is its reference.
 """
 from __future__ import annotations
 
@@ -48,7 +50,7 @@ def _group(n: int, length: int) -> tuple:
     (E5 reaches the rows only when n and length are both even) and the E3
     shift (n/2) mod length (0 when n is odd; it is 0 on 2-compressions).
     """
-    maps = np.unique(np.outer(units(n), np.arange(length)) % length, axis=0)
+    maps = np.unique(np.outer(units(n), np.arange(length)) % length, axis=0, return_index=True)[0]
     signs = np.ones((1, length), dtype=np.int8)
     if n % 2 == 0 and length % 2 == 0:
         signs = np.array([signs[0], np.where(np.arange(length) % 2, -1, 1)], dtype=np.int8)
@@ -111,20 +113,11 @@ def apply_equivalence(q: Quadruple, op: str, *, perm=None, member=None, k=None) 
     return Quadruple(*members)
 
 
-def canonical_rows(rows, n: int) -> np.ndarray:
-    """Canonical form of each k-tuple in an S x k x L stack of integer rows.
-
-    k is 4 for quadruples and 8 for octuples; L = n for full ±1 rows and
-    L = n/m for m-compressions (sums of m entries ±1), on which the group of
-    order n acts as `_group` describes.  Rows are ordered lexicographically
-    with the larger entry first (+1 before -1) and tuples member by member;
-    the canonical form is the least image.  E1-E3 act within the tuple, so
-    each (E4, E5) image is minimized over {id, E2, E3, E2*E3} per member,
-    then sorted: once for each distinct row of the stack, on integer codes.
-    """
+def canonical_ranks(rows, n: int) -> tuple:
+    """`canonical_rows` without the decoding: S x k int32 ranks into `values`,
+    the sorted codes of least images, which `decode` maps to int8 rows.  Two
+    tuples of one call have equal forms exactly when their ranks are equal."""
     rows = np.asarray(rows, dtype=np.int8)
-    if len(rows) == 0:
-        return rows
     count, k, length = rows.shape
     maps, signs, shift = _group(n, length)
     m, bits = n // length, (n // length).bit_length()
@@ -150,22 +143,49 @@ def canonical_rows(rows, n: int) -> np.ndarray:
     for lo in range(0, count, step):  # a block codes 8 bytes an entry
         new.append(code(rows[lo:lo + step]).ravel())
         if lo + step >= count or len(new) * step * k > len(distinct):  # merges sort < 2 codes a row
-            distinct, new = np.unique(np.concatenate([distinct, *new])), []
+            distinct, new = np.sort(np.concatenate([distinct, *new])), []  # np.unique here loads numpy.ma
+            distinct = distinct[np.concatenate(([True], distinct[1:] != distinct[:-1]))]
     # codes are linear in the entries: `images` holds each entry's weights in the
     # (E4, E5) images and their E3 images; E2 maps a code c to 2 * base - c
     cols = np.array([np.arange(length), np.roll(np.arange(length), -shift)][:1 + bool(shift)])
     images = (np.eye(length, dtype=np.int8)[:, None, maps[:, cols]] * signs[:, None, cols]) @ halves
     least = code(decode(distinct), images)
-    least = np.minimum(least, (2 * base).view(kind)[0] - least).min(axis=-1).reshape(len(distinct), -1)
-    out = np.empty_like(rows)
+    least = np.minimum(least, (2 * base).view(kind)[0] - least).min(axis=-1).ravel()
+    # ranks order as the codes do: the rest of the work is on one int32 table
+    values, table = np.unique(least, return_inverse=True)
+    table = table.astype(np.int32).reshape(len(distinct), -1)
+    ranks = np.empty((count, k), dtype=np.int32)
     for lo in range(0, count, step):
-        t, alive = least[np.searchsorted(distinct, code(rows[lo:lo + step]))], True
-        t.sort(axis=1)  # E1 sorts each choice's codes; the least choice is found member by member
-        for j, x in enumerate(t.transpose(1, 0, 2)):
-            col = np.where(alive, x, np.inf)
-            best = col.min(axis=1)
+        t = list(table[np.searchsorted(distinct, code(rows[lo:lo + step])).T])  # k x block x choices
+        for r in range(k):  # E1 sorts each choice's ranks: an odd-even transposition network
+            for j in range(r % 2, k - 1, 2):
+                t[j], t[j + 1] = np.minimum(t[j], t[j + 1]), np.maximum(t[j], t[j + 1], out=t[j + 1])
+        alive = True  # the least choice, member by member; len(values) ranks past every code
+        for j, x in enumerate(t):
+            col = np.where(alive, x, len(values))
+            ranks[lo:lo + step, j] = best = col.min(axis=1)
             alive = col == best[:, None]
-            out[lo:lo + step, j] = decode(best)
+    return ranks, values, decode
+
+
+def canonical_rows(rows, n: int) -> np.ndarray:
+    """Canonical form of each k-tuple in an S x k x L stack of integer rows.
+
+    k is 4 for quadruples and 8 for octuples; L = n for full ±1 rows and
+    L = n/m for m-compressions (sums of m entries ±1), on which the group of
+    order n acts as `_group` describes.  Rows are ordered lexicographically
+    with the larger entry first (+1 before -1) and tuples member by member;
+    the canonical form is the least image.  E1-E3 act within the tuple, so
+    each (E4, E5) image is minimized over {id, E2, E3, E2*E3} per member,
+    then sorted: once for each distinct row of the stack, on integer codes.
+    """
+    rows = np.asarray(rows, dtype=np.int8)
+    if len(rows) == 0:
+        return rows
+    ranks, values, decode = canonical_ranks(rows, n)
+    out, step = np.empty_like(rows), max(1, _CHUNK_BYTES // (8 * rows[0].size))
+    for lo in range(0, len(rows), step):
+        out[lo:lo + step] = decode(values[ranks[lo:lo + step]])
     return out
 
 

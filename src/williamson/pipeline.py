@@ -6,8 +6,8 @@ some rowsum decomposition and whose PSD never exceeds `seqcore.psd_bound`.
 The DFT of a symmetric sequence is real and linear in its free entries, so
 in a block of codes that share their high free entries each code's spectrum
 and rowsum are the block's part plus a row of one table of the low entries'
-parts.  Only rows of a wanted rowsum are squared and tested; the scan holds
-one block and the survivors, never all 2^(n//2+1) sequences.  Its
+parts, in float32.  Only rows of a wanted rowsum are squared and tested; the
+scan holds one block and the survivors, never all 2^(n//2+1) sequences.  Its
 `CandidateSet` holds them as `lists`, a plain dict from rowsum to rows; the
 A role alone takes an orbit-pruned view (`a_role`).  Step 3 compresses the
 survivors by the smallest prime factor m, per rowsum, and keeps the distinct
@@ -18,7 +18,9 @@ with
 
 as a sorted join.  An x row's limits are the bound minus its PSD, and a pair
 passes the PSD filter when the y row's PSD is within them at every
-frequency.  The key of a PSD-passing A x B or C x D pair is the first
+frequency; a side that pairs one list with itself (C, D of one rowsum)
+tests its pairs x <= y only, and each match with x != y adds its mirror
+after the join.  The key of a PSD-passing A x B or C x D pair is the first
 d//2+1 entries of its side of the equation (PAF(s) = PAF(d-s) fixes the
 rest).  Each list row holds a 64-bit hash of its part of the key, linear in
 it, so a pair's key hash is the sum of its rows' hashes; so is the low
@@ -113,7 +115,10 @@ def generate_candidates(n: int, decompositions) -> CandidateSet:
     All 2^(n//2+1) codes are examined in blocks of 2^_SCAN_BITS that share
     their high free entries, so a code's spectrum and rowsum are its block's
     part plus a row of one low-entry table.  Only rows of a wanted rowsum
-    are squared and tested, and only survivors get free-entry rows."""
+    are squared and tested, and only survivors get free-entry rows.  The
+    spectra are float32: the rounding error of |A(k)| <= n is about 1e-5,
+    that of |A(k)|^2 near the bound 2 sqrt(4n) times it, far below the 0.01
+    of slack in `psd_bound`."""
     if not decompositions:
         return CandidateSet(n, {}, 0)
     wanted = sorted({r for dec in decompositions for r in dec})
@@ -121,7 +126,7 @@ def generate_candidates(n: int, decompositions) -> CandidateSet:
     b = min(_SCAN_BITS, f)
     weights = np.bincount(fold_indices(n))  # multiplicity of each free entry
     jk = np.arange(f)[:, None] * np.arange(f) % n  # f == n//2+1 frequencies too
-    cosines = weights[:, None] * np.cos(2 * np.pi / n * jk)
+    cosines = (weights[:, None] * np.cos(2 * np.pi / n * jk)).astype(np.float32)  # f x f: no float64 spectra
     high, low = _sign_rows(f - b), _sign_rows(b)
     # einsum, not @: no BLAS buffers and no int64 copy of the table, both of
     # which leave glibc holding freed memory and raise the peak RSS
@@ -231,7 +236,8 @@ def _pair_blocks(lx: CompressedList, ly: CompressedList, hx: np.ndarray, hy: np.
     """Blocks (filter hashes hx[x] + hy[y], pair indices x * len(ly) + y) of the
     pairs of lx x ly that pass the PSD bound, in ascending pair index, one
     block or more; hx and hy are the lists' uint32 row hashes, so a pair's
-    hash wraps mod 2^32."""
+    hash wraps mod 2^32.  When lx is ly, only the pairs with x <= y: an x
+    block [lo, hi) is compared with ly[lo:]."""
     count_y = len(ly)
     dtype = _pair_dtype(len(lx), count_y)
     block = max(1, (1 << 18) // count_y)
@@ -242,12 +248,13 @@ def _pair_blocks(lx: CompressedList, ly: CompressedList, hx: np.ndarray, hy: np.
     psd_y = np.ascontiguousarray(ly.psd_half[:, 1:].T, dtype=np.float32)
     for lo in range(0, len(lx), block):
         hi = min(lo + block, len(lx))
-        ok = np.ones((hi - lo, count_y), dtype=bool)
+        start = lo if lx is ly else 0  # row i is x = lo + i and column c is y = start + c
+        ok = ~np.tri(hi - lo, count_y - lo, -1, dtype=bool) if lx is ly else np.ones((hi - lo, count_y), bool)
         for j in range(psd_y.shape[0]):  # column by column: no block x |ly| x h array
-            ok &= psd_y[j] <= limit[lo:hi, j:j + 1]
-        pairs = np.flatnonzero(ok) + lo * count_y
-        xi, yi = np.divmod(pairs, count_y)
-        yield hx[xi] + hy[yi], pairs.astype(dtype)
+            ok &= psd_y[j, start:] <= limit[lo:hi, j:j + 1]
+        flat = np.flatnonzero(ok)
+        xi, yi = lo + flat // (count_y - start), start + flat % (count_y - start)
+        yield hx[xi] + hy[yi], (xi * count_y + yi).astype(dtype)
 
 
 def _join(mark, keep, key_hash, bits: int) -> tuple:
@@ -360,8 +367,16 @@ def match_compressions(lists: tuple, n: int, mod4_filter: bool = True,
     else:
         pair_ab, pair_cd = _join(blocks(), blocks(), key_hash, bits)
 
-    ia, ib = np.divmod(pair_ab, len(lb))
-    ic, id_ = np.divmod(pair_cd, len(ld))
+    # the PSD test, the key, its hash and the mask xor are symmetric in x and y, so
+    # each x != y pair of a self-paired side stands for its mirror (y, x) too
+    idx = [*np.divmod(pair_ab, len(lb)), *np.divmod(pair_cd, len(ld))]
+    for s in (0, 2):
+        if lists[s] is lists[s + 1]:
+            off = idx[s] != idx[s + 1]
+            mirror = [i[off] for i in idx]
+            mirror[s:s + 2] = mirror[s + 1], mirror[s]
+            idx = [np.concatenate(p) for p in zip(idx, mirror)]
+    ia, ib, ic, id_ = idx
     # drop the pairs whose masks or keys differ: hash collisions
     exact = np.ones(ia.size, dtype=bool)
     for wa, wb, wc, wd in zip(*masks):
@@ -369,8 +384,8 @@ def match_compressions(lists: tuple, n: int, mod4_filter: bool = True,
     keys = [la.paf[ia, j] + lb.paf[ib, j] for j in range(target.size)]
     for j, key in enumerate(keys):
         exact &= key == target[j] - lc.paf[ic, j] - ld.paf[id_, j]
-    order = np.lexsort([pair_cd[exact], pair_ab[exact]] + [key[exact] for key in reversed(keys)])
-    ia, ib, ic, id_ = (i[exact][order] for i in (ia, ib, ic, id_))
+    order = np.lexsort([i[exact] for i in idx[::-1] + keys[::-1]])  # by key, then pair indices
+    ia, ib, ic, id_ = (i[exact][order] for i in idx)
     stack = np.stack([la.rows[ia], lb.rows[ib], lc.rows[ic], ld.rows[id_]], axis=1)
     stack.setflags(write=False)
     return [MatchedCompression(r) for r in stack]

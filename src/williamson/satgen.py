@@ -22,9 +22,9 @@ odd-order member by n/3 breaks its symmetry, so odd n takes no unit.
 
 Instances whose compressed quadruples are related by an equivalence
 transformation have equivalent solution sets; they are deduplicated before
-solving by the canonical form of the compressed quadruple.  That form comes
-from `equivalence.canonical_rows`, the kernel that also counts classes of
-full sequences: on compressed rows the group acts by reorder, member
+solving by the canonical form of the compressed quadruple, keyed by its
+ranks from `equivalence.canonical_ranks`, the kernel that also counts classes
+of full sequences: on compressed rows the group acts by reorder, member
 negation, the automorphisms of Z_n reduced mod the compressed length, and
 alternating negation when n and the compressed length are both even (for
 2-compressions, when 4 | n).
@@ -32,11 +32,11 @@ alternating negation when n and the compressed length are both even (for
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, compress
 
 import numpy as np
 
-from .equivalence import canonical_rows
+from .equivalence import canonical_ranks
 from .seqcore import fold_indices
 
 
@@ -154,10 +154,8 @@ def build_instance(rows, n: int) -> SatInstance:
 
 
 def export_dimacs(inst: SatInstance) -> str:
-    lines = [f"p cnf {inst.num_vars} {len(inst.clauses)}"]
-    for clause in inst.clauses:
-        lines.append(" ".join(str(l) for l in clause) + " 0")
-    return "\n".join(lines) + "\n"
+    header = f"p cnf {inst.num_vars} {len(inst.clauses)}\n"
+    return header + "".join(" ".join(map(str, clause)) + " 0\n" for clause in inst.clauses)
 
 
 # -- instance-level deduplication --------------------------------------------
@@ -166,19 +164,18 @@ def export_dimacs(inst: SatInstance) -> str:
 def dedupe_instances(mcs, n: int) -> tuple:
     """Keep one matched compression per equivalence class, in first-seen order.
 
-    Returns (kept, discarded) where discarded pairs each dropped compression
-    with the index of its kept representative."""
+    Returns (kept, discarded) where discarded pairs each dropped compression,
+    in input order, with the index of its kept representative.  A match's
+    class is its row of `canonical_ranks` (the 4 x d views are stacked by one
+    concatenate, a third of np.stack's time); one np.unique over those rows
+    gives each class's first match, which is kept."""
     mcs = list(mcs)
     if not mcs:
         return [], []
-    kept = []
-    discarded = []
-    by_key = {}
-    for mc, form in zip(mcs, canonical_rows(np.stack([mc.rows for mc in mcs]), n)):
-        key = form.tobytes()
-        if key in by_key:
-            discarded.append((mc, by_key[key]))
-        else:
-            by_key[key] = len(kept)
-            kept.append(mc)
-    return kept, discarded
+    ranks = canonical_ranks(np.concatenate([mc.rows for mc in mcs]).reshape(len(mcs), 4, -1), n)[0]
+    _, first, cls = np.unique(ranks.view("V16")[:, 0], return_index=True, return_inverse=True)
+    is_first = np.bincount(first, minlength=len(mcs)) > 0
+    owner = (np.cumsum(is_first) - 1)[first][cls]  # each match's kept index
+    slots = list(range(len(first)))  # one int object per kept index, shared by its discards
+    kept = list(compress(mcs, is_first.tolist()))
+    return kept, list(zip(compress(mcs, (~is_first).tolist()), map(slots.__getitem__, owner[~is_first])))

@@ -1,5 +1,5 @@
 """Core sequence algebra: symmetric ±1 sequences, periodic autocorrelation,
-power spectra, compression, rowsums, and the exact Williamson check.
+power spectra, rowsums, and the exact Williamson check.
 
 All correctness-critical quantities (PAF values, match keys, the Williamson
 condition) are exact integers.  Floating point appears only in power spectral
@@ -126,31 +126,10 @@ def paf(seq) -> tuple:
     return tuple(sum(a[k] * a[(k + s) % n] for k in range(n)) for s in range(n))
 
 
-def psd(seq) -> np.ndarray:
-    """Power spectral density: |DFT(A)(s)|^2 for s = 0..n-1."""
-    a = np.asarray(_entries_of(seq), dtype=np.float64)
-    if a.size == 0:
-        raise ValueError("empty sequence")
-    spec = np.fft.fft(a)
-    return (spec.real * spec.real + spec.imag * spec.imag)
-
-
 def psd_halfspectrum(values: np.ndarray) -> np.ndarray:
     """PSD at s = 0..n//2 for each row of a float matrix of sequences."""
     spec = np.fft.rfft(values, axis=-1)
     return spec.real * spec.real + spec.imag * spec.imag
-
-
-def compress(seq, d: int) -> tuple:
-    """m-compression: entry j is sum_t a[j + t*d] for t = 0..m-1, m = n/d.
-
-    The entries lie in {-m, -m+2, ..., m}."""
-    a = _entries_of(seq)
-    n = len(a)
-    if d < 1 or n % d != 0:
-        raise ValueError(f"d={d} does not divide order {n}")
-    m = n // d
-    return tuple(sum(a[j + t * d] for t in range(m)) for j in range(d))
 
 
 def rowsum(seq) -> int:
@@ -190,15 +169,11 @@ def format_sequence(seq) -> str:
 
 
 def parse_sequence(text: str) -> SymmetricSequence:
-    entries = []
+    signs = {"+": 1, "-": -1}
     for ch in text.strip():
-        if ch == "+":
-            entries.append(1)
-        elif ch == "-":
-            entries.append(-1)
-        else:
+        if ch not in signs:
             raise ValueError(f"invalid character {ch!r} in sequence")
-    return SymmetricSequence(entries)
+    return SymmetricSequence(signs[ch] for ch in text.strip())
 
 
 def parse_blocks(lines) -> list:
@@ -242,10 +217,5 @@ def format_block(seqs) -> str:
 
 
 def write_blocks(f, blocks) -> None:
-    first = True
-    for block in blocks:
-        if not first:
-            f.write("\n")
-        f.write(format_block(block))
-        f.write("\n")
-        first = False
+    for i, block in enumerate(blocks):  # one blank line between blocks
+        f.write(("\n" if i else "") + format_block(block) + "\n")

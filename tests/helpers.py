@@ -5,7 +5,28 @@ from williamson.cli import COUNTERS, RunConfig, _generate_instances
 from williamson.equivalence import _group, apply_equivalence, canonical_forms, units
 from williamson.progsat import CdclSolver
 from williamson.satgen import build_instance
-from williamson.seqcore import Quadruple, SymmetricSequence, verify_williamson
+from williamson.seqcore import Quadruple, SymmetricSequence, _entries_of, verify_williamson
+
+
+def psd(seq) -> np.ndarray:
+    """Power spectral density: |DFT(A)(s)|^2 for s = 0..n-1."""
+    a = np.asarray(_entries_of(seq), dtype=np.float64)
+    if a.size == 0:
+        raise ValueError("empty sequence")
+    spec = np.fft.fft(a)
+    return (spec.real * spec.real + spec.imag * spec.imag)
+
+
+def compress(seq, d: int) -> tuple:
+    """m-compression: entry j is sum_t a[j + t*d] for t = 0..m-1, m = n/d.
+
+    The entries lie in {-m, -m+2, ..., m}."""
+    a = _entries_of(seq)
+    n = len(a)
+    if d < 1 or n % d != 0:
+        raise ValueError(f"d={d} does not divide order {n}")
+    m = n // d
+    return tuple(sum(a[j + t * d] for t in range(m)) for j in range(d))
 
 
 def class_key(q):

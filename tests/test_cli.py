@@ -105,6 +105,26 @@ class TestEnumerate:
         assert "inequivalent=3" in proc.stdout
         assert (tmp_path / "run" / "solutions.txt").exists()
 
+    def test_no_numpy_ma_import(self):
+        # on NumPy 2, np.unique with no index output loads numpy.ma, about
+        # 18 ms; neither a run nor steps 1-4 with the instance dedupe needs it
+        src = str(Path(williamson.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        script = "\n".join([
+            "import sys",
+            "from williamson import cli, diophantine, pipeline, satgen",
+            "cli.run_enumeration(cli.RunConfig(n=12))",
+            "decs = diophantine.decompose_four_squares(12)",
+            "candidates = pipeline.generate_candidates(12, decs)",
+            "matched = [mc for dec in decs for mc in pipeline.match_compressions(",
+            "    pipeline.build_compression_lists(candidates, dec, 2), 12)]",
+            "kept, discarded = satgen.dedupe_instances(matched, 12)",
+            "print(len(kept), len(discarded), 'numpy.ma' in sys.modules)",
+        ])
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["3", "4", "False"]
+
     def test_outputs_written(self, tmp_path, capsys):
         out_dir = str(tmp_path / "run")
         code, out, err = run_cli(capsys, "enumerate", "--order", "6", "--out", out_dir, "--dump-cnf")

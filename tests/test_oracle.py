@@ -3,9 +3,9 @@ import pytest
 from williamson.cli import RunConfig, run_enumeration
 from williamson.equivalence import dedupe, expand_class
 from williamson.oracle import brute_force_enumerate, brute_force_uncompress
-from williamson.seqcore import compress, rowsum, verify_williamson
+from williamson.seqcore import rowsum, verify_williamson
 
-from helpers import class_key
+from helpers import class_key, compress
 from test_acceptance import TABLE1, quadruple_key
 
 

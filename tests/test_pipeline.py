@@ -19,13 +19,13 @@ from williamson.pipeline import (
 )
 from williamson.seqcore import (
     SymmetricSequence,
-    compress,
     paf,
-    psd,
     psd_bound,
     psd_halfspectrum,
     rowsum,
 )
+
+from helpers import compress, psd
 
 
 def make_candidates(n):
@@ -378,7 +378,9 @@ class TestMatchCompressions:
 
     def test_pair_filter_equals_float64_reference(self):
         # the float32 per-row limits keep exactly the pairs whose float64 PSD
-        # sums stay within the bound at every column, on both sides
+        # sums stay within the bound at every column, on both sides; a side
+        # that pairs one list with itself keeps only its pairs with x <= y
+        self_paired = 0
         for n in range(6, 31):
             m = smallest_prime_divisor(n)
             if m not in (2, 3):
@@ -395,7 +397,11 @@ class TestMatchCompressions:
                     ok = np.ones((len(lx), len(ly)), dtype=bool)
                     for j in range(lx.psd_half.shape[1]):
                         ok &= lx.psd_half[:, j, None] + ly.psd_half[:, j] <= bound
+                    if lx is ly:
+                        ok = np.triu(ok)
+                        self_paired += 1
                     assert np.array_equal(np.concatenate(pairs), np.flatnonzero(ok)), (n, dec)
+        assert self_paired > 0
 
     @pytest.mark.parametrize("n", [12, 18, 24])
     def test_no_mod4_filter_on_3_compressions(self, n):
@@ -443,23 +449,32 @@ class TestMatchCompressions:
                 assert matched == expected, (n, budget)
 
     @pytest.mark.parametrize("n, joined", [
-        (28, [369, 465, 0]),
-        (40, [24856, 25194]),  # 247,152 and 266,568 before the mask term
+        (28, [369, 238, 0]),  # (2, 6, 6, 6) pairs the 6 list with itself
+        (40, [24856, 12597]),  # (4, 4, 8, 8): 247,152 and 266,568 before the mask term
     ])
     def test_join_pairs_only_mod4_compatible_records(self, n, joined, monkeypatch):
         # the key hash of a 2-compression pair carries the xor of its rows'
-        # nonzero masks, so the join returns the matches and no more
+        # nonzero masks, so the join returns the matches and no more, each
+        # unordered pair of a self-paired C x D side once
+        matched = {28: [369, 465, 0], 40: [24856, 25194]}[n]
         counts = join_sizes(monkeypatch)
         decs, cands = make_candidates(n)
-        matches = [len(match_compressions(build_compression_lists(cands, dec, 2), n))
-                   for dec in decs]
-        assert counts == matches == joined
+        matches, once = [], []
+        for dec in decs:
+            lists = build_compression_lists(cands, dec, 2)
+            mcs = match_compressions(lists, n)
+            matches.append(len(mcs))
+            once.append(sum(lists[2] is not lists[3] or rows_of(mc)[2] <= rows_of(mc)[3] for mc in mcs))
+        assert counts == once == joined
+        assert matches == matched
 
     @pytest.mark.parametrize("n", [12, 14, 16, 18, 20, 22, 24, 26, 28])
     def test_mask_check_without_mask_hash(self, n, monkeypatch):
         # with no mask term in the key hash the join returns the pairs of
         # equal keys whatever their masks; the exact mask check must drop
-        # those that fail the mod-4 test (at n=20 and 24 some do)
+        # those that fail the mod-4 test (at n=20 and 24 some do).  The join
+        # holds each unordered pair of a self-paired side once, so the
+        # matches are counted the same way
         joined = join_sizes(monkeypatch)
         monkeypatch.setattr(pipeline, "_MASK_MULT", 0)
         decs, cands = make_candidates(n)
@@ -468,7 +483,7 @@ class TestMatchCompressions:
             lists = build_compression_lists(cands, dec, 2)
             expected = reference_join(lists, n)
             assert [rows_of(mc) for mc in match_compressions(lists, n)] == expected, dec
-            matched += len(expected)
+            matched += sum(lists[2] is not lists[3] or c <= d for _, _, c, d in expected)
         assert (sum(joined) > matched) == (n in (20, 24))
 
     @pytest.mark.parametrize("n", [6, 9, 12])

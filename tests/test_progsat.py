@@ -11,13 +11,12 @@ from williamson.satgen import SatInstance, VariableMap, build_instance, encode_u
 from williamson.seqcore import (
     EPSILON_DEFAULT,
     SymmetricSequence,
-    compress,
     psd_bound,
     psd_halfspectrum,
     verify_williamson,
 )
 
-from helpers import quadruple_of
+from helpers import compress, quadruple_of
 
 
 def truth_table_models(num_vars, clauses):

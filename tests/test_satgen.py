@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from williamson.cli import RunConfig, _generate_instances
+from williamson.diophantine import decompose_four_squares
 from williamson.equivalence import _group, apply_equivalence, canonical_rows, expand_class
 from williamson.oracle import brute_force_enumerate
-from williamson.pipeline import MatchedCompression
+from williamson.pipeline import MatchedCompression, build_compression_lists, generate_candidates, match_compressions
 from williamson.satgen import (
     SatInstance,
     VariableMap,
@@ -19,9 +20,8 @@ from williamson.satgen import (
     encode_uncompression,
     export_dimacs,
 )
-from williamson.seqcore import compress
 
-from helpers import quadruple_of, random_op, random_quadruple
+from helpers import compress, quadruple_of, random_op, random_quadruple
 
 
 def instance_key(rows, n):
@@ -30,6 +30,19 @@ def instance_key(rows, n):
 
 def mc_of(rows):
     return MatchedCompression(np.array(rows, dtype=np.int8))
+
+
+def dict_loop_dedupe(mcs, n):
+    """First-seen dedupe with a dict from canonical-form bytes to kept index."""
+    kept, discarded, by_key = [], [], {}
+    for mc, form in zip(mcs, canonical_rows(np.stack([mc.rows for mc in mcs]), n)):
+        key = form.tobytes()
+        if key in by_key:
+            discarded.append((mc, by_key[key]))
+        else:
+            by_key[key] = len(kept)
+            kept.append(mc)
+    return kept, discarded
 
 
 class TestVariableMap:
@@ -339,6 +352,26 @@ class TestInstanceDedup:
         kept, discarded = dedupe_instances([a, b], 6)
         assert len(kept) == 1 and len(discarded) == 1
         assert discarded[0][1] == 0  # index of the kept representative
+
+    @pytest.mark.parametrize("n, shuffled, counts", [
+        (28, False, (45, 789)),
+        (28, True, (45, 789)),
+        (40, False, (2066, 47984)),
+    ], ids=["28", "28-shuffled", "40"])
+    def test_dedupe_equals_dict_loop(self, n, shuffled, counts):
+        # the same kept matches and the same (match, kept index) discards, in
+        # the same order, as a dict over the canonical forms gives them
+        decs = decompose_four_squares(n)
+        candidates = generate_candidates(n, decs)
+        mcs = [mc for dec in decs for mc in match_compressions(build_compression_lists(candidates, dec, 2), n)]
+        if shuffled:
+            mcs = [mcs[i] for i in np.random.default_rng(n).permutation(len(mcs))]
+        kept, discarded = dedupe_instances(mcs, n)
+        expected_kept, expected_discarded = dict_loop_dedupe(mcs, n)
+        assert (len(kept), len(discarded)) == counts
+        assert [id(mc) for mc in kept] == [id(mc) for mc in expected_kept]
+        assert [(id(mc), i) for mc, i in discarded] == [(id(mc), i) for mc, i in expected_discarded]
+        assert all(type(i) is int for _, i in discarded)
 
     def test_dedupe_empty(self):
         assert dedupe_instances([], 6) == ([], [])

@@ -10,17 +10,17 @@ from williamson.oracle import brute_force_enumerate
 from williamson.seqcore import (
     Quadruple,
     SymmetricSequence,
-    compress,
     fold_indices,
     format_sequence,
     paf,
     parse_blocks,
     parse_sequence,
-    psd,
     read_quadruples,
     rowsum,
     verify_williamson,
 )
+
+from helpers import compress, psd
 
 
 def brute_paf(a, s):
