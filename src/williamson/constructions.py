@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .equivalence import distinct_forms
 from .seqcore import Quadruple, SymmetricSequence, _entries_of, verify_williamson
 
 
@@ -27,11 +26,7 @@ def interleave(a, b) -> tuple:
     ea, eb = _entries_of(a), _entries_of(b)
     if len(ea) != len(eb):
         raise ValueError("interleave requires equal orders")
-    out = []
-    for x, y in zip(ea, eb):
-        out.append(x)
-        out.append(y)
-    return tuple(out)
+    return tuple(v for pair in zip(ea, eb) for v in pair)
 
 
 def deinterleave(x) -> tuple:
@@ -96,11 +91,6 @@ def extract_eight_williamson(q: Quadruple) -> tuple:
     if not verify_williamson(members):
         raise AssertionError("extracted octuple fails the PAF identity")
     return tuple(members)
-
-
-def dedupe_octuples(octuples) -> list:
-    """One octuple per equivalence class, each a tuple of eight `SymmetricSequence`."""
-    return [tuple(map(SymmetricSequence, form.tolist())) for form in distinct_forms(octuples)]
 
 
 def assemble_hadamard(q: Quadruple) -> np.ndarray:

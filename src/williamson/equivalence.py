@@ -21,8 +21,8 @@ stack of k-tuples at once, of full rows or of compressed rows: it is the one
 implementation behind class counting, octuple counting and the dedupe of
 matched compressions before the SAT stage; it does the image work once per
 distinct member row of the whole stack, and the rest on int32 ranks of the
-images' codes (`canonical_ranks`, on which the dedupe keys).  `expand_class`
-is its reference.
+images' codes (`canonical_ranks`), and `first_of_class` picks each class's
+first tuple from the ranks alone.  `expand_class` is its reference.
 """
 from __future__ import annotations
 
@@ -189,23 +189,35 @@ def canonical_rows(rows, n: int) -> np.ndarray:
     return out
 
 
+def first_of_class(ranks) -> tuple:
+    """For S x k rows of `canonical_ranks`: is each the first of its class,
+    and the index of its class's first among the firsts."""
+    _, first, cls = np.unique(ranks.view(f"V{ranks[0].nbytes}")[:, 0], return_index=True, return_inverse=True)
+    is_first = np.bincount(first, minlength=len(ranks)) > 0
+    return is_first, (np.cumsum(is_first) - 1)[first][cls]
+
+
+def _stack(tuples) -> np.ndarray:
+    """Same-order tuples as an S x k x n int8 stack, each distinct member converted once."""
+    index = {}  # entries -> row of the stack
+    slots = [[index.setdefault(_entries_of(x), len(index)) for x in t] for t in tuples]
+    return np.array(list(index), dtype=np.int8)[slots]
+
+
 def canonical_forms(tuples) -> np.ndarray:
     """Canonical forms of same-order tuples of ±1 sequences (quadruples,
     octuples or plain tuples of members), as an S x k x n array."""
-    index = {}  # entries -> row of the stack: each distinct member is converted once
-    slots = [[index.setdefault(_entries_of(x), len(index)) for x in t] for t in tuples]
-    rows = np.array(list(index), dtype=np.int8)
-    return canonical_rows(rows[slots], rows.shape[-1])
+    rows = _stack(tuples)
+    return canonical_rows(rows, rows.shape[-1])
 
 
 def distinct_forms(tuples) -> list:
     """Canonical forms of the classes among same-order tuples, first-seen order."""
-    return list({form.tobytes(): form for form in canonical_forms(tuples)}.values())
-
-
-def canonical_form(q: Quadruple) -> Quadruple:
-    """The lexicographically minimal quadruple equivalent to q."""
-    return Quadruple(*canonical_forms([q])[0].tolist())
+    rows = _stack(tuples)
+    if len(rows) == 0:
+        return []
+    ranks, values, decode = canonical_ranks(rows, rows.shape[-1])
+    return list(decode(values[ranks[first_of_class(ranks)[0]]]))
 
 
 def dedupe(qs) -> list:

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equivalence import units
-from .seqcore import fold_indices, psd_bound, psd_halfspectrum
+from .seqcore import cosine_table, fold_indices, psd_bound
 
 _SCAN_BITS = 14  # step 2 scans the codes in blocks of 2^_SCAN_BITS
 DEFAULT_BUDGET_BYTES = 256 * 1024 * 1024
@@ -110,8 +110,7 @@ def generate_candidates(n: int, decompositions) -> CandidateSet:
     """Map rowsum -> free-entry rows of its PSD-passing sequences, in
     ascending code order, over every rowsum appearing in the decompositions.
 
-    A symmetric sequence's DFT is real and linear in its free entries x_j:
-    A(k) = sum_j w_j x_j cos(2 pi j k / n), w_j the multiplicity of entry j.
+    A code's spectrum is its free entries times `seqcore.cosine_table(n)`.
     All 2^(n//2+1) codes are examined in blocks of 2^_SCAN_BITS that share
     their high free entries, so a code's spectrum and rowsum are its block's
     part plus a row of one low-entry table.  Only rows of a wanted rowsum
@@ -125,8 +124,7 @@ def generate_candidates(n: int, decompositions) -> CandidateSet:
     f = n // 2 + 1
     b = min(_SCAN_BITS, f)
     weights = np.bincount(fold_indices(n))  # multiplicity of each free entry
-    jk = np.arange(f)[:, None] * np.arange(f) % n  # f == n//2+1 frequencies too
-    cosines = (weights[:, None] * np.cos(2 * np.pi / n * jk)).astype(np.float32)  # f x f: no float64 spectra
+    cosines = cosine_table(n).astype(np.float32)  # f x f: no float64 spectra
     high, low = _sign_rows(f - b), _sign_rows(b)
     # einsum, not @: no BLAS buffers and no int64 copy of the table, both of
     # which leave glibc holding freed memory and raise the peak RSS
@@ -157,7 +155,7 @@ class CompressedList:
 
     rows: np.ndarray        # V x d int8
     paf: np.ndarray         # V x (d//2+1) int32: PAF(s) = PAF(d-s) fixes the rest
-    psd_half: np.ndarray    # V x (d//2+1) float64
+    psd_half: np.ndarray    # V x (d//2+1) float64; the rows are symmetric, so their first d//2+1 give it
 
     def __len__(self):
         return self.rows.shape[0]
@@ -191,7 +189,7 @@ def _compress_list(free_rows: np.ndarray, n: int, m: int) -> CompressedList:
     d = n // m
     comp = _expand(free_rows, n).reshape(-1, m, d).sum(axis=1, dtype=np.int8)
     rows = _distinct_rows(comp, m)
-    return CompressedList(rows, _paf_rows(rows), psd_halfspectrum(rows.astype(np.float64)))
+    return CompressedList(rows, _paf_rows(rows), np.square(rows[:, :d // 2 + 1] @ cosine_table(d)))
 
 
 def build_compression_lists(candidates: CandidateSet, decomposition, m: int) -> tuple:
@@ -207,7 +205,7 @@ def build_compression_lists(candidates: CandidateSet, decomposition, m: int) -> 
             candidates.compressed(rc, m), candidates.compressed(rd, m))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class MatchedCompression:
     """A compressed quadruple whose PAF vectors sum to [4n, 0, ..., 0]: a
     read-only 4 x d int8 view into the matcher's stack of matches."""

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seqcore import fold_indices, psd_bound, psd_halfspectrum
+from .seqcore import cosine_table, psd_bound
 
 
 @dataclass
@@ -295,14 +295,14 @@ class WilliamsonCallback:
     were full, with the same values, at the fixpoint that took the current
     decision, where they passed; PSD values are nonnegative, so every subset
     of them passes again, and a rejected subset holds a literal of the
-    current level.  PSD vectors are memoized by a member's free entries, the
-    slice of the assignment over its range, as tuples of floats, so a call
-    does no NumPy work once its members have been seen."""
+    current level.  A member's PSD, its free entries (the slice of the
+    assignment over its range) times `seqcore.cosine_table`, squared, is
+    memoized by that slice, so a call does no NumPy work for a seen member."""
 
     def __init__(self, var_map):
         self.bound = psd_bound(var_map.n)
         self._blocks = var_map.blocks()
-        self._fold = np.array(fold_indices(var_map.n))
+        self._table = cosine_table(var_map.n)
         self._memo = {}
 
     def __call__(self, values):
@@ -314,7 +314,7 @@ class WilliamsonCallback:
             free = tuple(free)
             psd = self._memo.get(free)
             if psd is None:
-                psd = tuple(psd_halfspectrum(np.array(free, dtype=float)[self._fold]).tolist())
+                psd = tuple(np.square(np.array(free, dtype=float) @ self._table).tolist())
                 self._memo[free] = psd
             full.append(block)
             psds.append(psd)

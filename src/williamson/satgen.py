@@ -21,12 +21,12 @@ instance then keeps exactly one model of each orbit, and
 odd-order member by n/3 breaks its symmetry, so odd n takes no unit.
 
 Instances whose compressed quadruples are related by an equivalence
-transformation have equivalent solution sets; they are deduplicated before
-solving by the canonical form of the compressed quadruple, keyed by its
-ranks from `equivalence.canonical_ranks`, the kernel that also counts classes
-of full sequences: on compressed rows the group acts by reorder, member
-negation, the automorphisms of Z_n reduced mod the compressed length, and
-alternating negation when n and the compressed length are both even (for
+transformation have equivalent solution sets; only the first of each class
+is solved, found by `equivalence.first_of_class` from the ranks of
+`canonical_ranks`, the kernel that also counts classes of full sequences: on
+compressed rows the group acts by reorder, member negation, the
+automorphisms of Z_n reduced mod the compressed length, and alternating
+negation when n and the compressed length are both even (for
 2-compressions, when 4 | n).
 """
 from __future__ import annotations
@@ -36,7 +36,7 @@ from itertools import combinations, compress
 
 import numpy as np
 
-from .equivalence import canonical_ranks
+from .equivalence import canonical_ranks, first_of_class
 from .seqcore import fold_indices
 
 
@@ -167,15 +167,13 @@ def dedupe_instances(mcs, n: int) -> tuple:
     Returns (kept, discarded) where discarded pairs each dropped compression,
     in input order, with the index of its kept representative.  A match's
     class is its row of `canonical_ranks` (the 4 x d views are stacked by one
-    concatenate, a third of np.stack's time); one np.unique over those rows
-    gives each class's first match, which is kept."""
+    concatenate, a third of np.stack's time), and `first_of_class` keeps each
+    class's first match; no form is decoded."""
     mcs = list(mcs)
     if not mcs:
         return [], []
     ranks = canonical_ranks(np.concatenate([mc.rows for mc in mcs]).reshape(len(mcs), 4, -1), n)[0]
-    _, first, cls = np.unique(ranks.view("V16")[:, 0], return_index=True, return_inverse=True)
-    is_first = np.bincount(first, minlength=len(mcs)) > 0
-    owner = (np.cumsum(is_first) - 1)[first][cls]  # each match's kept index
-    slots = list(range(len(first)))  # one int object per kept index, shared by its discards
+    is_first, owner = first_of_class(ranks)
     kept = list(compress(mcs, is_first.tolist()))
+    slots = list(range(len(kept)))  # one int object per kept index, shared by its discards
     return kept, list(zip(compress(mcs, (~is_first).tolist()), map(slots.__getitem__, owner[~is_first])))

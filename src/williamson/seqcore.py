@@ -4,7 +4,7 @@ power spectra, rowsums, and the exact Williamson check.
 All correctness-critical quantities (PAF values, match keys, the Williamson
 condition) are exact integers.  Floating point appears only in power spectral
 densities, which are used for filtering against the 4n bound, never for
-equality decisions.
+equality decisions; every PSD in the package comes from `cosine_table`.
 """
 from __future__ import annotations
 
@@ -26,6 +26,18 @@ def fold_indices(n: int) -> tuple:
     """The symmetric fold: entry i of a symmetric sequence of order n is its
     free entry min(i, n - i), for i = 0..n-1."""
     return tuple(i if i <= n // 2 else n - i for i in range(n))
+
+
+@lru_cache(maxsize=None)
+def cosine_table(n: int) -> np.ndarray:
+    """Entry (j, k) is w_j cos(2 pi j k / n), j, k = 0..n//2, w_j the count
+    of entries that fold to free entry j: a symmetric sequence's free entries
+    times this cached, read-only table give its real DFT A(0..n//2)."""
+    f = n // 2 + 1
+    jk = np.arange(f)[:, None] * np.arange(f) % n
+    table = np.bincount(fold_indices(n))[:, None] * np.cos(2 * np.pi / n * jk)
+    table.setflags(write=False)
+    return table
 
 
 class SymmetricSequence:
@@ -75,12 +87,7 @@ class Quadruple:
     __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a, b, c, d):
-        members = []
-        for x in (a, b, c, d):
-            if not isinstance(x, SymmetricSequence):
-                x = SymmetricSequence(x)
-            members.append(x)
-        a, b, c, d = members
+        a, b, c, d = (x if isinstance(x, SymmetricSequence) else SymmetricSequence(x) for x in (a, b, c, d))
         if not (a.order == b.order == c.order == d.order):
             raise ValueError("members must have equal order")
         self.a, self.b, self.c, self.d = a, b, c, d
@@ -124,12 +131,6 @@ def paf(seq) -> tuple:
     if n == 0:
         raise ValueError("empty sequence")
     return tuple(sum(a[k] * a[(k + s) % n] for k in range(n)) for s in range(n))
-
-
-def psd_halfspectrum(values: np.ndarray) -> np.ndarray:
-    """PSD at s = 0..n//2 for each row of a float matrix of sequences."""
-    spec = np.fft.rfft(values, axis=-1)
-    return spec.real * spec.real + spec.imag * spec.imag
 
 
 def rowsum(seq) -> int:

@@ -11,12 +11,11 @@ import numpy as np
 from williamson.cli import RunConfig, run_enumeration
 from williamson.constructions import (
     assemble_hadamard,
-    dedupe_octuples,
     double,
     extract_eight_williamson,
     interleave,
 )
-from williamson.equivalence import expand_class
+from williamson.equivalence import distinct_forms, expand_class
 from williamson.oracle import brute_force_enumerate
 from williamson.progsat import CdclSolver, WilliamsonCallback
 from williamson.satgen import SatInstance, encode_product_theorem, encode_uncompression
@@ -112,7 +111,7 @@ def test_criterion_5_eight_williamson_counts():
     for n in sorted(TABLE4):
         classes = enumerate_order(2 * n).canonical
         octuples = [extract_eight_williamson(q) for q in classes]
-        got[n] = len(dedupe_octuples(octuples))
+        got[n] = len(distinct_forms(octuples))
     elapsed = time.time() - start
     ok = got == TABLE4 and elapsed < 900 * BUDGET_SCALE
     report(5, ok, f"8-Williamson counts {got} in {elapsed:.0f}s")

@@ -11,7 +11,7 @@ import pytest
 import williamson
 from williamson import __version__, cli, pipeline
 from williamson.cli import COUNTERS, DomainError, RunConfig, main, run_enumeration, smallest_prime_divisor
-from williamson.equivalence import canonical_form, dedupe
+from williamson.equivalence import canonical_forms, dedupe
 from williamson.oracle import brute_force_enumerate
 from williamson.satgen import build_instance, encode_product_theorem, export_dimacs
 from williamson.seqcore import format_block, read_quadruples
@@ -107,7 +107,8 @@ class TestEnumerate:
 
     def test_no_numpy_ma_import(self):
         # on NumPy 2, np.unique with no index output loads numpy.ma, about
-        # 18 ms; neither a run nor steps 1-4 with the instance dedupe needs it
+        # 18 ms; neither a run nor steps 1-4 with the instance dedupe needs it,
+        # nor numpy.fft: every PSD comes from seqcore.cosine_table
         src = str(Path(williamson.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         script = "\n".join([
@@ -119,11 +120,11 @@ class TestEnumerate:
             "matched = [mc for dec in decs for mc in pipeline.match_compressions(",
             "    pipeline.build_compression_lists(candidates, dec, 2), 12)]",
             "kept, discarded = satgen.dedupe_instances(matched, 12)",
-            "print(len(kept), len(discarded), 'numpy.ma' in sys.modules)",
+            "print(len(kept), len(discarded), 'numpy.ma' in sys.modules, 'numpy.fft' in sys.modules)",
         ])
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["3", "4", "False"]
+        assert proc.stdout.split() == ["3", "4", "False", "False"]
 
     def test_outputs_written(self, tmp_path, capsys):
         out_dir = str(tmp_path / "run")
@@ -457,7 +458,7 @@ class TestOtherCommands:
         path.write_text("\n\n".join(format_block(q.members) for q in qs) + "\n")
         code, out, err = run_cli(capsys, "canonicalize", str(path))
         assert code == 0
-        assert out == "\n".join(format_block(canonical_form(q).members) + "\n" for q in qs)
+        assert out == "\n".join(format_block(canonical_forms([q])[0]) + "\n" for q in qs)
 
     def test_canonicalize_reads_stdin(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "qs.txt"

@@ -6,7 +6,6 @@ import pytest
 from williamson import constructions
 from williamson.constructions import (
     assemble_hadamard,
-    dedupe_octuples,
     deinterleave,
     double,
     extract_eight_williamson,
@@ -14,7 +13,7 @@ from williamson.constructions import (
     shift_half,
     unshift_half,
 )
-from williamson.equivalence import apply_equivalence, canonical_forms, dedupe
+from williamson.equivalence import apply_equivalence, canonical_forms, dedupe, distinct_forms
 from williamson.oracle import brute_force_enumerate
 from williamson.seqcore import Quadruple, SymmetricSequence, paf, verify_williamson
 from helpers import class_key, random_op
@@ -180,8 +179,9 @@ class TestExtractEight:
 class TestOctuple:
     def test_dedupe_octuples(self):
         octs = [extract_eight_williamson(q) for q in brute_force_enumerate(2)]
-        (kept,) = dedupe_octuples(octs)
-        assert len(kept) == 8 and all(isinstance(x, SymmetricSequence) for x in kept)
+        (kept,) = distinct_forms(octs)
+        assert len(kept) == 8 and verify_williamson(kept)
+        assert np.array_equal(kept, canonical_forms(octs[:1])[0])
 
 
 class TestHadamard:

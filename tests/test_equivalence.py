@@ -11,11 +11,13 @@ from williamson.equivalence import (
     _CHUNK_BYTES,
     _group,
     apply_equivalence,
-    canonical_form,
     canonical_forms,
+    canonical_ranks,
     canonical_rows,
     dedupe,
+    distinct_forms,
     expand_class,
+    first_of_class,
     units,
 )
 from williamson.oracle import brute_force_enumerate
@@ -106,8 +108,8 @@ class TestCanonicalForm:
     def test_idempotent(self):
         rng = np.random.default_rng(11)
         for n in (4, 6, 9):
-            q = canonical_form(random_quadruple(rng, n))
-            assert canonical_form(q) == q
+            form = canonical_forms([random_quadruple(rng, n)])[0]
+            assert np.array_equal(canonical_forms([form])[0], form)
 
     def test_e2_closure(self):
         rng = np.random.default_rng(13)
@@ -140,8 +142,8 @@ class TestCanonicalForm:
                 tuple(tuple(0 if v == 1 else 1 for v in x.entries) for x in p.members)
                 for p in orbit
             )
-            canon = canonical_form(q)
-            assert tuple(tuple(0 if v == 1 else 1 for v in x.entries) for x in canon.members) == lo
+            canon = canonical_forms([q])[0]
+            assert tuple(tuple(0 if v == 1 else 1 for v in x) for x in canon.tolist()) == lo
             assert all(class_key(p) == class_key(q) for p in orbit[:50])
 
 
@@ -251,7 +253,25 @@ class TestDedupe:
     def test_first_seen_order(self):
         qs = brute_force_enumerate(2)
         out = dedupe(qs)
-        assert out[0] == canonical_form(qs[0])
+        assert out[0] == Quadruple(*canonical_forms([qs[0]])[0].tolist())
+
+    @pytest.mark.parametrize("k", [4, 8])
+    def test_first_of_class_equals_first_seen_forms(self, k):
+        # a tuple is the first of its class when no earlier tuple has its
+        # form, and its owner counts the firsts before its class's; the
+        # distinct forms are the firsts' forms, in input order
+        rng = np.random.default_rng(31 + k)
+        pool = [random_symmetric(rng, 10) for _ in range(3)]
+        tuples = [tuple(pool[i] for i in rng.integers(3, size=k)) for _ in range(80)]
+        forms = canonical_forms(tuples)
+        seen = {}
+        owner = [seen.setdefault(form.tobytes(), len(seen)) for form in forms]
+        firsts = [owner.index(o) for o in range(len(seen))]
+        stack = np.array([[x.entries for x in t] for t in tuples], dtype=np.int8)
+        is_first, got = first_of_class(canonical_ranks(stack, 10)[0])
+        assert np.flatnonzero(is_first).tolist() == firsts and got.tolist() == owner
+        assert 1 < len(firsts) < len(tuples)
+        assert np.array_equal(distinct_forms(tuples), forms[firsts])
 
 
 class TestExpandClass:

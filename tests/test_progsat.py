@@ -10,9 +10,8 @@ from williamson.progsat import CdclSolver, WilliamsonCallback
 from williamson.satgen import SatInstance, VariableMap, build_instance, encode_uncompression
 from williamson.seqcore import (
     EPSILON_DEFAULT,
-    SymmetricSequence,
+    cosine_table,
     psd_bound,
-    psd_halfspectrum,
     verify_williamson,
 )
 
@@ -198,6 +197,12 @@ def test_callback_clause_below_current_level_is_refused():
         CdclSolver(2, [[1]], late_objection).solve_all()
 
 
+def spectrum(n, free):
+    """A member's PSD at 0..n//2 as the callback computes it, to the last bit:
+    the order of members with equal true PSD rests on its rounding."""
+    return np.square(np.array(free, dtype=float) @ cosine_table(n))
+
+
 def assign(vm, frees):
     """Solver values array with member r's free entries set to frees[r]
     (None leaves the member unassigned)."""
@@ -238,8 +243,7 @@ class TestLearnMinimalPsdClause:
             full = [r for r in range(4) if rng.integers(2)]
             values = assign(vm, [frees[r] if r in full else None for r in range(4)])
             clause = WilliamsonCallback(vm)(values)
-            psds = [psd_halfspectrum(np.array(SymmetricSequence.from_free(n, frees[r]).entries, dtype=float))
-                    for r in full]
+            psds = [spectrum(n, frees[r]) for r in full]
             best = None  # (size, members) of the first smallest violating subset
             for s in range(n // 2 + 1):
                 ranked = sorted(range(len(full)), key=lambda i: -psds[i][s])
@@ -279,9 +283,7 @@ class TestLearnMinimalPsdClause:
             full_blocks = [vm.blocks()[r] for r in range(4) if (mask >> r) & 1]
             expected = None
             if full_blocks:
-                arr = np.stack([psd_halfspectrum(np.array(
-                    SymmetricSequence.from_free(n, frees[r]).entries, dtype=float))
-                    for r in range(4) if (mask >> r) & 1])
+                arr = np.stack([spectrum(n, frees[r]) for r in range(4) if (mask >> r) & 1])
                 exceeds = np.cumsum(-np.sort(-arr, axis=0), axis=0) > cb.bound
                 if exceeds.any():
                     sizes = np.where(exceeds.any(axis=0), exceeds.argmax(axis=0) + 1, arr.shape[0] + 1)

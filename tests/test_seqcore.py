@@ -10,6 +10,7 @@ from williamson.oracle import brute_force_enumerate
 from williamson.seqcore import (
     Quadruple,
     SymmetricSequence,
+    cosine_table,
     fold_indices,
     format_sequence,
     paf,
@@ -153,6 +154,23 @@ class TestPsd:
             expected = np.asarray(brute_dft_psd(a))
             scale = np.maximum(expected, 1.0)
             assert (np.abs(psd(a) - expected) / scale).max() < 1e-6
+
+    def test_cosine_table_gives_the_half_spectrum(self):
+        # free entries times the table, squared, is the PSD at 0..n//2: on
+        # symmetric ±1 rows, and on their m-compressions, which are symmetric
+        rng = np.random.default_rng(19)
+        for n in range(1, 31):
+            for _ in range(20):
+                a = symmetric_of(rng, n)
+                got = np.square(np.array(a.free) @ cosine_table(n))
+                assert np.abs(got - psd(a)[:n // 2 + 1]).max() <= 1e-9, (n, a)
+        for n, m in ((27, 3), (28, 2), (40, 2)):
+            d = n // m
+            for _ in range(50):
+                c = compress(symmetric_of(rng, n), d)
+                got = np.square(np.array(c[:d // 2 + 1]) @ cosine_table(d))
+                assert np.abs(got - psd(c)[:d // 2 + 1]).max() <= 1e-9, (n, c)
+        assert cosine_table(12) is cosine_table(12) and not cosine_table(12).flags.writeable
 
 
 class TestCompress:
