@@ -3,11 +3,11 @@
 The enumerate command runs the full pipeline for one order n divisible by 2
 or 3: rowsum decompositions, PSD-filtered candidates, compression lists,
 pair-sum matching, instance deduplication, and SAT uncompression, always with
-the programmatic PSD callback; for even n the solver searches one model per
-E3 orbit and returns each with its images.  One SAT instance is one task in a
-worker pool; results are checkpointed per instance so a killed run can resume.
-Every found quadruple is verified exactly before counting, and one that fails
-aborts the run.
+the programmatic PSD callback; the solver returns free rows, and for even n it
+searches one model per E3 orbit and returns the rows of its images too.  One
+SAT instance is one task in a worker pool; results are checkpointed per
+instance so a killed run can resume.  Every found quadruple is verified
+exactly before counting, and one that fails aborts the run.
 """
 from __future__ import annotations
 
@@ -87,9 +87,8 @@ def _solve_task(args):
     instance_id, rows, n = args
     inst = satgen.build_instance(rows, n)
     solver = CdclSolver(inst.num_vars, inst.clauses, WilliamsonCallback(inst.var_map))
-    models = solver.solve_all(inst.images)
-    solutions = [inst.var_map.decode(model) for model in models]
-    stats = {k: len(models) if k == "solutions" else getattr(solver.stats, k) for k in COUNTERS}
+    solutions = solver.solve_all(inst.images)
+    stats = {k: len(solutions) if k == "solutions" else getattr(solver.stats, k) for k in COUNTERS}
     return instance_id, solutions, stats
 
 
@@ -109,8 +108,8 @@ def _generate_instances(cfg: RunConfig):
     kept, discarded = satgen.dedupe_instances(matched, n)
     kept_rows = [mc.rows.tolist() for mc in kept]
     kept_ids = [_instance_id(rows) for rows in kept_rows]
-    discard_log = [(_instance_id(mc.rows.tolist()), kept_ids[kept_idx]) for mc, kept_idx in discarded]
-    return sorted(zip(kept_ids, kept_rows)), discard_log
+    discarded = [(mc.rows.tolist(), kept_ids[kept_idx]) for mc, kept_idx in discarded]
+    return sorted(zip(kept_ids, kept_rows)), discarded
 
 
 def _load_checkpoint(path: str, header: dict) -> dict:
@@ -188,9 +187,6 @@ def run_enumeration(cfg: RunConfig) -> EnumerationReport:
         checkpoint_path = os.path.join(out_dir, "checkpoint.jsonl")
         if os.path.exists(checkpoint_path):
             done = _load_checkpoint(checkpoint_path, header)
-        with open(os.path.join(out_dir, "instances_discarded.log"), "w") as f:
-            for discarded_id, kept_id in discarded:
-                f.write(f"{discarded_id}\tkept={kept_id}\n")
 
     pending = [(iid, rows, n) for iid, rows in tasks if iid not in done]
     ckpt = open(checkpoint_path, "a") if checkpoint_path else None
@@ -252,11 +248,11 @@ def run_enumeration(cfg: RunConfig) -> EnumerationReport:
         discarded_instances=len(discarded),
     )
     if out_dir:
-        _write_run_outputs(cfg, report, tasks)
+        _write_run_outputs(cfg, report, tasks, discarded)
     return report
 
 
-def _write_run_outputs(cfg: RunConfig, report: EnumerationReport, tasks) -> None:
+def _write_run_outputs(cfg: RunConfig, report: EnumerationReport, tasks, discarded) -> None:
     out_dir = cfg.out_dir
     with open(os.path.join(out_dir, "solutions.txt"), "w") as f:
         seqcore.write_blocks(f, (q.members for q in report.solutions))
@@ -272,6 +268,9 @@ def _write_run_outputs(cfg: RunConfig, report: EnumerationReport, tasks) -> None
         f.write("\t".join(("instance",) + COUNTERS) + "\n")
         for s in report.instance_stats:
             f.write("\t".join([s["id"]] + [str(s[k]) for k in COUNTERS]) + "\n")
+    with open(os.path.join(out_dir, "instances_discarded.log"), "w") as f:
+        for rows, kept_id in discarded:
+            f.write(f"{_instance_id(rows)}\tkept={kept_id}\n")
     if cfg.dump_cnf:
         cnf_dir = os.path.join(out_dir, "instances")
         os.makedirs(cnf_dir, exist_ok=True)

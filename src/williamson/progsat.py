@@ -31,7 +31,8 @@ in ``values`` and rejects a minimal subset of them whose PSD values sum
 beyond `seqcore.psd_bound`; when all four members pass, the trail is total
 and the model is recorded like any other.  A caller whose clauses keep one
 model of each orbit of a symmetry passes ``images`` to `solve_all`, which
-returns every model found together with its images under that symmetry.
+returns what ``images`` maps each model found to: the free rows of the model
+and of its images under that symmetry (`satgen.SatInstance.images`).
 
 Literals are nonzero ints (DIMACS convention); variables are 1-based.  The
 assignment and the watch lists are indexed by literal, a negative literal
@@ -248,9 +249,9 @@ class CdclSolver:
 
     def solve_all(self, images=None) -> list:
         """Every satisfying total assignment, as tuples of literals.  With
-        `images`, each model found is returned as ``images(model)``, the
-        models it stands for, itself first; only the model found is blocked,
-        so the clauses must exclude the others (`satgen.SatInstance.images`)."""
+        `images`, the items of ``images(model)`` for each model found, its own
+        first (free rows, for `satgen.SatInstance.images`); only the model
+        found is blocked, so the clauses must exclude the others' models."""
         models = []
         if not self.ok:
             return models

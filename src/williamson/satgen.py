@@ -16,9 +16,10 @@ x[i] -> x[n//2 - i], which keeps a member symmetric and keeps its
 sums free entries j and d - j, so a 0 there means the shift swaps two entries
 that differ.  `build_instance` adds, for each member whose row has such a
 zero, one unit clause fixing free entry j to +1 at the first of them; the
-instance then keeps exactly one model of each orbit, and
-`SatInstance.images` returns the models one model stands for.  A shift of an
-odd-order member by n/3 breaks its symmetry, so odd n takes no unit.
+instance then keeps exactly one model of each orbit, and `SatInstance.images`
+returns the free rows of the quadruples one model stands for, reversing the
+shifted members' rows.  A shift of an odd-order member by n/3 breaks its
+symmetry, so odd n takes no unit.
 
 Instances whose compressed quadruples are related by an equivalence
 transformation have equivalent solution sets; only the first of each class
@@ -58,9 +59,9 @@ class VariableMap:
         return [range(role * f + 1, role * f + f + 1) for role in range(4)]
 
     def decode(self, model) -> tuple:
-        """The free rows of a model as `progsat.CdclSolver.solve_all` returns
-        it (one literal per variable, in variable order): for A to D, the
-        tuple of ±1 free entries x[0..n//2]."""
+        """The free rows of a model as `progsat.CdclSolver` finds it (one
+        literal per variable, in variable order): for A to D, the tuple of
+        ±1 free entries x[0..n//2]."""
         return tuple(tuple(1 if model[v - 1] > 0 else -1 for v in block) for block in self.blocks())
 
 
@@ -72,15 +73,12 @@ class SatInstance:
     shifted: tuple = ()  # the members with an E3 unit clause, A to D as 0 to 3
 
     def images(self, model) -> list:
-        """Every image of `model`, a tuple of one literal per variable, under
-        the half shifts of the `shifted` members, `model` itself first: each
-        shift reverses the member's literals over its range of variables."""
-        orbit = [model]
+        """The free rows of `model` (`VariableMap.decode`) and of its images
+        under the half shifts of the `shifted` members, the model's own first:
+        each shift reverses the member's free row."""
+        orbit = [self.var_map.decode(model)]
         for role in self.shifted:
-            block = self.var_map.blocks()[role]
-            pairs = list(zip(block, reversed(block)))
-            lo, hi = block.start - 1, block.stop - 1
-            orbit += [m[:lo] + tuple(v if m[w - 1] > 0 else -v for v, w in pairs) + m[hi:] for m in orbit]
+            orbit += [rows[:role] + (rows[role][::-1],) + rows[role + 1:] for rows in orbit]
         return orbit
 
 

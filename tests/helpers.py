@@ -34,24 +34,29 @@ def class_key(q):
     return (q.order, canonical_forms([q])[0].tobytes())
 
 
+def quadruple_of_rows(n, rows):
+    """The order-n quadruple of four free rows, through `SymmetricSequence.from_free`."""
+    return Quadruple(*(SymmetricSequence.from_free(n, row) for row in rows))
+
+
 def quadruple_of(var_map, model):
-    """The quadruple of a solver model: `VariableMap.decode`'s free rows
-    through `SymmetricSequence.from_free`."""
-    return Quadruple(*(SymmetricSequence.from_free(var_map.n, row) for row in var_map.decode(model)))
+    """The quadruple of a solver model: `VariableMap.decode`'s free rows."""
+    return quadruple_of_rows(var_map.n, var_map.decode(model))
 
 
 def solve_without_callback(n):
     """CNF-only solving of every instance the driver keeps at order n, each
-    model returned with its E3 images as the driver does: the solver counters
-    summed over the instances (the driver's `COUNTERS` plus ``verified``),
-    and the models that pass the exact check."""
+    model returned as the free rows of itself and its E3 images, as the
+    driver does: the solver counters summed over the instances (the driver's
+    `COUNTERS` plus ``verified``), and the quadruples that pass the exact
+    check."""
     totals = dict.fromkeys(COUNTERS + ("verified",), 0)
     verified = []
     tasks, _ = _generate_instances(RunConfig(n=n))
     for _, rows in tasks:
         inst = build_instance(rows, n)
         solver = CdclSolver(inst.num_vars, inst.clauses)
-        models = [quadruple_of(inst.var_map, model) for model in solver.solve_all(inst.images)]
+        models = [quadruple_of_rows(n, free_rows) for free_rows in solver.solve_all(inst.images)]
         for k in COUNTERS:
             totals[k] += len(models) if k == "solutions" else getattr(solver.stats, k)
         verified.extend(q for q in models if verify_williamson(q))

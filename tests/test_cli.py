@@ -171,12 +171,14 @@ class TestEnumerate:
         # simulate killed runs: cut the checkpoint at line ends and mid-line
         ckpt = os.path.join(out_dir, "checkpoint.jsonl")
         data = open(ckpt, "rb").read()
+        log = os.path.join(out_dir, "instances_discarded.log")
+        discard_log = open(log, "rb").read()
         line_ends = [i + 1 for i, byte in enumerate(data) if byte == ord("\n")]
         cuts = set(line_ends[:-1]) | {e - 1 for e in line_ends}
         cuts |= set(random.Random(9).sample(range(1, len(data)), 6))
         for cut in sorted(cuts):
             open(ckpt, "wb").write(data[:cut])
-            for name in ("solutions.txt", "canonical.txt", "summary.tsv", "stats.tsv"):
+            for name in ("solutions.txt", "canonical.txt", "summary.tsv", "stats.tsv", "instances_discarded.log"):
                 os.unlink(os.path.join(out_dir, name))
 
             second = run_enumeration(RunConfig(n=9, out_dir=out_dir))
@@ -189,13 +191,14 @@ class TestEnumerate:
             assert header == data.split(b"\n")[0]
             ids = [json.loads(line)["id"] for line in records]
             assert sorted(ids) == sorted(s["id"] for s in first.instance_stats)
+            assert open(log, "rb").read() == discard_log
 
     def test_members_shared_fresh_and_resumed(self, tmp_path):
         # the 2,880 n=28 solutions fill 11,520 member slots with 272 distinct
         # free rows: each becomes one SymmetricSequence, also when half the
         # rows come back from a checkpoint as JSON lists
         out_dir = str(tmp_path / "run")
-        compared = ("solutions.txt", "canonical.txt", "stats.tsv")  # summary.tsv holds the run time
+        compared = ("solutions.txt", "canonical.txt", "stats.tsv", "instances_discarded.log")  # summary.tsv holds the run time
 
         def files():
             return {name: Path(out_dir, name).read_bytes() for name in compared}
@@ -315,9 +318,25 @@ class TestEnumerate:
         (28, 45, 789, "0e5dcba5c590b6e7"),
     ])
     def test_instance_set_pinned(self, n, tasks, discarded, digest):
-        got, log = cli._generate_instances(RunConfig(n=n))
+        got, dropped = cli._generate_instances(RunConfig(n=n))
+        log = [(cli._instance_id(rows), kept_id) for rows, kept_id in dropped]  # as the log writer does
         assert (len(got), len(log)) == (tasks, discarded)
         assert hashlib.sha1(json.dumps([got, log]).encode()).hexdigest()[:16] == digest
+
+    def test_discarded_matches_hashed_only_for_the_log(self, monkeypatch, tmp_path):
+        # n=28 keeps 45 of 834 matches: a run without a run directory hashes
+        # only the kept ones, and a run with one writes the discard log's
+        # pinned bytes
+        calls = []
+        instance_id = cli._instance_id
+        monkeypatch.setattr(cli, "_instance_id", lambda rows: calls.append(rows) or instance_id(rows))
+        run_enumeration(RunConfig(n=28))
+        assert len(calls) == 45
+        calls.clear()
+        run_enumeration(RunConfig(n=28, out_dir=str(tmp_path)))
+        assert len(calls) == 834
+        log = (tmp_path / "instances_discarded.log").read_bytes()
+        assert hashlib.sha256(log).hexdigest() == "ebe534f87cc3f490ea23d004cd4d05ee8758235ad2a6d6c54da586fa26fa978f"
 
     def test_budget_reaches_the_matcher(self, monkeypatch):
         # --budget-bytes reaches every match_compressions call; a 1-byte budget

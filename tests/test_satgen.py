@@ -21,7 +21,7 @@ from williamson.satgen import (
     export_dimacs,
 )
 
-from helpers import compress, quadruple_of, random_op, random_quadruple
+from helpers import compress, quadruple_of, quadruple_of_rows, random_op, random_quadruple
 
 
 def instance_key(rows, n):
@@ -240,8 +240,8 @@ class TestBuildInstance:
 
     @pytest.mark.parametrize("n", [6, 12, 20])
     def test_images_are_the_e3_shifts(self, n):
-        # the images of a model decode to the quadruples E3 gives, shifting
-        # every subset of the members that took a unit
+        # the images of a model are the free rows of the quadruples E3 gives,
+        # shifting every subset of the members that took a unit
         rng = np.random.default_rng(n)
         for _ in range(20):
             q = random_quadruple(rng, n)
@@ -258,8 +258,8 @@ class TestBuildInstance:
                         image = apply_equivalence(image, "E3", member=role)
                 expected.append(image)
             images = inst.images(model)
-            assert images[0] == model
-            assert {quadruple_of(vm, model) for model in images} == set(expected)
+            assert images[0] == vm.decode(model) == tuple(x.free for x in q.members)
+            assert {quadruple_of_rows(n, rows) for rows in images} == set(expected)
             assert len(set(images)) == len(images) == 2 ** len(inst.shifted)
 
     def test_odd_order_appends_product_clauses(self):
