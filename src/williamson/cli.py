@@ -19,6 +19,8 @@ import sys
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import __version__, constructions, equivalence, oracle, satgen, seqcore
 from .diophantine import decompose_four_squares
 from .pipeline import DEFAULT_BUDGET_BYTES, build_compression_lists, generate_candidates, match_compressions
@@ -108,7 +110,7 @@ def _generate_instances(cfg: RunConfig):
     kept, discarded = satgen.dedupe_instances(matched, n)
     kept_rows = [mc.rows.tolist() for mc in kept]
     kept_ids = [_instance_id(rows) for rows in kept_rows]
-    discarded = [(mc.rows.tolist(), kept_ids[kept_idx]) for mc, kept_idx in discarded]
+    discarded = [(mc.rows.tobytes(), kept_ids[kept_idx]) for mc, kept_idx in discarded]
     return sorted(zip(kept_ids, kept_rows)), discarded
 
 
@@ -269,7 +271,8 @@ def _write_run_outputs(cfg: RunConfig, report: EnumerationReport, tasks, discard
         for s in report.instance_stats:
             f.write("\t".join([s["id"]] + [str(s[k]) for k in COUNTERS]) + "\n")
     with open(os.path.join(out_dir, "instances_discarded.log"), "w") as f:
-        for rows, kept_id in discarded:
+        for rows, kept_id in discarded:  # the int8 bytes of a 4 x d match
+            rows = np.frombuffer(rows, np.int8).reshape(4, -1).tolist()
             f.write(f"{_instance_id(rows)}\tkept={kept_id}\n")
     if cfg.dump_cnf:
         cnf_dir = os.path.join(out_dir, "instances")

@@ -10,6 +10,7 @@ the rowsums of A, B, C and D.
 """
 from __future__ import annotations
 
+import itertools
 import math
 
 
@@ -27,35 +28,12 @@ def decompose_four_squares(n: int) -> list:
     """All normalized decompositions ra^2+rb^2+rc^2+rd^2 = 4n, as 4-tuples
     sorted by their absolute values.
 
-    Nested loop over the three smallest values with a perfect-square test on
-    the remainder; trivially fast for the orders handled here.
+    The ascending 4-multisets of values 0..isqrt(4n) with the parity of n,
+    filtered on their sum of squares; they come sorted by absolute value.
     """
     if n < 1:
         raise ValueError("order must be positive")
-    target = 4 * n
-    parity = n % 2
-    out = []
-    # enumerate 0 <= a <= b <= c <= d over values with the parity of n
-    start = parity  # 0 for even n, 1 for odd n
-    limit = math.isqrt(target)
-    for a in range(start, limit + 1, 2):
-        aa = a * a
-        if 4 * aa > target:
-            break
-        for b in range(a, limit + 1, 2):
-            ab = aa + b * b
-            if ab + 2 * b * b > target:
-                break
-            for c in range(b, limit + 1, 2):
-                rest = target - ab - c * c
-                if rest < c * c:
-                    break
-                d = math.isqrt(rest)
-                if d * d != rest or (d - parity) % 2 != 0:
-                    continue
-                if parity:
-                    out.append(tuple(sign_fix(v, n) for v in (a, b, c, d)))
-                else:
-                    out.append((a, b, c, d))
-    out.sort(key=lambda t: tuple(abs(v) for v in t))
-    return out
+    values = range(n % 2, math.isqrt(4 * n) + 1, 2)
+    out = [t for t in itertools.combinations_with_replacement(values, 4)
+           if sum(v * v for v in t) == 4 * n]
+    return [tuple(sign_fix(v, n) for v in t) for t in out] if n % 2 else out

@@ -28,11 +28,12 @@ half, the pair's 32-bit filter hash.  A pair is held as an eight-byte
 record, its filter hash and its pair index, until a semi-join filter drops
 those whose hash bucket the other side lacks.  Only the survivors get key
 hashes; for 2-compressions these add the xor of the two rows' nonzero masks
-times an odd constant, so only pairs that can pass the mod-4 test meet in
-one sort of both sides.  The matches are checked against the masks and the
-key, which drops hash collisions, and sorted by key, then A x B and C x D
-pair index.  They form one read-only S x 4 x d int8 stack; each
-`MatchedCompression` is a 4 x d view into it.
+times an odd constant, so only pairs that can pass the mod-4 test meet when
+the A x B hashes are sorted once and each C x D hash is binary-searched
+among them.  The matches are checked against the masks and the key, which
+drops hash collisions, and sorted by key, then A x B and C x D pair index.
+They form one read-only S x 4 x d int8 stack; each `MatchedCompression` is
+a 4 x d view into it.
 """
 from __future__ import annotations
 
@@ -46,7 +47,7 @@ from .seqcore import cosine_table, fold_indices, psd_bound
 
 _SCAN_BITS = 14  # step 2 scans the codes in blocks of 2^_SCAN_BITS
 DEFAULT_BUDGET_BYTES = 256 * 1024 * 1024
-_MASK_MULT = 0x9E3779B97F4A7C15  # odd: word w of a pair's nonzero xor-mask weighs (2w + 1) times it
+_MASK_MULT = 0x9E3779B97F4A7C15  # odd: a pair's nonzero xor-mask, one word, weighs this in its key hash
 
 
 def _sign_rows(width: int) -> np.ndarray:
@@ -260,14 +261,14 @@ def _join(mark, keep, key_hash, bits: int) -> tuple:
     hashes: the pairs with equal keys, and any whose hashes collide.
 
     ``mark`` and ``keep`` each give the same records as (side, uint32 filter
-    hashes, pair indices) blocks, at least one block, with side 0 (A x B)
-    before side 1 (C x D).  ``mark`` sets a filter of 2^bits hash buckets,
-    indexed by a hash's top bits, to the sides that use each; ``keep`` is
-    then read for the records whose bucket both sides use, and
-    ``key_hash(side, pairs)`` gives their 64-bit key hashes.  The matches of
-    one hash come together, A x B records outer and C x D records inner,
-    each side in the order given.  Returns the A x B and C x D pair indices
-    of each match."""
+    hashes, pair indices) blocks, at least one block a side, with side 0
+    (A x B) before side 1 (C x D).  ``mark`` sets a filter of 2^bits hash
+    buckets, indexed by a hash's top bits, to the sides that use each;
+    ``keep`` is then read for the records whose bucket both sides use, and
+    ``key_hash(side, pairs)`` gives their 64-bit key hashes.  The A x B key
+    hashes are sorted once and each C x D hash finds its run of equal ones
+    by binary search.  Returns the A x B and C x D pair indices of each
+    match, in no particular order."""
     shift = np.uint32(32 - bits)
     sides = np.zeros(1 << bits, dtype=np.uint8)
     for side, hashes, _ in mark:
@@ -275,31 +276,20 @@ def _join(mark, keep, key_hash, bits: int) -> tuple:
             sides[hashes >> shift] = 1
         else:
             sides[hashes >> shift] |= 2
-    kept, n_ab = [], 0
+    kept = ([], [])
     for side, hashes, pairs in keep:
         pairs = pairs[sides[hashes >> shift] == 3]
-        kept.append((key_hash(side, pairs), pairs))
-        if side == 0:
-            n_ab += pairs.size
+        kept[side].append((key_hash(side, pairs), pairs))
     del sides
-    hashes = np.concatenate([h for h, _ in kept])
-    pairs = np.concatenate([p for _, p in kept])
+    (hash_ab, pair_ab), (hash_cd, pair_cd) = ([np.concatenate(part) for part in zip(*k)] for k in kept)
     del kept
-    order = np.argsort(hashes, kind="stable")  # of equal hashes, A x B records come first
-    hashes = hashes[order]
-    new = np.ones(order.size, dtype=bool)
-    np.not_equal(hashes[1:], hashes[:-1], out=new[1:])
-    starts = np.flatnonzero(new)
-    group = np.cumsum(new) - 1
-    is_ab = order < n_ab
-    count_ab = np.add.reduceat(is_ab.astype(np.intp), starts)
-    count_cd = np.diff(np.append(starts, order.size)) - count_ab
-    ab = np.flatnonzero(is_ab & (count_cd > 0)[group])
-    reps = count_cd[group[ab]]
-    first_cd = np.repeat(starts[group[ab]] + count_ab[group[ab]], reps)
-    inner = np.arange(first_cd.size) - np.repeat(np.cumsum(reps) - reps, reps)
-    ab = np.repeat(ab, reps)
-    return pairs[order[ab]], pairs[order[first_cd + inner]]
+    order = np.argsort(hash_ab)
+    hash_ab, pair_ab = hash_ab[order], pair_ab[order]
+    first = np.searchsorted(hash_ab, hash_cd, side="left")
+    reps = np.searchsorted(hash_ab, hash_cd, side="right") - first
+    # C x D record j meets the A x B records first[j], ..., first[j] + reps[j] - 1
+    ab = np.arange(reps.sum()) + np.repeat(first - (np.cumsum(reps) - reps), reps)
+    return pair_ab[ab], np.repeat(pair_cd, reps)
 
 
 def match_compressions(lists: tuple, n: int, mod4_filter: bool = True,
@@ -331,10 +321,11 @@ def match_compressions(lists: tuple, n: int, mod4_filter: bool = True,
     hashes = _row_hashes(lists, target)
     low = [h.astype(np.uint32) for h in hashes]
     # entries of 2-compressions are -2, 0 or 2, so four of them sum to 0 mod 4
-    # exactly when an even number are nonzero: the rows' nonzero masks xor to 0
-    words = range(0, d, 64) if mod4_filter and 2 * d == n else ()  # 64 columns a word
-    masks = [[_bit_codes(lx.rows.T != 0, range(w, min(w + 64, d))) for w in words] for lx in lists]
-    weights = np.uint64(_MASK_MULT) * np.arange(1, 2 * len(words), 2, dtype=np.uint64)
+    # exactly when an even number are nonzero: the rows' nonzero masks xor to 0.
+    # d = n/2 <= 64 at every order step 2 can scan, so a mask is one word; with
+    # no mod-4 filter every mask is 0
+    columns = range(d) if mod4_filter and 2 * d == n else ()
+    masks = [_bit_codes(lx.rows.T != 0, columns) for lx in lists]
     sides = ((la, lb, 0), (lc, ld, 2))
     bound = psd_bound(n)
 
@@ -346,10 +337,8 @@ def match_compressions(lists: tuple, n: int, mod4_filter: bool = True,
     def key_hash(side, pairs):
         _, ly, i = sides[side]
         xi, yi = np.divmod(pairs, len(ly))
-        hashed = hashes[i][xi] + hashes[i + 1][yi]
-        for wx, wy, weight in zip(masks[i], masks[i + 1], weights):
-            hashed += (wx[xi] ^ wy[yi]) * weight
-        return hashed
+        mask = masks[i][xi] ^ masks[i + 1][yi]
+        return hashes[i][xi] + hashes[i + 1][yi] + mask * np.uint64(_MASK_MULT)
 
     held, held_bytes, records = [], 0, 0
     for block in blocks():
@@ -376,9 +365,8 @@ def match_compressions(lists: tuple, n: int, mod4_filter: bool = True,
             idx = [np.concatenate(p) for p in zip(idx, mirror)]
     ia, ib, ic, id_ = idx
     # drop the pairs whose masks or keys differ: hash collisions
-    exact = np.ones(ia.size, dtype=bool)
-    for wa, wb, wc, wd in zip(*masks):
-        exact &= (wa[ia] ^ wb[ib]) == (wc[ic] ^ wd[id_])
+    wa, wb, wc, wd = masks
+    exact = (wa[ia] ^ wb[ib]) == (wc[ic] ^ wd[id_])
     keys = [la.paf[ia, j] + lb.paf[ib, j] for j in range(target.size)]
     for j, key in enumerate(keys):
         exact &= key == target[j] - lc.paf[ic, j] - ld.paf[id_, j]

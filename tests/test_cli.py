@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import williamson
@@ -319,7 +320,8 @@ class TestEnumerate:
     ])
     def test_instance_set_pinned(self, n, tasks, discarded, digest):
         got, dropped = cli._generate_instances(RunConfig(n=n))
-        log = [(cli._instance_id(rows), kept_id) for rows, kept_id in dropped]  # as the log writer does
+        log = [(cli._instance_id(np.frombuffer(rows, np.int8).reshape(4, -1).tolist()), kept_id)
+               for rows, kept_id in dropped]  # as the log writer does
         assert (len(got), len(log)) == (tasks, discarded)
         assert hashlib.sha1(json.dumps([got, log]).encode()).hexdigest()[:16] == digest
 

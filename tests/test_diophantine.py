@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 
 import pytest
 
@@ -62,6 +64,10 @@ def test_deterministic_order():
         keys = [tuple(abs(v) for v in t) for t in decs]
         assert keys == sorted(keys)
         assert len(set(decs)) == len(decs)
+    # the order fixes the order of the matches, hence the kept instances and their ids
+    everything = json.dumps([decompose_four_squares(n) for n in range(1, 201)])
+    digest = "af2cea226d94603d9a7b45bafc3cd451400ade0be09a73b3addf81fb5e225680"
+    assert hashlib.sha256(everything.encode()).hexdigest() == digest
 
 
 def test_completeness_against_brute_force():

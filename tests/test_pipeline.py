@@ -497,6 +497,46 @@ class TestMatchCompressions:
             lists = build_compression_lists(cands, dec, smallest_prime_divisor(n))
             assert [rows_of(mc) for mc in match_compressions(lists, n)] == reference_join(lists, n), dec
 
+    @pytest.mark.parametrize("bits", [1, 8, 32])
+    @pytest.mark.parametrize("disjoint", [False, True])
+    def test_join_equals_brute_force(self, bits, disjoint):
+        # synthetic records in uneven blocks (one empty) with repeated filter
+        # hashes, and key hashes shared by several records of each side; the
+        # join returns each pair of filter survivors with equal key hashes
+        # once.  With disjoint, every A x B filter hash has its top bit clear
+        # and every C x D one has it set, so no bucket has both sides
+        rng = np.random.default_rng(bits)
+        sizes = ((50, 0, 70), (40, 1, 60))
+        pools = (np.array([0, 7, 2**31 + 5, 2**32 - 2**16], np.uint32),
+                 np.array([0, 2**31 + 5, 2**31 + 6, 0x12345678], np.uint32))
+        if disjoint:
+            pools = (pools[0] & np.uint32(2**31 - 1), pools[1] | np.uint32(2**31))
+        key_pool = np.array([1, 5, 2**63 + 3, 2**64 - 1, 42, 7], np.uint64)
+        filters = [rng.choice(pools[s], sum(sizes[s])) for s in (0, 1)]
+        pairs = [rng.permutation(1000)[:sum(sizes[s])].astype(np.int32) for s in (0, 1)]
+        keys = [rng.choice(key_pool[s:s + 5], 1000) for s in (0, 1)]
+
+        def records():
+            for side in (0, 1):
+                for block in np.split(np.arange(sum(sizes[side])), np.cumsum(sizes[side])[:-1]):
+                    yield side, filters[side][block], pairs[side][block]
+
+        hashed = ([], [])
+
+        def key_hash(side, p):
+            hashed[side].extend(p.tolist())
+            return keys[side][p]
+
+        pair_ab, pair_cd = pipeline._join(records(), records(), key_hash, bits)
+        shift = 32 - bits
+        buckets = [{int(h) >> shift for h in filters[s]} for s in (0, 1)]
+        live = [[int(p) for p, h in zip(pairs[s], filters[s]) if int(h) >> shift in buckets[1 - s]]
+                for s in (0, 1)]
+        assert [sorted(h) for h in hashed] == [sorted(p) for p in live]
+        expected = sorted((a, c) for a in live[0] for c in live[1] if keys[0][a] == keys[1][c])
+        assert sorted(zip(pair_ab.tolist(), pair_cd.tolist())) == expected
+        assert len(set(expected)) == len(expected) and (not expected) == disjoint
+
     def test_match_rows_are_read_only_int8(self):
         decs, cands = make_candidates(18)
         mcs = match_compressions(build_compression_lists(cands, decs[0], 2), 18)
