@@ -3,8 +3,9 @@
 The enumerate command runs the full pipeline for one order n divisible by 2
 or 3: rowsum decompositions, PSD-filtered candidates, compression lists,
 pair-sum matching, instance deduplication, and SAT uncompression, always with
-the programmatic PSD callback; the solver returns free rows, and for even n it
-searches one model per E3 orbit and returns the rows of its images too.  One
+the programmatic PSD callback; the solver returns free rows, and it searches
+one model per orbit of E3 for even n, and of the multiplier 1 + n/3 when
+9 | n, and returns the rows of its images too.  One
 SAT instance is one task in a worker pool; results are checkpointed per
 instance so a killed run can resume.  Every found quadruple is verified
 exactly before counting, and one that fails aborts the run.

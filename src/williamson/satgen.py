@@ -19,7 +19,14 @@ zero, one unit clause fixing free entry j to +1 at the first of them; the
 instance then keeps exactly one model of each orbit, and `SatInstance.images`
 returns the free rows of the quadruples one model stands for, reversing the
 shifted members' rows.  A shift of an odd-order member by n/3 breaks its
-symmetry, so odd n takes no unit.
+symmetry; there the automorphism E4 by mu = 1 + d (d = n/3) plays that part
+when 3 | d, as mu is then a unit of order 3 with mu = 1 (mod d), acting on all
+four members at once.  It maps source j + d*t of compressed entry j to
+j + d*(t + j), so for 3 ∤ j it rotates the three sources, and an entry of ±1
+has its minority sign at a different source in each of the three images.  One
+unit clause, fixing free entry j to the minority sign at the first such entry
+j <= d//2 of the first member that has one, keeps exactly one model of each
+mu-orbit, and `SatInstance.images` applies mu and mu^2 to all four rows.
 
 Instances whose compressed quadruples are related by an equivalence
 transformation have equivalent solution sets; only the first of each class
@@ -37,7 +44,7 @@ from itertools import combinations, compress
 
 import numpy as np
 
-from .equivalence import canonical_ranks, first_of_class
+from .equivalence import _e4, canonical_ranks, first_of_class
 from .seqcore import fold_indices
 
 
@@ -71,14 +78,17 @@ class SatInstance:
     clauses: list
     var_map: VariableMap = field(default=None, compare=False)
     shifted: tuple = ()  # the members with an E3 unit clause, A to D as 0 to 3
+    turns: tuple = ()  # with a mu unit clause: the free-index maps of mu and mu^2
 
     def images(self, model) -> list:
-        """The free rows of `model` (`VariableMap.decode`) and of its images
-        under the half shifts of the `shifted` members, the model's own first:
-        each shift reverses the member's free row."""
+        """The free rows of `model` (`VariableMap.decode`) and of its images,
+        the model's own first: under the half shifts of the `shifted` members,
+        each reversing the member's free row, or under mu and mu^2, each
+        permuting the free entries of all four rows by one of `turns`."""
         orbit = [self.var_map.decode(model)]
         for role in self.shifted:
             orbit += [rows[:role] + (rows[role][::-1],) + rows[role + 1:] for rows in orbit]
+        orbit += [tuple(tuple(row[i] for i in turn) for row in orbit[0]) for turn in self.turns]
         return orbit
 
 
@@ -135,18 +145,28 @@ def encode_product_theorem(n: int) -> list:
 
 def build_instance(rows, n: int) -> SatInstance:
     """The CNF solved for one matched compression: its uncompression clauses,
-    then the product clauses when n is odd, or the E3 unit clauses when n is
-    even: free entry j set to +1 for each member whose row is 0 at some
-    entry j <= d//2, at the first such j, recorded in `shifted`."""
+    then, when n is odd, the product clauses and, when 3 | d, the mu unit
+    clause: free entry j set to the minority sign of its entry ±1 at the
+    first member with one at some 0 < j <= d//2, 3 ∤ j, its first such j,
+    with mu's free-index maps recorded in `turns`; or, when n is even, the
+    E3 unit clauses: free entry j set to +1 for each member whose row is 0
+    at some entry j <= d//2, at the first such j, recorded in `shifted`."""
     inst = encode_uncompression(rows, n)
+    d, vm = len(rows[0]), inst.var_map
     if n % 2 == 1:
         inst.clauses.extend(list(c) for c in encode_product_theorem(n))
+        unit = next(((role, j) for role, row in enumerate(rows) for j in range(1, d // 2 + 1)
+                     if d % 3 == 0 and j % 3 and abs(row[j]) == 1), None)
+        if unit:
+            var = vm.var(*unit)
+            inst.clauses.append([var if rows[unit[0]][unit[1]] < 0 else -var])
+            inst.turns = tuple(_e4((vm._fold,), k)[0][:vm.free_count] for k in (1 + d, 1 + 2 * d))
         return inst
-    half = len(rows[0]) // 2
+    half = d // 2
     for role, row in enumerate(rows):
         j = next((j for j in range(half + 1) if row[j] == 0), None)
         if j is not None:
-            inst.clauses.append([inst.var_map.var(role, j)])
+            inst.clauses.append([vm.var(role, j)])
             inst.shifted += (role,)
     return inst
 

@@ -46,8 +46,9 @@ def quadruple_of(var_map, model):
 
 def solve_without_callback(n):
     """CNF-only solving of every instance the driver keeps at order n, each
-    model returned as the free rows of itself and its E3 images, as the
-    driver does: the solver counters summed over the instances (the driver's
+    model returned as the free rows of itself and its images under the
+    symmetry its unit clauses break (E3 at even n, the multiplier 1 + n/3
+    when 9 | n), as the driver does: the solver counters summed over the instances (the driver's
     `COUNTERS` plus ``verified``), and the quadruples that pass the exact
     check."""
     totals = dict.fromkeys(COUNTERS + ("verified",), 0)

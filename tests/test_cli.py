@@ -151,12 +151,16 @@ class TestEnumerate:
         run_enumeration(RunConfig(n=9, out_dir=str(out_dir), dump_cnf=True))
         tasks, _ = cli._generate_instances(RunConfig(n=9))
         assert sorted(os.listdir(out_dir / "instances")) == sorted(f"{iid}.cnf" for iid, _ in tasks)
+        product = [" ".join(map(str, c)) + " 0" for c in encode_product_theorem(9)]
         for iid, rows in tasks:
             dumped = (out_dir / "instances" / f"{iid}.cnf").read_text()
             expected = build_instance(rows, 9)
             assert dumped == export_dimacs(expected)
-            product = [" ".join(map(str, c)) + " 0" for c in encode_product_theorem(9)]
-            assert dumped.splitlines()[-len(product):] == product
+            # each n=9 instance has an entry ±1 at j = 1, so the mu unit
+            # clause follows the product clauses
+            lines = dumped.splitlines()
+            assert expected.turns and len(lines[-1].split()) == 2
+            assert lines[-1 - len(product):-1] == product
 
     def test_determinism(self, tmp_path):
         a = run_enumeration(RunConfig(n=9, out_dir=str(tmp_path / "a")))
@@ -359,11 +363,12 @@ class TestEnumerate:
 
     # run_enumeration totals under the fixed decision rule (lowest unassigned
     # variable, saved phase, no restarts), each callback clause and each
-    # model's blocking clause analysed to its 1UIP clause, and at even n one
-    # model searched per E3 orbit; a solver change that moves the search on
-    # purpose updates these and says so
+    # model's blocking clause analysed to its 1UIP clause, and one model
+    # searched per E3 orbit at even n and per orbit of the multiplier 1 + n/3
+    # when 9 | n; a solver change that moves the search on purpose updates
+    # these and says so
     @pytest.mark.parametrize("n,totals", [
-        (9, (29, 18, 227, 13, 15)),
+        (9, (8, 6, 101, 5, 15)),
         (12, (29, 8, 178, 21, 128)),
         (18, (415, 48, 2284, 360, 584)),
     ])
@@ -375,7 +380,7 @@ class TestEnumerate:
     # through the library: models are then filtered by exact verification
     # after the search, so solutions exceed verified
     @pytest.mark.parametrize("n,totals", [
-        (9, (34, 37, 278, 0, 33, 15)),
+        (9, (10, 13, 115, 0, 33, 15)),
         (12, (45, 48, 240, 0, 768, 128)),
     ])
     def test_search_counters_pinned_without_callback(self, n, totals):

@@ -7,7 +7,7 @@ from williamson.diophantine import decompose_four_squares
 from williamson.oracle import brute_force_enumerate, brute_force_uncompress
 from williamson.pipeline import generate_candidates
 from williamson.progsat import CdclSolver, WilliamsonCallback
-from williamson.satgen import SatInstance, VariableMap, build_instance, encode_uncompression
+from williamson.satgen import SatInstance, VariableMap, build_instance, encode_product_theorem, encode_uncompression
 from williamson.seqcore import (
     EPSILON_DEFAULT,
     cosine_table,
@@ -350,8 +350,6 @@ def _pipeline_instances(n):
 def test_callback_equals_post_filter(n):
     # soundness: callback-enabled solving returns exactly the Williamson
     # solutions of callback-free solving
-    from williamson.satgen import encode_product_theorem
-
     for iid, rows in _pipeline_instances(n):
         inst = encode_uncompression(rows, n)
         clauses = list(inst.clauses)
@@ -365,17 +363,30 @@ def test_callback_equals_post_filter(n):
         assert prog_quads == plain_quads
 
 
-@pytest.mark.parametrize("n", list(range(2, 25, 2)) + [28])
-def test_e3_reduced_search_finds_every_model(n):
-    # each instance solved with the callback twice: with the E3 units and
-    # their images, and as the bare uncompression; the free rows of the
-    # models are equal, and no rows are returned twice
+def _reduced_search_finds_every_model(n):
+    # each instance solved with the callback twice: with its unit clauses and
+    # their images, and as the bare uncompression (plus the product clauses
+    # at odd n); the free rows of the models are equal, and no rows are
+    # returned twice
     for iid, rows in _pipeline_instances(n):
         inst, bare = build_instance(rows, n), encode_uncompression(rows, n)
+        if n % 2:
+            bare.clauses.extend(list(c) for c in encode_product_theorem(n))
         reduced = solve(inst, WilliamsonCallback(inst.var_map), inst.images)
         full = solve(bare, WilliamsonCallback(bare.var_map))
         assert len(reduced) == len(set(reduced)), iid
         assert set(reduced) == {bare.var_map.decode(model) for model in full}, iid
+
+
+@pytest.mark.parametrize("n", list(range(2, 25, 2)) + [28])
+def test_e3_reduced_search_finds_every_model(n):
+    _reduced_search_finds_every_model(n)
+
+
+@pytest.mark.parametrize("n", [9, 27])
+def test_mu_reduced_search_finds_every_model(n):
+    # 9 | n: the multiplier mu = 1 + n/3 breaks by one unit clause
+    _reduced_search_finds_every_model(n)
 
 
 def test_callback_agrees_with_uncompression_oracle():
@@ -402,8 +413,9 @@ class LowestFirstSolver(CdclSolver):
         self.checked += 1
 
 
-# orders whose instances the search tests below cover: 21 is odd, so no E3
-# unit shortens its search, and it carries most of the counts the floors need
+# orders whose instances the search tests below cover: 21 is odd and 3 does
+# not divide 21/3, so no unit clause shortens its search, and it carries most
+# of the counts the floors need
 SEARCH_ORDERS = (18, 21)
 
 

@@ -263,11 +263,54 @@ class TestBuildInstance:
             assert len(set(images)) == len(images) == 2 ** len(inst.shifted)
 
     def test_odd_order_appends_product_clauses(self):
+        # then the mu unit: A's entry 1 is +1, so its minority sign -1 is set
+        # at free entry 1 (variable 2)
         rows = [[1, 1, 1], [-1, 1, 1], [3, -1, -1], [-3, 1, 1]]
         inst = build_instance(rows, 9)
         base = encode_uncompression(rows, 9).clauses
         product_clauses = [list(c) for c in encode_product_theorem(9)]
-        assert inst.clauses == base + product_clauses
+        assert inst.clauses == base + product_clauses + [[-2]]
+        assert inst.shifted == ()
+
+    @pytest.mark.parametrize("n, rows", [
+        (15, [[1, 1, -1, -1, 1], [3, 1, 1, 1, 1], [-1, 3, 1, 1, 3], [1, -1, 1, 1, -1]]),
+        (21, [[1, 1, -1, 1, 1, -1, 1], [3] * 7, [-1, 3, 1, 1, 1, 1, 3], [1] * 7]),
+        (9, [[1, 3, 3], [3, -3, -3], [-1, 3, 3], [1, -3, -3]]),
+        (27, [[1, 3, -3, 1, 3, 3, 1, -3, 3]] * 4),
+    ], ids=["15", "21", "9-all-3", "27-all-3"])
+    def test_odd_order_without_mu_unit(self, n, rows):
+        # 3 does not divide n/3, or every eligible entry (0 < j <= d//2,
+        # 3 not dividing j) is ±3, which mu leaves alone
+        inst = build_instance(rows, n)
+        assert inst.clauses == encode_uncompression(rows, n).clauses + [list(c) for c in encode_product_theorem(n)]
+        assert inst.turns == ()
+
+    @pytest.mark.parametrize("n", [9, 27])
+    def test_images_are_the_mu_images(self, n):
+        # the images of a model are the free rows of the quadruples E4 by
+        # mu = 1 + d and mu^2 = 1 + 2d give, and exactly one of them meets
+        # the unit clause
+        rng, d = np.random.default_rng(n), n // 3
+        units = 0
+        for _ in range(20):
+            q = random_quadruple(rng, n)
+            inst = build_instance([compress(x, d) for x in q.members], n)
+            vm = inst.var_map
+            model = tuple(v if q.members[r].free[i] > 0 else -v
+                          for r, block in enumerate(vm.blocks()) for i, v in enumerate(block))
+            images = inst.images(model)
+            assert images[0] == vm.decode(model) == tuple(x.free for x in q.members)
+            if not inst.turns:
+                assert len(images) == 1
+                continue
+            units += 1
+            expected = [q] + [apply_equivalence(q, "E4", k=k) for k in (1 + d, 1 + 2 * d)]
+            assert [quadruple_of_rows(n, rows) for rows in images] == expected
+            assert len(set(images)) == 3
+            (lit,) = inst.clauses[-1]
+            role, i = divmod(abs(lit) - 1, vm.free_count)
+            assert sum((rows[role][i] > 0) == (lit > 0) for rows in images) == 1
+        assert units >= 15
 
 
 class TestDimacs:
@@ -281,7 +324,7 @@ class TestDimacs:
     # order: a change to any clause, or to the order of clauses or literals,
     # moves it
     @pytest.mark.parametrize("n, digest", [
-        (27, "f25a2d328d465ef6b908627a1b0338d4f666661c38ccea8e45d018e570d64bb2"),
+        (27, "ec834ef650942b5485ba7148bdd213e5a37ab7d359f3e95195a5c258ad351f23"),
         (28, "3acca59c70a1c5abb2e6c72a46dd6b3844b593fcfe0bc18dd06a1b3d37105d01"),
     ], ids=["27", "28"])
     def test_kept_instances_pinned(self, n, digest):
